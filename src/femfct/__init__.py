@@ -3,6 +3,7 @@
 from .assembly import (
     ProblemSpec,
     apply_dirichlet,
+    assemble_laplacian,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -21,6 +22,7 @@ from .fct import (
     FluxMatrix,
     LimiterMatrix,
     MMatrixReport,
+    PairGraph,
     artificial_diffusion,
     correction_vector,
     linear_fluxes,
@@ -44,7 +46,7 @@ from .mesh import (
     refine_uniform,
 )
 from .problems import ExactSolution, space_study_problem, time_study_problem
-from .solver import Factorization, LinearSolveOptions, SolverError, solve
+from .solver import Factorization, SolverError, solve
 from .stepper import (
     ConstantLimiter,
     FixedPointOptions,
@@ -53,7 +55,6 @@ from .stepper import (
     StepRecord,
     TimeStepper,
     ZalesakLimiter,
-    run,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

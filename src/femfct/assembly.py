@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-# 3-point edge-midpoint rule, exact for polynomials of degree 2.
+# 3-point edge-midpoint rule, exact for polynomials of degree 2; its
+# points are the mesh's Geometry.midpoints.
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -52,55 +53,37 @@ class ProblemSpec:
             raise ValueError("c0 must be positive")
 
 
-def _geometry(mesh):
-    """Per-triangle corner coordinates, areas and constant P1 gradients."""
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-    grads = np.empty((p.shape[0], 3, 2))
-    for a in range(3):
-        j, k = (a + 1) % 3, (a + 2) % 3
-        grads[:, a, 0] = p[:, j, 1] - p[:, k, 1]
-        grads[:, a, 1] = p[:, k, 0] - p[:, j, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return p, area, grads
-
-
-def _index_arrays(mesh):
+def _to_csr(mesh, local):
+    """Sum (m, 3, 3) element matrices into a CSR matrix with sorted indices."""
     t = mesh.triangles
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
-    return rows, cols
-
-
-def _to_csr(mesh, local):
-    rows, cols = _index_arrays(mesh)
     n = mesh.n_nodes
     mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     mat.sort_indices()
     return mat
 
 
-def quad_points(mesh, bary):
-    """Physical coordinates of barycentric quadrature points, (m, q, 2)."""
-    p = mesh.nodes[mesh.triangles]
-    return np.einsum("qa,mad->mqd", bary, p)
-
-
 def assemble_mass(mesh) -> sparse.csr_matrix:
     """Consistent P1 mass matrix (exact element integration)."""
-    _, area, _ = _geometry(mesh)
+    area = mesh.geometry.areas
     ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * ref[None, :, :]
     return _to_csr(mesh, local)
 
 
+def assemble_laplacian(mesh) -> sparse.csr_matrix:
+    """P1 stiffness matrix of -lap(u), the Gram matrix of the gradients."""
+    geo = mesh.geometry
+    local = geo.areas[:, None, None] * np.einsum("mid,mjd->mij", geo.grads, geo.grads)
+    return _to_csr(mesh, local)
+
+
 def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     """Stiffness matrix of diffusion, convection, and reaction at time t."""
-    _, area, grads = _geometry(mesh)
-    pts = quad_points(mesh, QUAD2_BARY)  # (m, 3, 2)
-    x, y = pts[..., 0], pts[..., 1]
+    geo = mesh.geometry
+    area, grads = geo.areas, geo.grads
+    x, y = geo.midpoints[..., 0], geo.midpoints[..., 1]  # (m, 3)
     bx, by = spec.b(t, x, y)
     cval = spec.c(t, x, y)
     bx, by, cval = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in (bx, by, cval))
@@ -117,15 +100,11 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
 
 def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     """Load vector f_i = (f(t, .), phi_i) with the 3-point rule."""
-    _, area, _ = _geometry(mesh)
-    pts = quad_points(mesh, QUAD2_BARY)
-    fval = np.broadcast_to(
-        np.asarray(spec.f(t, pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-    )
-    local = area[:, None] * np.einsum("q,mq,qi->mi", QUAD2_W, fval, QUAD2_BARY)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
+    geo = mesh.geometry
+    x, y = geo.midpoints[..., 0], geo.midpoints[..., 1]
+    fval = np.broadcast_to(np.asarray(spec.f(t, x, y), dtype=float), x.shape)
+    local = geo.areas[:, None] * np.einsum("q,mq,qi->mi", QUAD2_W, fval, QUAD2_BARY)
+    return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 
 
 def apply_dirichlet(matrix, rhs, mesh, spec: ProblemSpec, t: float):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .assembly import _geometry, _to_csr
-from .fct import LimiterMatrix, _pair_values
+from .assembly import assemble_laplacian, assemble_mass
+from .fct import LimiterMatrix, PairGraph
 
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011, 0.109951743655322
@@ -38,14 +38,12 @@ class ErrorWorkspace:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        p, self.area, self.grads = _geometry(mesh)
+        self.area, self.grads = mesh.geometry.areas, mesh.geometry.grads
+        p = mesh.nodes[mesh.triangles]
         self.qx = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 0])
         self.qy = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 1])
-        ref_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        self.mass = _to_csr(mesh, self.area[:, None, None] * ref_mass[None])
-        self.laplacian = _to_csr(
-            mesh, self.area[:, None, None] * np.einsum("mid,mjd->mij", self.grads, self.grads)
-        )
+        self.mass = assemble_mass(mesh)
+        self.laplacian = assemble_laplacian(mesh)
 
     def field_at_quad(self, u_h):
         return np.einsum("qa,ma->mq", QUAD4_BARY, u_h[self.mesh.triangles])
@@ -80,8 +78,16 @@ def h1_seminorm_error(mesh, u_h, u_exact_gradient, t, workspace=None) -> float:
 
 def dh_seminorm(alpha: LimiterMatrix, diffusion, e_nodes) -> float:
     """Square root of the stabilization form
-    d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2."""
-    d_ij = _pair_values(diffusion, alpha.i, alpha.j)
+    d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2.
+
+    Raises ValueError unless the strictly upper entries of ``diffusion``
+    sit exactly on the limiter's pairs.
+    """
+    diffusion = sparse.csr_matrix(diffusion)
+    pairs = PairGraph.of(diffusion)
+    if not (np.array_equal(pairs.i, alpha.i) and np.array_equal(pairs.j, alpha.j)):
+        raise ValueError("the diffusion's upper pattern is not the limiter's pairs")
+    d_ij = pairs.gather(diffusion)
     de = e_nodes[alpha.j] - e_nodes[alpha.i]
     return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
 

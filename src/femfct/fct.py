@@ -57,24 +57,43 @@ class LimiterMatrix:
             raise ValueError("limiter values outside [0, 1]")
 
 
-def _upper_pairs(mat: sparse.spmatrix):
-    """Strictly upper-triangular entries (i, j, value) of a CSR matrix."""
-    up = sparse.triu(mat, k=1).tocoo()
-    order = np.lexsort((up.col, up.row))
-    return up.row[order], up.col[order], up.data[order]
+def _upper_pairs(mat: sparse.csr_matrix):
+    """Pairs i < j of the strictly upper entries of a CSR matrix, in
+    lexicographic order, and the positions of those entries in ``mat.data``.
 
-
-def _pair_values(mat: sparse.spmatrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Entries mat[i, j] for index arrays with i < j.
-
-    Fast path when the matrix has exactly the pattern described by
-    (i, j); falls back to generic sparse indexing otherwise.
+    Sorts the matrix's column indices in place if they are not sorted.
     """
-    iu, ju, vals = _upper_pairs(mat)
-    if iu.size == i.size and np.array_equal(iu, i) and np.array_equal(ju, j):
-        return vals
-    m = mat.tocsr()
-    return np.asarray(m[i, j]).ravel()
+    mat.sort_indices()
+    row = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    pos = np.flatnonzero(mat.indices > row)
+    return row[pos], mat.indices[pos], pos
+
+
+@dataclass(frozen=True)
+class PairGraph:
+    """Unordered node pairs i < j of a symmetric sparsity pattern.
+
+    Fluxes and limiter values live on these pairs; ``pos`` locates entry
+    (i, j) in the data array of every CSR matrix with the pattern the
+    graph was read from (sorted indices).  The arrays are read-only, and
+    every FluxMatrix and LimiterMatrix built on the graph shares them.
+    """
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    pos: np.ndarray
+
+    @classmethod
+    def of(cls, mat: sparse.csr_matrix) -> PairGraph:
+        i, j, pos = _upper_pairs(mat)
+        for a in (i, j, pos):
+            a.setflags(write=False)
+        return cls(mat.shape[0], i, j, pos)
+
+    def gather(self, mat: sparse.csr_matrix) -> np.ndarray:
+        """Entries mat[i, j] of a CSR matrix with the graph's pattern."""
+        return mat.data[self.pos]
 
 
 def artificial_diffusion(a_mat: sparse.spmatrix) -> sparse.csr_matrix:
@@ -118,19 +137,19 @@ def predictor_half_step(m_lumped, abar, u_prev, f_prev, tau, dirichlet=None, g_v
     return ubar
 
 
-def raw_fluxes(mass, diffusion, u_new, u_prev, tau) -> FluxMatrix:
+def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> FluxMatrix:
     """Fluxes of the nonlinear scheme:
-    f_ij = m_ij [(du_i - du_j)] + tau d_ij (u_j^n - u_i^n), du = u^n - u^{n-1}.
+    f_ij = m_ij [(du_i - du_j)] + tau d_ij (u_j^n - u_i^n), du = u^n - u^{n-1},
+    with the mass and diffusion entries ``m_ij``, ``d_ij`` given per pair.
     """
-    i, j, m_ij = _upper_pairs(mass)
-    d_ij = _pair_values(diffusion, i, j)
+    i, j = pairs.i, pairs.j
     du = u_new - u_prev
     vals = m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
-    return FluxMatrix(mass.shape[0], i, j, vals)
+    return FluxMatrix(pairs.n, i, j, vals)
 
 
 def linear_fluxes(
-    mass, diffusion, m_lumped, abar, u_prev, f_prev, tau, dirichlet=None, g_rate=None
+    pairs: PairGraph, m_ij, d_ij, m_lumped, abar, u_prev, f_prev, tau, dirichlet=None, g_rate=None
 ) -> FluxMatrix:
     """Fluxes of the linear scheme built from the explicit rate
     nu = M_L^-1 (f^{n-1} - Abar u^{n-1}):
@@ -141,14 +160,13 @@ def linear_fluxes(
     of the boundary data (``g_rate``, zero by default); otherwise the
     spurious values would pollute the fluxes of boundary-adjacent pairs.
     """
-    i, j, m_ij = _upper_pairs(mass)
-    d_ij = _pair_values(diffusion, i, j)
+    i, j = pairs.i, pairs.j
     nu = (f_prev - abar @ u_prev) / m_lumped
     if dirichlet is not None:
         nu[dirichlet] = 0.0 if g_rate is None else g_rate
     dnu = nu[i] - nu[j]
     vals = tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
-    return FluxMatrix(mass.shape[0], i, j, vals)
+    return FluxMatrix(pairs.n, i, j, vals)
 
 
 def prelimit(flux: FluxMatrix, ubar: np.ndarray) -> FluxMatrix:

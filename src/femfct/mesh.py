@@ -9,6 +9,7 @@ nodes are moved to the right by a tenth of the horizontal mesh width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,21 @@ class Edge:
     j: int
     h_e: float
     tangent: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Per-triangle data shared by assembly and the error norms.
+
+    areas : (m,) element areas
+    grads : (m, 3, 2) constant gradients of the three P1 basis functions
+    midpoints : (m, 3, 2) midpoints of the edges (0,1), (1,2), (2,0), the
+        points of the 3-point quadrature rule
+    """
+
+    areas: np.ndarray
+    grads: np.ndarray
+    midpoints: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,11 +76,26 @@ class TriMesh:
     def boundary_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_mask)
 
-    def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
+    @cached_property
+    def geometry(self) -> Geometry:
+        """Element geometry, computed on first use; its arrays are read-only."""
+        p = self.nodes[self.triangles]  # (m, 3, 2)
         v1 = p[:, 1] - p[:, 0]
         v2 = p[:, 2] - p[:, 0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        grads = np.empty((p.shape[0], 3, 2))
+        for a in range(3):
+            j, k = (a + 1) % 3, (a + 2) % 3
+            grads[:, a, 0] = p[:, j, 1] - p[:, k, 1]
+            grads[:, a, 1] = p[:, k, 0] - p[:, j, 0]
+        grads /= (2.0 * area)[:, None, None]
+        midpoints = 0.5 * (p + np.roll(p, -1, axis=1))
+        for a in (area, grads, midpoints):
+            a.setflags(write=False)
+        return Geometry(area, grads, midpoints)
+
+    def areas(self) -> np.ndarray:
+        return self.geometry.areas
 
 
 def _boundary_mask(nodes: np.ndarray) -> np.ndarray:

@@ -1,12 +1,10 @@
-"""Sparse linear solves: direct LU by default, BiCGStab as an option."""
+"""Sparse linear solves by direct LU factorization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import splu
 
 
 class SolverError(RuntimeError):
@@ -15,21 +13,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class LinearSolveOptions:
-    method: str = "direct"  # "direct" or "bicgstab"
-    tol: float = 1e-12
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.method not in ("direct", "bicgstab"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 class Factorization:
@@ -46,24 +29,13 @@ class Factorization:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
-def solve(matrix, rhs, opts: LinearSolveOptions | None = None) -> np.ndarray:
-    """Solve matrix @ u = rhs.
-
-    The direct method is backward stable; the Krylov method stops at a
-    relative residual of ``opts.tol`` and raises on non-convergence.
-    """
-    opts = opts or LinearSolveOptions()
+def solve(matrix, rhs) -> np.ndarray:
+    """Solve matrix @ u = rhs by sparse LU (backward stable); raises
+    SolverError on a failed factorization or a non-finite solution."""
     rhs = np.asarray(rhs, dtype=float)
     mat = sparse.csr_matrix(matrix)
-    if opts.method == "direct":
-        u = Factorization(mat).solve(rhs)
+    u = Factorization(mat).solve(rhs)
+    if not np.all(np.isfinite(u)):
         res = np.linalg.norm(mat @ u - rhs)
-        if not np.all(np.isfinite(u)):
-            raise SolverError("direct solve produced non-finite values (singular matrix?)", res)
-        return u
-    precond = sparse.diags(1.0 / mat.diagonal())
-    u, info = bicgstab(mat, rhs, rtol=opts.tol, atol=0.0, maxiter=opts.max_iter, M=precond)
-    res = np.linalg.norm(mat @ u - rhs)
-    if info != 0:
-        raise SolverError(f"BiCGStab did not converge (info={info})", res)
+        raise SolverError("direct solve produced non-finite values (singular matrix?)", res)
     return u

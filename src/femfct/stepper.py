@@ -18,6 +18,7 @@ from .assembly import apply_dirichlet, assemble_load, assemble_mass, assemble_st
 from .fct import (
     FluxMatrix,
     LimiterMatrix,
+    PairGraph,
     artificial_diffusion,
     correction_vector,
     linear_fluxes,
@@ -72,11 +73,6 @@ class SchemeKind:
 class FixedPointOptions:
     tol: float = 1e-9
     max_iter: int = 100
-    damping: float = 1.0  # plain iteration by default
-
-    def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -101,7 +97,9 @@ class TimeStepper:
 
     For constant-coefficient problems the operators and the LU
     factorizations of the system matrices are built once and reused for
-    every step (and every fixed-point iteration).
+    every step (and every fixed-point iteration).  The node pairs of the
+    mass matrix's pattern (``pairs``) are read once; every flux and
+    limiter of the run lives on them.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -111,7 +109,10 @@ class TimeStepper:
         self.fp_opts = fp_opts or FixedPointOptions()
         self.mass = assemble_mass(mesh)
         self.m_lumped = lump(self.mass)
-        self._bmask = mesh.boundary_mask
+        self.pairs = PairGraph.of(self.mass)
+        self._m_ij = self.pairs.gather(self.mass)
+        bmask = mesh.boundary_mask
+        self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes
         self._ops_cache: dict = {}
         self._factor_cache: dict = {}
@@ -120,13 +121,17 @@ class TimeStepper:
 
     def operators(self, t):
         """(A, D, Abar=A+D) at time t, cached for constant coefficients."""
+        return self._operators(t)[:3]
+
+    def _operators(self, t):
+        """(A, D, Abar, d_ij) at time t, d_ij being D's entries on the pairs."""
         key = None if self.spec.constant_coefficients else t
         if key not in self._ops_cache:
             a = assemble_stiffness(self.mesh, self.spec, t)
             d = artificial_diffusion(a)
             if len(self._ops_cache) > 2:  # keep t and t - tau for one step
                 self._ops_cache.clear()
-            self._ops_cache[key] = (a, d, (a + d).tocsr())
+            self._ops_cache[key] = (a, d, (a + d).tocsr(), self.pairs.gather(d))
         return self._ops_cache[key]
 
     def _factorized(self, t, which, alpha_const=None):
@@ -174,8 +179,7 @@ class TimeStepper:
         if isinstance(lim, ConstantLimiter):
             values = alpha.values.copy()
             if lim.zalesak_boundary:
-                interior = ~(self._bmask[flux.i] | self._bmask[flux.j])
-                values[interior] = lim.value
+                values[self._interior_pairs] = lim.value
             else:
                 values[:] = lim.value
             alpha = LimiterMatrix(alpha.n, alpha.i, alpha.j, values)
@@ -202,13 +206,13 @@ class TimeStepper:
     def step_linear_fct(self, t, u_prev, f_prev) -> StepRecord:
         tau = self.spec.tau
         t_prev = t - tau
-        _, d_prev, abar_prev = self.operators(t_prev)
+        _, _, abar_prev, d_ij = self._operators(t_prev)
         ubar = predictor_half_step(
             self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, self._g_values(t)
         )
         g_rate = (self._g_values(t) - self._g_values(t_prev)) / tau
         flux = linear_fluxes(
-            self.mass, d_prev, self.m_lumped, abar_prev, u_prev, f_prev, tau,
+            self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, f_prev, tau,
             dirichlet=self._bnodes, g_rate=g_rate,
         )
         alpha = self._apply_limiter(flux, ubar)
@@ -222,7 +226,7 @@ class TimeStepper:
     def step_nonlinear_fct(self, t, u_prev, f_prev) -> StepRecord:
         tau = self.spec.tau
         t_prev = t - tau
-        _, d, abar = self.operators(t)
+        _, _, abar, d_ij = self._operators(t)
         _, _, abar_prev = self.operators(t_prev)
         fvec = assemble_load(self.mesh, self.spec, t)
         ubar = predictor_half_step(
@@ -236,7 +240,7 @@ class TimeStepper:
             ml_part = (1.0 - alpha_const) * self.m_lumped * u_prev
             rhs = tau * fvec + ml_part + alpha_const * (self.mass @ u_prev)
             u = self._factorized(t, "const", alpha_const).solve(self._constrained_rhs(rhs, t))
-            flux = prelimit(raw_fluxes(self.mass, d, u, u_prev, tau), ubar)
+            flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u, u_prev, tau), ubar)
             alpha = LimiterMatrix(flux.n, flux.i, flux.j, np.full_like(flux.values, alpha_const))
             fstar = correction_vector(alpha, flux)
             return StepRecord(
@@ -244,29 +248,22 @@ class TimeStepper:
             )
 
         def limited_correction(u_cur):
-            flux = prelimit(raw_fluxes(self.mass, d, u_cur, u_prev, tau), ubar)
+            flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), ubar)
             alpha = self._apply_limiter(flux, ubar)
             return flux, alpha, correction_vector(alpha, flux)
 
         factor = self._factorized(t, "low")
         base_rhs = tau * fvec + self.m_lumped * u_prev
         g = self._g_values(t)
-        omega = self.fp_opts.damping
 
-        u = u_prev.copy()
-        flux, alpha, fstar = limited_correction(u)
+        flux, alpha, fstar = limited_correction(u_prev)
         residual = np.inf
         for it in range(1, self.fp_opts.max_iter + 1):
-            u_new = factor.solve(self._constrained_rhs(base_rhs + fstar, t))
-            if omega < 1.0:
-                u_new = (1.0 - omega) * u + omega * u_new
-            flux, alpha, fstar = limited_correction(u_new)
-            res_vec = (
-                self.m_lumped * u_new + tau * (abar @ u_new) - base_rhs - fstar
-            )
-            res_vec[self._bnodes] = u_new[self._bnodes] - g
+            u = factor.solve(self._constrained_rhs(base_rhs + fstar, t))
+            flux, alpha, fstar = limited_correction(u)
+            res_vec = self.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
+            res_vec[self._bnodes] = u[self._bnodes] - g
             residual = float(np.linalg.norm(res_vec))
-            u = u_new
             if residual < self.fp_opts.tol:
                 return StepRecord(
                     t,
@@ -326,8 +323,3 @@ class TimeStepper:
             if f_prev is not None:
                 f_prev = assemble_load(self.mesh, self.spec, t)
         return records
-
-
-def run(spec, mesh, scheme: SchemeKind, n_steps: int, fp_opts=None) -> list[StepRecord]:
-    """Convenience wrapper: build a TimeStepper and run it."""
-    return TimeStepper(mesh, spec, scheme, fp_opts=fp_opts).run(n_steps)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from femfct import (
+    ErrorWorkspace,
     ProblemSpec,
     apply_dirichlet,
     assemble_load,
@@ -195,3 +198,23 @@ class TestDirichlet:
             a2.toarray()[interior], a.toarray()[interior]
         )
         np.testing.assert_array_equal(rhs2[interior], rhs[interior])
+
+
+class TestSharedGeometry:
+    def test_assemblies_read_the_cached_geometry(self):
+        mesh = build_friedrichs_keller(1)
+        spec = make_spec(c=1.0, f=lambda t, x, y: np.ones_like(x))
+        geo = mesh.geometry
+        mass = assemble_mass(mesh)
+        load = assemble_load(mesh, spec, t=0.0)
+        assert mesh.geometry is geo
+        assert mesh.areas() is geo.areas
+        ws = ErrorWorkspace(mesh)
+        assert ws.area is geo.areas and ws.grads is geo.grads
+        with pytest.raises(ValueError):
+            geo.areas[0] = 1.0  # read-only: no consumer can alter the others' data
+        # doubled cached areas double what both assemblies return, so
+        # neither recomputes the geometry from the coordinates
+        mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas)
+        assert abs(assemble_mass(mesh) - 2.0 * mass).max() == 0.0
+        np.testing.assert_array_equal(assemble_load(mesh, spec, t=0.0), 2.0 * load)

@@ -13,6 +13,7 @@ from femfct import (
     correction_vector,
     linear_fluxes,
     lump,
+    PairGraph,
     m_matrix_check,
     predictor_half_step,
     prelimit,
@@ -22,9 +23,11 @@ from femfct import (
 
 
 def two_node_matrices(m12=0.1, d12=-0.2):
+    """Pair graph of a 2x2 mass matrix and the pair entries m_12, d_12."""
     mass = sparse.csr_matrix(np.array([[0.5, m12], [m12, 0.5]]))
     diff = sparse.csr_matrix(np.array([[-d12, d12], [d12, -d12]]))
-    return mass, diff
+    pairs = PairGraph.of(mass)
+    return pairs, pairs.gather(mass), pairs.gather(diff)
 
 
 class TestArtificialDiffusion:
@@ -116,67 +119,67 @@ class TestPredictor:
 
 class TestRawFluxes:
     def test_constant_field_zero(self):
-        mass, diff = two_node_matrices()
+        pairs, m_ij, d_ij = two_node_matrices()
         u = np.array([3.0, 3.0])
-        flux = raw_fluxes(mass, diff, u, u, tau=0.5)
+        flux = raw_fluxes(pairs, m_ij, d_ij, u, u, tau=0.5)
         np.testing.assert_array_equal(flux.values, 0.0)
 
     def test_stationary_gives_pure_diffusive_flux(self):
-        mass, diff = two_node_matrices()
+        pairs, m_ij, d_ij = two_node_matrices()
         u = np.array([1.0, 0.0])
-        flux = raw_fluxes(mass, diff, u, u, tau=0.5)
+        flux = raw_fluxes(pairs, m_ij, d_ij, u, u, tau=0.5)
         # f_12 = tau * d_12 * (u_2 - u_1)
         assert flux.values[0] == pytest.approx(0.5 * (-0.2) * (-1.0))
 
     def test_hand_example(self):
-        mass, diff = two_node_matrices(m12=0.1, d12=-0.2)
-        flux = raw_fluxes(mass, diff, np.array([1.0, 0.0]), np.zeros(2), tau=0.5)
+        pairs, m_ij, d_ij = two_node_matrices(m12=0.1, d12=-0.2)
+        flux = raw_fluxes(pairs, m_ij, d_ij, np.array([1.0, 0.0]), np.zeros(2), tau=0.5)
         assert flux.values[0] == pytest.approx(0.2)
 
     def test_antisymmetric_csr(self):
-        mass, diff = two_node_matrices()
-        flux = raw_fluxes(mass, diff, np.array([1.0, 0.0]), np.zeros(2), tau=0.5)
+        pairs, m_ij, d_ij = two_node_matrices()
+        flux = raw_fluxes(pairs, m_ij, d_ij, np.array([1.0, 0.0]), np.zeros(2), tau=0.5)
         f = flux.to_csr().toarray()
         np.testing.assert_allclose(f, -f.T)
 
 
 class TestLinearFluxes:
     def setup_system(self):
-        mass, diff = two_node_matrices(m12=0.1, d12=-0.2)
+        pairs, m_ij, d_ij = two_node_matrices(m12=0.1, d12=-0.2)
         abar = sparse.csr_matrix(np.array([[0.2, -0.2], [-0.2, 0.2]]))
-        return mass, diff, abar
+        return pairs, m_ij, d_ij, abar
 
     def test_steady_state_collapses(self):
-        mass, diff, abar = self.setup_system()
+        pairs, m_ij, d_ij, abar = self.setup_system()
         u = np.array([1.0, 2.0])
         f = abar @ u
-        flux = linear_fluxes(mass, diff, np.ones(2), abar, u, f, tau=0.5)
+        flux = linear_fluxes(pairs, m_ij, d_ij, np.ones(2), abar, u, f, tau=0.5)
         assert flux.values[0] == pytest.approx(0.5 * (-0.2) * (2.0 - 1.0))
 
     def test_constant_steady_is_zero(self):
-        mass, diff, abar = self.setup_system()
+        pairs, m_ij, d_ij, abar = self.setup_system()
         u = np.array([2.0, 2.0])
-        flux = linear_fluxes(mass, diff, np.ones(2), abar, u, abar @ u, tau=0.5)
+        flux = linear_fluxes(pairs, m_ij, d_ij, np.ones(2), abar, u, abar @ u, tau=0.5)
         np.testing.assert_allclose(flux.values, 0.0, atol=1e-16)
 
     def test_hand_example(self):
-        mass, diff, abar = self.setup_system()
+        pairs, m_ij, d_ij, abar = self.setup_system()
         flux = linear_fluxes(
-            mass, diff, np.ones(2), abar, np.array([1.0, 0.0]), np.zeros(2), tau=0.5
+            pairs, m_ij, d_ij, np.ones(2), abar, np.array([1.0, 0.0]), np.zeros(2), tau=0.5
         )
         assert flux.values[0] == pytest.approx(0.06)
 
     def test_dirichlet_rate_overwrite(self):
-        mass, diff, abar = self.setup_system()
+        pairs, m_ij, d_ij, abar = self.setup_system()
         u, f = np.array([1.0, 0.0]), np.zeros(2)
         flux = linear_fluxes(
-            mass, diff, np.ones(2), abar, u, f, tau=0.5,
+            pairs, m_ij, d_ij, np.ones(2), abar, u, f, tau=0.5,
             dirichlet=np.array([0, 1]), g_rate=np.array([-0.2, 0.2]),
         )
         # the supplied rates equal the unconstrained ones, so no change
         assert flux.values[0] == pytest.approx(0.06)
         flux0 = linear_fluxes(
-            mass, diff, np.ones(2), abar, u, f, tau=0.5,
+            pairs, m_ij, d_ij, np.ones(2), abar, u, f, tau=0.5,
             dirichlet=np.array([0, 1]),
         )
         # zero rate kills the mass part and the nu correction

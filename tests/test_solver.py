@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from femfct import Factorization, LinearSolveOptions, SolverError, solve
+from femfct import Factorization, SolverError, solve
 
 
 def random_dominant_system(seed, n=20):
@@ -36,20 +36,6 @@ class TestDirect:
             solve(a, np.array([1.0, 2.0]))
 
 
-class TestBicgstab:
-    def test_random_dominant_residual(self):
-        a, rhs = random_dominant_system(5)
-        opts = LinearSolveOptions(method="bicgstab", tol=1e-13)
-        u = solve(a, rhs, opts)
-        assert np.linalg.norm(a @ u - rhs) < 1e-10 * np.linalg.norm(rhs)
-
-    def test_iteration_cap(self):
-        a, rhs = random_dominant_system(7)
-        opts = LinearSolveOptions(method="bicgstab", tol=1e-15, max_iter=1)
-        with pytest.raises(SolverError):
-            solve(a, rhs, opts)
-
-
 class TestFactorization:
     def test_reuse(self):
         a, _ = random_dominant_system(3)
@@ -60,8 +46,3 @@ class TestFactorization:
             u = fac.solve(rhs)
             assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
-
-class TestOptions:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSolveOptions(method="gmres")

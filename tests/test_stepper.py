@@ -174,13 +174,6 @@ class TestRun:
         for rec in recs:
             np.testing.assert_allclose(rec.u, 1.0, rtol=1e-10)
 
-    def test_module_level_run(self, fk1, study):
-        from femfct import run
-
-        spec, _ = study
-        recs = run(spec, fk1, SchemeKind("galerkin"), 3)
-        assert len(recs) == 4
-
 
 class TestLimiters:
     def test_zalesak_alpha_bounds(self, fk2, study):
@@ -201,3 +194,35 @@ class TestLimiters:
             fk2.boundary_mask[recs[1].alpha.i] | fk2.boundary_mask[recs[1].alpha.j]
         )
         np.testing.assert_array_equal(recs[1].alpha.values[interior], 0.5)
+        # the first step's linear fluxes depend on u0 only, so pairs at the
+        # boundary keep exactly the Zalesak run's values
+        zal = TimeStepper(fk2, spec, SchemeKind("linear_fct")).run(1)
+        np.testing.assert_array_equal(
+            recs[1].alpha.values[~interior], zal[1].alpha.values[~interior]
+        )
+        assert np.any(zal[1].alpha.values[~interior] != 0.5)
+
+
+class TestSharedPairs:
+    @pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
+    def test_records_share_the_pair_graph(self, fk2, study, kind):
+        spec, _ = study
+        stepper = TimeStepper(fk2, spec, SchemeKind(kind))
+        recs = stepper.run(5)
+        for rec in recs[1:]:
+            assert rec.alpha.i is stepper.pairs.i
+            assert rec.alpha.j is stepper.pairs.j
+
+
+class TestVariableCoefficientPath:
+    @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+    def test_matches_constant_path_bitwise(self, fk2, kind):
+        # time-independent data through the per-step rebuild of the
+        # operators, the d_ij gather and the factorizations
+        runs = []
+        for constant in (True, False):
+            spec, _ = space_study_problem()
+            spec.constant_coefficients = constant
+            runs.append(TimeStepper(fk2, spec, SchemeKind(kind)).run(20))
+        for ra, rb in zip(*runs):
+            np.testing.assert_array_equal(ra.u, rb.u)
