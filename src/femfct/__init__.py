@@ -34,13 +34,11 @@ from .fct import (
     zalesak,
 )
 from .mesh import (
-    Edge,
     MeshError,
     TriMesh,
     build_friedrichs_keller,
     build_shifted_grid,
     edge_arrays,
-    edges,
     load_mesh,
     max_opposite_angle_sum,
     refine_uniform,

@@ -18,14 +18,13 @@ import numpy as np
 from . import errors as err
 from . import mesh as meshmod
 from . import problems
-from .fct import LimiterMatrix, _upper_pairs
+from .fct import _upper_pairs
 from .stepper import (
     GALERKIN,
     LINEAR_FCT,
     LOW_ORDER,
     NONLINEAR_FCT,
     ConstantLimiter,
-    FixedPointOptions,
     SchemeKind,
     TimeStepper,
     ZalesakLimiter,
@@ -93,35 +92,32 @@ def build_grid(config: ExperimentConfig, level: int):
     raise ValueError(f"unknown grid family {config.grid!r}")
 
 
-def _alpha_for_record(record, scheme_kind, pairs, n):
-    if record.alpha is not None:
-        return record.alpha
-    fill = 1.0 if scheme_kind == GALERKIN else 0.0
-    return LimiterMatrix(n, pairs[0], pairs[1], np.full(pairs[0].shape, fill))
-
-
-def run_single(mesh, spec, exact, scheme, fp_opts=None):
+def run_single(mesh, spec, exact, scheme):
     """Run one scheme on one mesh and time-integrate the four error norms."""
-    stepper = TimeStepper(mesh, spec, scheme, fp_opts=fp_opts)
+    stepper = TimeStepper(mesh, spec, scheme)
     n_steps = int(round(spec.t_end / spec.tau))
     records = stepper.run(n_steps)
-    _, diffusion, _ = stepper.operators(0.0)
+    _, diffusion, _, _ = stepper.operators(0.0)
     ws = err.ErrorWorkspace(mesh)
-    pairs = _upper_pairs(stepper.mass)[:2]
+    # the stepper puts every record's limiter on one pair graph, which must
+    # be the mass pattern's: dh_seminorm weights it with the diffusion
+    i, j, _ = _upper_pairs(stepper.mass)
+    last = records[-1].alpha
+    if last is not None and not (np.array_equal(last.i, i) and np.array_equal(last.j, j)):
+        raise ValueError("the limiters are not on the mass pattern's pairs")
 
     series = {"l2": [], "h1": [], "fct": [], "dh": []}
     for record in records[1:]:
         t = record.t
         if not spec.constant_coefficients:
-            _, diffusion, _ = stepper.operators(t)
+            _, diffusion, _, _ = stepper.operators(t)
         series["l2"].append(ws.l2_error(record.u, exact.u, t))
         series["h1"].append(ws.h1_error(record.u, exact.gradient, t))
         e_nodes = (
             np.asarray(exact.u(t, mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
             - record.u
         )
-        alpha = _alpha_for_record(record, scheme.kind, pairs, mesh.n_nodes)
-        dh = err.dh_seminorm(alpha, diffusion, e_nodes)
+        dh = err.dh_seminorm(record.alpha, diffusion, e_nodes)
         fct_val = np.sqrt(
             spec.eps * ws.h1_nodal(e_nodes) ** 2
             + spec.c0 * ws.l2_nodal(e_nodes) ** 2

@@ -36,12 +36,6 @@ class FluxMatrix:
         """Sum of |f_ij| over unordered pairs."""
         return float(np.abs(self.values).sum())
 
-    def to_csr(self) -> sparse.csr_matrix:
-        rows = np.concatenate([self.i, self.j])
-        cols = np.concatenate([self.j, self.i])
-        vals = np.concatenate([self.values, -self.values])
-        return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
-
 
 @dataclass(frozen=True)
 class LimiterMatrix:

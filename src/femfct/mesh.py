@@ -21,16 +21,6 @@ class MeshError(ValueError):
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Undirected edge with endpoints i < j, length and unit tangent."""
-
-    i: int
-    j: int
-    h_e: float
-    tangent: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class Geometry:
     """Per-triangle data shared by assembly and the error norms.
 
@@ -254,18 +244,6 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
         mij, mjk, mik = mid(i, j), mid(j, k), mid(i, k)
         tris.extend([(i, mij, mik), (j, mjk, mij), (k, mik, mjk), (mij, mjk, mik)])
     return _make_mesh(np.array(nodes), np.array(tris), mesh.level + 1, mesh.h / 2.0)
-
-
-def edges(mesh: TriMesh) -> list[Edge]:
-    """All undirected edges of the triangulation, each exactly once."""
-    i, j, pairs = edge_arrays(mesh)
-    d = mesh.nodes[j] - mesh.nodes[i]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    t = d / lengths[:, None]
-    return [
-        Edge(int(a), int(b), float(le), (float(tx), float(ty)))
-        for a, b, le, tx, ty in zip(i, j, lengths, t[:, 0], t[:, 1])
-    ]
 
 
 def edge_arrays(mesh: TriMesh):

@@ -35,6 +35,7 @@ LOW_ORDER = "low_order"
 LINEAR_FCT = "linear_fct"
 NONLINEAR_FCT = "nonlinear_fct"
 _KINDS = (GALERKIN, LOW_ORDER, LINEAR_FCT, NONLINEAR_FCT)
+_FCT_KINDS = (LINEAR_FCT, NONLINEAR_FCT)
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,41 @@ class TimeStepper:
         self._bnodes = mesh.boundary_nodes
         self._ops_cache: dict = {}
         self._factor_cache: dict = {}
+        self._load_memo = (None, None)
+        self._check_predictor = scheme.kind in _FCT_KINDS
+        self.fixed_alpha = self._fixed_limiter()
 
     # -- operators ---------------------------------------------------
 
     def operators(self, t):
-        """(A, D, Abar=A+D) at time t, cached for constant coefficients."""
-        return self._operators(t)[:3]
-
-    def _operators(self, t):
-        """(A, D, Abar, d_ij) at time t, d_ij being D's entries on the pairs."""
+        """(A, D, Abar=A+D, d_ij) at time t, d_ij being D's entries on the
+        pairs; cached for constant coefficients."""
         key = None if self.spec.constant_coefficients else t
         if key not in self._ops_cache:
             a = assemble_stiffness(self.mesh, self.spec, t)
             d = artificial_diffusion(a)
+            abar = (a + d).tocsr()
+            if self._check_predictor:
+                self._check_predictor_bound(abar)
             if len(self._ops_cache) > 2:  # keep t and t - tau for one step
                 self._ops_cache.clear()
-            self._ops_cache[key] = (a, d, (a + d).tocsr(), self.pairs.gather(d))
+            self._ops_cache[key] = (a, d, abar, self.pairs.gather(d))
         return self._ops_cache[key]
+
+    def _check_predictor_bound(self, abar):
+        """Warn once if tau exceeds min_i 2 m_i / abar_ii over the interior
+        nodes, the bound under which the explicit predictor of the FCT
+        schemes keeps nonnegative coefficients."""
+        interior = ~self.mesh.boundary_mask
+        diag, m = abar.diagonal()[interior], self.m_lumped[interior]
+        bound = (2.0 * m[diag > 0.0] / diag[diag > 0.0]).min(initial=np.inf)
+        tau = self.spec.tau
+        if tau > bound:
+            self._check_predictor = False
+            warnings.warn(
+                f"tau={tau:g} exceeds the explicit predictor's positivity bound "
+                f"min_i 2 m_i / abar_ii = {bound:g}"
+            )
 
     def _factorized(self, t, which, alpha_const=None):
         """LU of the Dirichlet-constrained system matrix for a step at t."""
@@ -145,7 +164,7 @@ class TimeStepper:
         if key not in cache:
             if len(cache) > 4:
                 cache.clear()
-            a, d, abar = self.operators(t)
+            a, d, abar, _ = self.operators(t)
             tau = self.spec.tau
             ml = sparse.diags(self.m_lumped)
             if which == "high":
@@ -166,82 +185,93 @@ class TimeStepper:
             bn.shape,
         )
 
-    def _constrained_rhs(self, rhs, t):
+    def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
-        rhs[self._bnodes] = self._g_values(t)
+        rhs[self._bnodes] = g
         return rhs
+
+    def _load(self, t):
+        """f(t), assembled once for the last t asked for."""
+        if self._load_memo[0] != t:
+            self._load_memo = (t, assemble_load(self.mesh, self.spec, t))
+        return self._load_memo[1]
 
     # -- limiting ----------------------------------------------------
 
-    def _apply_limiter(self, flux: FluxMatrix, ubar) -> LimiterMatrix:
-        alpha = zalesak(flux, ubar, self.m_lumped, dirichlet=self._bnodes)
+    def _fixed_limiter(self) -> LimiterMatrix | None:
+        """The read-only limiter of a scheme whose alpha does not depend on
+        the solution: 1 for Galerkin, 0 for low order, v for a constant
+        limiter on every pair; None otherwise."""
         lim = self.scheme.limiter
-        if isinstance(lim, ConstantLimiter):
+        if self.scheme.kind == GALERKIN:
+            value = 1.0
+        elif self.scheme.kind == LOW_ORDER:
+            value = 0.0
+        elif isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
+            value = lim.value
+        else:
+            return None
+        values = np.full(self.pairs.i.shape, value)
+        values.setflags(write=False)
+        return LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values)
+
+    def _apply_limiter(self, flux: FluxMatrix, ubar) -> LimiterMatrix:
+        if self.fixed_alpha is not None:
+            return self.fixed_alpha
+        alpha = zalesak(flux, ubar, self.m_lumped, dirichlet=self._bnodes)
+        if isinstance(self.scheme.limiter, ConstantLimiter):
             values = alpha.values.copy()
-            if lim.zalesak_boundary:
-                values[self._interior_pairs] = lim.value
-            else:
-                values[:] = lim.value
+            values[self._interior_pairs] = self.scheme.limiter.value
             alpha = LimiterMatrix(alpha.n, alpha.i, alpha.j, values)
         return alpha
-
-    def _fully_constant_alpha(self):
-        lim = self.scheme.limiter
-        if isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
-            return lim.value
-        return None
 
     # -- single steps ------------------------------------------------
 
     def step_galerkin(self, t, u_prev) -> StepRecord:
-        rhs = self.spec.tau * assemble_load(self.mesh, self.spec, t) + self.mass @ u_prev
-        u = self._factorized(t, "high").solve(self._constrained_rhs(rhs, t))
-        return StepRecord(t, u)
+        rhs = self.spec.tau * self._load(t) + self.mass @ u_prev
+        u = self._factorized(t, "high").solve(self._constrained_rhs(rhs, self._g_values(t)))
+        return StepRecord(t, u, alpha=self.fixed_alpha)
 
     def step_low_order(self, t, u_prev) -> StepRecord:
-        rhs = self.spec.tau * assemble_load(self.mesh, self.spec, t) + self.m_lumped * u_prev
-        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, t))
-        return StepRecord(t, u)
+        rhs = self.spec.tau * self._load(t) + self.m_lumped * u_prev
+        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, self._g_values(t)))
+        return StepRecord(t, u, alpha=self.fixed_alpha)
 
     def step_linear_fct(self, t, u_prev, f_prev) -> StepRecord:
         tau = self.spec.tau
         t_prev = t - tau
-        _, _, abar_prev, d_ij = self._operators(t_prev)
-        ubar = predictor_half_step(
-            self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, self._g_values(t)
-        )
-        g_rate = (self._g_values(t) - self._g_values(t_prev)) / tau
+        _, _, abar_prev, d_ij = self.operators(t_prev)
+        g = self._g_values(t)
+        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, g)
+        g_rate = (g - self._g_values(t_prev)) / tau
         flux = linear_fluxes(
             self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, f_prev, tau,
             dirichlet=self._bnodes, g_rate=g_rate,
         )
         alpha = self._apply_limiter(flux, ubar)
         fstar = correction_vector(alpha, flux)
-        rhs = tau * assemble_load(self.mesh, self.spec, t) + self.m_lumped * u_prev + fstar
-        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, t))
+        rhs = tau * self._load(t) + self.m_lumped * u_prev + fstar
+        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, g))
         return StepRecord(
             t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
         )
 
     def step_nonlinear_fct(self, t, u_prev, f_prev) -> StepRecord:
         tau = self.spec.tau
-        t_prev = t - tau
-        _, _, abar, d_ij = self._operators(t)
-        _, _, abar_prev = self.operators(t_prev)
-        fvec = assemble_load(self.mesh, self.spec, t)
-        ubar = predictor_half_step(
-            self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, self._g_values(t)
-        )
+        _, _, abar, d_ij = self.operators(t)
+        _, _, abar_prev, _ = self.operators(t - tau)
+        fvec = self._load(t)
+        g = self._g_values(t)
+        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, g)
 
-        alpha_const = self._fully_constant_alpha()
-        if alpha_const is not None:
+        alpha = self.fixed_alpha
+        if alpha is not None:
             # with a fully constant limiter the scheme is linear; solve it
             # exactly instead of iterating
-            ml_part = (1.0 - alpha_const) * self.m_lumped * u_prev
-            rhs = tau * fvec + ml_part + alpha_const * (self.mass @ u_prev)
-            u = self._factorized(t, "const", alpha_const).solve(self._constrained_rhs(rhs, t))
+            v = self.scheme.limiter.value
+            rhs = tau * fvec + (1.0 - v) * self.m_lumped * u_prev + v * (self.mass @ u_prev)
+            u = self._factorized(t, "const", v).solve(self._constrained_rhs(rhs, g))
             flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u, u_prev, tau), ubar)
-            alpha = LimiterMatrix(flux.n, flux.i, flux.j, np.full_like(flux.values, alpha_const))
             fstar = correction_vector(alpha, flux)
             return StepRecord(
                 t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
@@ -254,12 +284,11 @@ class TimeStepper:
 
         factor = self._factorized(t, "low")
         base_rhs = tau * fvec + self.m_lumped * u_prev
-        g = self._g_values(t)
 
         flux, alpha, fstar = limited_correction(u_prev)
         residual = np.inf
         for it in range(1, self.fp_opts.max_iter + 1):
-            u = factor.solve(self._constrained_rhs(base_rhs + fstar, t))
+            u = factor.solve(self._constrained_rhs(base_rhs + fstar, g))
             flux, alpha, fstar = limited_correction(u)
             res_vec = self.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
             res_vec[self._bnodes] = u[self._bnodes] - g
@@ -294,32 +323,19 @@ class TimeStepper:
         tau = self.spec.tau
         if n_steps * tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
-        if tau > self.mesh.h**2:
-            warnings.warn(
-                f"tau={tau:g} exceeds h^2={self.mesh.h ** 2:g}; the explicit "
-                "predictor may violate its stability condition",
-                stacklevel=2,
-            )
+        step = getattr(self, "step_" + self.scheme.kind)
+        # the FCT steps also take f at the previous time: f(0) first, then
+        # the load each step assembled for itself
+        fct = self.scheme.kind in _FCT_KINDS
         records = [self.initial_record()]
-        f_prev = None
-        if self.scheme.kind in (LINEAR_FCT, NONLINEAR_FCT):
-            f_prev = assemble_load(self.mesh, self.spec, 0.0)
-        u = records[0].u
+        t_prev = 0.0
         for n in range(1, n_steps + 1):
             t = n * tau
+            u = records[-1].u
             try:
-                if self.scheme.kind == GALERKIN:
-                    rec = self.step_galerkin(t, u)
-                elif self.scheme.kind == LOW_ORDER:
-                    rec = self.step_low_order(t, u)
-                elif self.scheme.kind == LINEAR_FCT:
-                    rec = self.step_linear_fct(t, u, f_prev)
-                else:
-                    rec = self.step_nonlinear_fct(t, u, f_prev)
+                rec = step(t, u, self._load(t_prev)) if fct else step(t, u)
             except StepFailure as exc:
                 raise StepFailure(f"step {n} (t={t:g}) failed: {exc}", exc.residual) from exc
             records.append(rec)
-            u = rec.u
-            if f_prev is not None:
-                f_prev = assemble_load(self.mesh, self.spec, t)
+            t_prev = t
         return records

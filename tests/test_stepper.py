@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import femfct.stepper
 from femfct import (
     ConstantLimiter,
     FixedPointOptions,
@@ -9,6 +12,7 @@ from femfct import (
     TimeStepper,
     ZalesakLimiter,
     build_friedrichs_keller,
+    build_shifted_grid,
     space_study_problem,
 )
 
@@ -226,3 +230,115 @@ class TestVariableCoefficientPath:
             runs.append(TimeStepper(fk2, spec, SchemeKind(kind)).run(20))
         for ra, rb in zip(*runs):
             np.testing.assert_array_equal(ra.u, rb.u)
+
+
+class TestStepData:
+    @pytest.mark.parametrize(
+        "kind, calls",
+        [("galerkin", 5), ("low_order", 5), ("linear_fct", 6), ("nonlinear_fct", 6)],
+    )
+    def test_one_load_per_step(self, fk2, study, monkeypatch, kind, calls):
+        # the FCT steps reuse the load of the step before as f_prev; only
+        # f(0) comes on top
+        spec, _ = study
+        count = []
+        assemble = femfct.stepper.assemble_load
+
+        def counting(*args):
+            count.append(args[-1])
+            return assemble(*args)
+
+        monkeypatch.setattr(femfct.stepper, "assemble_load", counting)
+        TimeStepper(fk2, spec, SchemeKind(kind)).run(5)
+        assert len(count) == calls
+        assert len(set(count)) == calls
+
+    @pytest.mark.parametrize(
+        "scheme, value",
+        [
+            (SchemeKind("galerkin"), 1.0),
+            (SchemeKind("low_order"), 0.0),
+            (SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)), 0.3),
+            (SchemeKind("linear_fct", ConstantLimiter(0.7, zalesak_boundary=False)), 0.7),
+        ],
+    )
+    def test_fixed_limiter_on_every_record(self, fk2, study, scheme, value):
+        spec, _ = study
+        stepper = TimeStepper(fk2, spec, scheme)
+        alpha = stepper.fixed_alpha
+        assert alpha.i is stepper.pairs.i
+        assert alpha.j is stepper.pairs.j
+        np.testing.assert_array_equal(alpha.values, value)
+        assert not alpha.values.flags.writeable
+        for rec in stepper.run(5)[1:]:
+            assert rec.alpha is alpha
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [SchemeKind("linear_fct"), SchemeKind("nonlinear_fct", ConstantLimiter(0.5))],
+    )
+    def test_solution_dependent_limiter_is_not_fixed(self, fk1, study, scheme):
+        spec, _ = study
+        assert TimeStepper(fk1, spec, scheme).fixed_alpha is None
+
+
+def time_dependent_dirichlet_problem(tau=0.01):
+    """u = (1 + t)(1 + x + 2y) with b = (2, 3), c = 1 and g = u: linear in
+    space and in time, so P1 and backward Euler reproduce it exactly."""
+    def lin(x, y):
+        return 1.0 + x + 2.0 * y
+
+    def u(t, x, y):
+        return (1.0 + t) * lin(x, y)
+
+    spec = ProblemSpec(
+        eps=1e-8,
+        b=lambda t, x, y: (np.full_like(x, 2.0, dtype=float),
+                           np.full_like(x, 3.0, dtype=float)),
+        c=lambda t, x, y: np.ones_like(x, dtype=float),
+        f=lambda t, x, y: lin(x, y) + 8.0 * (1.0 + t) + u(t, x, y),
+        u0=lambda x, y: u(0.0, x, y),
+        g=u,
+        c0=1.0,
+        t_end=1.0,
+        tau=tau,
+    )
+    return spec, u
+
+
+class TestTimeDependentDirichlet:
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+    def test_reproduces_linear_solution(self, kind, level):
+        mesh = build_friedrichs_keller(level)
+        spec, u = time_dependent_dirichlet_problem()
+        for rec in TimeStepper(mesh, spec, SchemeKind(kind)).run(20):
+            exact = u(rec.t, mesh.nodes[:, 0], mesh.nodes[:, 1])
+            assert np.abs(rec.u - exact).max() <= 1e-12
+
+
+class TestPredictorBound:
+    def test_paper_step_does_not_warn(self, study):
+        # min_i 2 m_i / abar_ii is 3.5e-3 on shifted level 6, the finest grid
+        spec, _ = study
+        stepper = TimeStepper(build_shifted_grid(6), spec, SchemeKind("linear_fct"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepper.operators(0.0)
+
+    @pytest.mark.parametrize("constant", [True, False])
+    @pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
+    def test_large_step_warns_once(self, kind, constant):
+        # the bound is 9.3e-3 on FK level 5; the variable-coefficient path
+        # rebuilds Abar every step
+        spec, _ = space_study_problem(tau=0.05)
+        spec.constant_coefficients = constant
+        with pytest.warns(UserWarning, match=r"^tau=0.05 exceeds") as caught:
+            TimeStepper(build_friedrichs_keller(5), spec, SchemeKind(kind)).run(3)
+        assert len(caught) == 1
+
+    def test_bracketing_schemes_do_not_check(self, fk1):
+        spec, _ = space_study_problem(tau=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TimeStepper(fk1, spec, SchemeKind("low_order")).run(1)
