@@ -32,6 +32,7 @@ from .fct import (
     prelimit,
     raw_fluxes,
     zalesak,
+    zalesak_bounds,
 )
 from .mesh import (
     MeshError,
@@ -51,6 +52,7 @@ from .stepper import (
     SchemeKind,
     StepFailure,
     StepRecord,
+    TimeLevel,
     TimeStepper,
     ZalesakLimiter,
 )

@@ -97,7 +97,6 @@ def run_single(mesh, spec, exact, scheme):
     stepper = TimeStepper(mesh, spec, scheme)
     n_steps = int(round(spec.t_end / spec.tau))
     records = stepper.run(n_steps)
-    _, diffusion, _, _ = stepper.operators(0.0)
     ws = err.ErrorWorkspace(mesh)
     # the stepper puts every record's limiter on one pair graph, which must
     # be the mass pattern's: dh_seminorm weights it with the diffusion
@@ -109,8 +108,7 @@ def run_single(mesh, spec, exact, scheme):
     series = {"l2": [], "h1": [], "fct": [], "dh": []}
     for record in records[1:]:
         t = record.t
-        if not spec.constant_coefficients:
-            _, diffusion, _, _ = stepper.operators(t)
+        diffusion = stepper.operators(t)[1]
         series["l2"].append(ws.l2_error(record.u, exact.u, t))
         series["h1"].append(ws.h1_error(record.u, exact.gradient, t))
         e_nodes = (
@@ -298,21 +296,9 @@ def parse_args(argv=None) -> ExperimentConfig:
             if not hasattr(config, key):
                 raise SystemExit(f"unknown config key {key!r}")
             setattr(config, key, converters.get(key, str)(value))
-    for key in (
-        "grid",
-        "mesh_file",
-        "levels",
-        "scheme",
-        "limiter",
-        "eps",
-        "tau",
-        "t_end",
-        "study",
-        "time_level",
-        "out",
-    ):
-        value = getattr(ns, key)
-        if value is not None:
+    # every flag but --config names an ExperimentConfig field
+    for key, value in vars(ns).items():
+        if key != "config" and value is not None:
             setattr(config, key, value)
     return config
 

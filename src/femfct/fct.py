@@ -170,15 +170,26 @@ def prelimit(flux: FluxMatrix, ubar: np.ndarray) -> FluxMatrix:
     return FluxMatrix(flux.n, flux.i, flux.j, vals)
 
 
-def zalesak(
-    flux: FluxMatrix, ubar: np.ndarray, m_lumped: np.ndarray, dirichlet=None
-) -> LimiterMatrix:
+def zalesak_bounds(pairs, ubar: np.ndarray, m_lumped: np.ndarray):
+    """Bounds Q_i^+- = m_i max/min{0, ubar_j - ubar_i} over the neighbours j
+    of i on the pairs (a PairGraph or a flux on it): fixed by the predictor,
+    so computed once per step for all of its Zalesak limiter calls."""
+    i, j = pairs.i, pairs.j
+    du = ubar[j] - ubar[i]
+    q_plus, q_minus = np.zeros(ubar.size), np.zeros(ubar.size)
+    np.maximum.at(q_plus, i, du)
+    np.maximum.at(q_plus, j, -du)
+    np.minimum.at(q_minus, i, du)
+    np.minimum.at(q_minus, j, -du)
+    return m_lumped * q_plus, m_lumped * q_minus
+
+
+def zalesak(flux: FluxMatrix, bounds, dirichlet=None) -> LimiterMatrix:
     """Zalesak limiter.
 
-    Sums P_i^+- of the positive/negative fluxes, admissible increments
-    Q_i^+- from the predictor differences over the sparsity neighbors,
-    ratios R_i^+- = min{1, m_i Q_i^+- / P_i^+-} (set to 1 where P is
-    zero), and alpha_ij = min{R_i^+, R_j^-} for f_ij > 0 else
+    Sums P_i^+- of the positive/negative fluxes, the bounds Q_i^+- of
+    ``zalesak_bounds``, ratios R_i^+- = min{1, Q_i^+- / P_i^+-} (set to 1
+    where P is zero), and alpha_ij = min{R_i^+, R_j^-} for f_ij > 0 else
     min{R_i^-, R_j^+}.
 
     R_i^+- is set to 1 at the nodes flagged in ``dirichlet``: their
@@ -187,24 +198,17 @@ def zalesak(
     convergence order near the boundary.
     """
     n, i, j, f = flux.n, flux.i, flux.j, flux.values
+    q_plus, q_minus = bounds
     fpos = np.maximum(f, 0.0)
     fneg = np.minimum(f, 0.0)
     p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
     p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
 
-    du = ubar[j] - ubar[i]
-    q_plus = np.zeros(n)
-    np.maximum.at(q_plus, i, du)
-    np.maximum.at(q_plus, j, -du)
-    q_minus = np.zeros(n)
-    np.minimum.at(q_minus, i, du)
-    np.minimum.at(q_minus, j, -du)
-
     r_plus = np.where(
-        p_plus > 0.0, np.minimum(1.0, m_lumped * q_plus / np.where(p_plus > 0.0, p_plus, 1.0)), 1.0
+        p_plus > 0.0, np.minimum(1.0, q_plus / np.where(p_plus > 0.0, p_plus, 1.0)), 1.0
     )
     r_minus = np.where(
-        p_minus < 0.0, np.minimum(1.0, m_lumped * q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
+        p_minus < 0.0, np.minimum(1.0, q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
     )
     if dirichlet is not None:
         r_plus[dirichlet] = 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +28,7 @@ from .fct import (
     prelimit,
     raw_fluxes,
     zalesak,
+    zalesak_bounds,
 )
 from .solver import Factorization
 
@@ -93,12 +95,41 @@ class StepFailure(RuntimeError):
         self.residual = residual
 
 
+@dataclass
+class TimeLevel:
+    """The data of one time level t of a run, each part computed when a
+    step first asks for it and then kept: the load f(t), the boundary
+    values g(t) and the operators (A, D, Abar, d_ij) at t, which for
+    constant coefficients are the stepper's own."""
+
+    stepper: TimeStepper
+    t: float
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return assemble_load(self.stepper.mesh, self.stepper.spec, self.t)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        s, bn = self.stepper, self.stepper._bnodes
+        g = s.spec.g(self.t, s.mesh.nodes[bn, 0], s.mesh.nodes[bn, 1])
+        return np.broadcast_to(np.asarray(g, dtype=float), bn.shape)
+
+    @cached_property
+    def ops(self):
+        return self.stepper.operators(self.t)
+
+
 class TimeStepper:
     """Time loop driver; assembles operators and advances one scheme.
 
-    For constant-coefficient problems the operators and the LU
-    factorizations of the system matrices are built once and reused for
-    every step (and every fixed-point iteration).  The node pairs of the
+    ``run`` builds each time level t = n tau once (a ``TimeLevel``) and
+    hands it to the next step as that step's previous level, so every
+    load, boundary value and operator of the run is computed once.  For
+    constant coefficients the operators and the LU of the scheme's system
+    matrix are built once per stepper and reused for every step (and
+    every fixed-point iteration); for variable coefficients each level
+    builds its operators and each step one LU.  The node pairs of the
     mass matrix's pattern (``pairs``) are read once; every flux and
     limiter of the run lives on them.
     """
@@ -115,9 +146,6 @@ class TimeStepper:
         bmask = mesh.boundary_mask
         self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes
-        self._ops_cache: dict = {}
-        self._factor_cache: dict = {}
-        self._load_memo = (None, None)
         self._check_predictor = scheme.kind in _FCT_KINDS
         self.fixed_alpha = self._fixed_limiter()
 
@@ -125,18 +153,23 @@ class TimeStepper:
 
     def operators(self, t):
         """(A, D, Abar=A+D, d_ij) at time t, d_ij being D's entries on the
-        pairs; cached for constant coefficients."""
-        key = None if self.spec.constant_coefficients else t
-        if key not in self._ops_cache:
-            a = assemble_stiffness(self.mesh, self.spec, t)
-            d = artificial_diffusion(a)
-            abar = (a + d).tocsr()
-            if self._check_predictor:
-                self._check_predictor_bound(abar)
-            if len(self._ops_cache) > 2:  # keep t and t - tau for one step
-                self._ops_cache.clear()
-            self._ops_cache[key] = (a, d, abar, self.pairs.gather(d))
-        return self._ops_cache[key]
+        pairs: built once per stepper for constant coefficients, else
+        built afresh."""
+        if self.spec.constant_coefficients:
+            return self._constant_operators
+        return self._build_operators(t)
+
+    @cached_property
+    def _constant_operators(self):
+        return self._build_operators(0.0)
+
+    def _build_operators(self, t):
+        a = assemble_stiffness(self.mesh, self.spec, t)
+        d = artificial_diffusion(a)
+        abar = (a + d).tocsr()
+        if self._check_predictor:
+            self._check_predictor_bound(abar)
+        return a, d, abar, self.pairs.gather(d)
 
     def _check_predictor_bound(self, abar):
         """Warn once if tau exceeds min_i 2 m_i / abar_ii over the interior
@@ -153,48 +186,36 @@ class TimeStepper:
                 f"min_i 2 m_i / abar_ii = {bound:g}"
             )
 
-    def _factorized(self, t, which, alpha_const=None):
-        """LU of the Dirichlet-constrained system matrix for a step at t."""
-        key = (
-            None if self.spec.constant_coefficients else t,
-            which,
-            alpha_const,
-        )
-        cache = self._factor_cache
-        if key not in cache:
-            if len(cache) > 4:
-                cache.clear()
-            a, d, abar, _ = self.operators(t)
-            tau = self.spec.tau
-            ml = sparse.diags(self.m_lumped)
-            if which == "high":
-                system = self.mass + tau * a
-            elif which == "low":
-                system = ml + tau * abar
-            else:  # fully constant limiter: exact linear constant-alpha system
-                v = alpha_const
-                system = (1.0 - v) * ml + v * self.mass + tau * a + (1.0 - v) * tau * d
-            system, _ = apply_dirichlet(system, np.zeros(self.mesh.n_nodes), self.mesh, self.spec, t)
-            cache[key] = Factorization(system)
-        return cache[key]
+    def _factorization(self, level: TimeLevel) -> Factorization:
+        """LU of the scheme's Dirichlet-constrained system matrix at the
+        level's t; one per stepper for constant coefficients."""
+        if self.spec.constant_coefficients:
+            return self._constant_factorization
+        return self._factorize(level)
 
-    def _g_values(self, t):
-        bn = self._bnodes
-        return np.broadcast_to(
-            np.asarray(self.spec.g(t, self.mesh.nodes[bn, 0], self.mesh.nodes[bn, 1]), dtype=float),
-            bn.shape,
-        )
+    @cached_property
+    def _constant_factorization(self) -> Factorization:
+        return self._factorize(TimeLevel(self, 0.0))
+
+    def _factorize(self, level: TimeLevel) -> Factorization:
+        a, d, abar, _ = level.ops
+        tau = self.spec.tau
+        ml = sparse.diags(self.m_lumped)
+        if self.scheme.kind == GALERKIN:
+            system = self.mass + tau * a
+        elif self.scheme.kind == NONLINEAR_FCT and self.fixed_alpha is not None:
+            # fully constant limiter: exact linear constant-alpha system
+            v = self.scheme.limiter.value
+            system = (1.0 - v) * ml + v * self.mass + tau * a + (1.0 - v) * tau * d
+        else:
+            system = ml + tau * abar
+        system, _ = apply_dirichlet(system, np.zeros(self.mesh.n_nodes), self.mesh, self.spec, level.t)
+        return Factorization(system)
 
     def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
         rhs[self._bnodes] = g
         return rhs
-
-    def _load(self, t):
-        """f(t), assembled once for the last t asked for."""
-        if self._load_memo[0] != t:
-            self._load_memo = (t, assemble_load(self.mesh, self.spec, t))
-        return self._load_memo[1]
 
     # -- limiting ----------------------------------------------------
 
@@ -215,10 +236,10 @@ class TimeStepper:
         values.setflags(write=False)
         return LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values)
 
-    def _apply_limiter(self, flux: FluxMatrix, ubar) -> LimiterMatrix:
-        if self.fixed_alpha is not None:
-            return self.fixed_alpha
-        alpha = zalesak(flux, ubar, self.m_lumped, dirichlet=self._bnodes)
+    def _limit(self, flux: FluxMatrix, bounds) -> LimiterMatrix:
+        """Zalesak limiter of the flux, with a constant limiter's value on
+        the interior pairs."""
+        alpha = zalesak(flux, bounds, dirichlet=self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
             values = alpha.values.copy()
             values[self._interior_pairs] = self.scheme.limiter.value
@@ -227,42 +248,41 @@ class TimeStepper:
 
     # -- single steps ------------------------------------------------
 
-    def step_galerkin(self, t, u_prev) -> StepRecord:
-        rhs = self.spec.tau * self._load(t) + self.mass @ u_prev
-        u = self._factorized(t, "high").solve(self._constrained_rhs(rhs, self._g_values(t)))
-        return StepRecord(t, u, alpha=self.fixed_alpha)
+    def step_galerkin(self, level: TimeLevel, u_prev) -> StepRecord:
+        rhs = self.spec.tau * level.f + self.mass @ u_prev
+        u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
+        return StepRecord(level.t, u, alpha=self.fixed_alpha)
 
-    def step_low_order(self, t, u_prev) -> StepRecord:
-        rhs = self.spec.tau * self._load(t) + self.m_lumped * u_prev
-        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, self._g_values(t)))
-        return StepRecord(t, u, alpha=self.fixed_alpha)
+    def step_low_order(self, level: TimeLevel, u_prev) -> StepRecord:
+        rhs = self.spec.tau * level.f + self.m_lumped * u_prev
+        u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
+        return StepRecord(level.t, u, alpha=self.fixed_alpha)
 
-    def step_linear_fct(self, t, u_prev, f_prev) -> StepRecord:
+    def step_linear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
         tau = self.spec.tau
-        t_prev = t - tau
-        _, _, abar_prev, d_ij = self.operators(t_prev)
-        g = self._g_values(t)
-        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, g)
-        g_rate = (g - self._g_values(t_prev)) / tau
+        _, _, abar_prev, d_ij = prev.ops
+        g = level.g
+        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, prev.f, tau, self._bnodes, g)
         flux = linear_fluxes(
-            self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, f_prev, tau,
-            dirichlet=self._bnodes, g_rate=g_rate,
+            self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, prev.f, tau,
+            dirichlet=self._bnodes, g_rate=(g - prev.g) / tau,
         )
-        alpha = self._apply_limiter(flux, ubar)
+        alpha = self.fixed_alpha
+        if alpha is None:
+            alpha = self._limit(flux, zalesak_bounds(self.pairs, ubar, self.m_lumped))
         fstar = correction_vector(alpha, flux)
-        rhs = tau * self._load(t) + self.m_lumped * u_prev + fstar
-        u = self._factorized(t, "low").solve(self._constrained_rhs(rhs, g))
+        rhs = tau * level.f + self.m_lumped * u_prev + fstar
+        u = self._factorization(level).solve(self._constrained_rhs(rhs, g))
         return StepRecord(
-            t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
+            level.t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
         )
 
-    def step_nonlinear_fct(self, t, u_prev, f_prev) -> StepRecord:
+    def step_nonlinear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
         tau = self.spec.tau
-        _, _, abar, d_ij = self.operators(t)
-        _, _, abar_prev, _ = self.operators(t - tau)
-        fvec = self._load(t)
-        g = self._g_values(t)
-        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, f_prev, tau, self._bnodes, g)
+        t, g, fvec = level.t, level.g, level.f
+        _, _, abar, d_ij = level.ops
+        ubar = predictor_half_step(self.m_lumped, prev.ops[2], u_prev, prev.f, tau, self._bnodes, g)
+        factor = self._factorization(level)
 
         alpha = self.fixed_alpha
         if alpha is not None:
@@ -270,19 +290,20 @@ class TimeStepper:
             # exactly instead of iterating
             v = self.scheme.limiter.value
             rhs = tau * fvec + (1.0 - v) * self.m_lumped * u_prev + v * (self.mass @ u_prev)
-            u = self._factorized(t, "const", v).solve(self._constrained_rhs(rhs, g))
+            u = factor.solve(self._constrained_rhs(rhs, g))
             flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u, u_prev, tau), ubar)
             fstar = correction_vector(alpha, flux)
             return StepRecord(
                 t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
             )
 
+        bounds = zalesak_bounds(self.pairs, ubar, self.m_lumped)
+
         def limited_correction(u_cur):
             flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), ubar)
-            alpha = self._apply_limiter(flux, ubar)
+            alpha = self._limit(flux, bounds)
             return flux, alpha, correction_vector(alpha, flux)
 
-        factor = self._factorized(t, "low")
         base_rhs = tau * fvec + self.m_lumped * u_prev
 
         flux, alpha, fstar = limited_correction(u_prev)
@@ -311,31 +332,27 @@ class TimeStepper:
 
     # -- time loop ---------------------------------------------------
 
-    def initial_record(self) -> StepRecord:
-        u0 = np.asarray(
-            self.spec.u0(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float
-        ).copy()
-        u0[self._bnodes] = self._g_values(0.0)
-        return StepRecord(0.0, u0)
-
     def run(self, n_steps: int) -> list[StepRecord]:
         """Advance n_steps of length tau from the nodal interpolant of u0."""
         tau = self.spec.tau
         if n_steps * tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
         step = getattr(self, "step_" + self.scheme.kind)
-        # the FCT steps also take f at the previous time: f(0) first, then
-        # the load each step assembled for itself
+        # the FCT steps also take the previous level: its load, boundary
+        # values and operators
         fct = self.scheme.kind in _FCT_KINDS
-        records = [self.initial_record()]
-        t_prev = 0.0
+        prev = TimeLevel(self, 0.0)
+        # the nodal interpolant of u0 with the boundary values g(0)
+        u0 = np.array(self.spec.u0(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float)
+        u0[self._bnodes] = prev.g
+        records = [StepRecord(0.0, u0)]
         for n in range(1, n_steps + 1):
-            t = n * tau
+            level = TimeLevel(self, n * tau)
             u = records[-1].u
             try:
-                rec = step(t, u, self._load(t_prev)) if fct else step(t, u)
+                rec = step(level, u, prev) if fct else step(level, u)
             except StepFailure as exc:
-                raise StepFailure(f"step {n} (t={t:g}) failed: {exc}", exc.residual) from exc
+                raise StepFailure(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
             records.append(rec)
-            t_prev = t
+            prev = level
         return records

@@ -7,7 +7,6 @@ studies reuse module-scoped fixtures because they take minutes.
 
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +32,6 @@ from femfct import (
 )
 from femfct.cli import ExperimentConfig, run_single, run_space_study, run_time_study
 from femfct.errors import ErrorWorkspace, eoc
-
-warnings.filterwarnings("ignore", message="tau=.*")
 
 
 _capman = None

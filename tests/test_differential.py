@@ -1,10 +1,12 @@
-"""Differential tests: the shared per-mesh geometry and pair graph against
-the per-call reconstructions they replaced.
+"""Differential tests: the shared per-mesh geometry and pair graph, and the
+Zalesak bounds computed once per step, against the per-call
+reconstructions they replaced.
 
 The references below are the former implementations, written inline:
 element geometry recomputed from the node coordinates, COO assembly with
-``np.add.at`` for the load, and the pair list read with ``sparse.triu``
-plus ``lexsort``.  Every mesh is also tried with its nodes randomly
+``np.add.at`` for the load, the pair list read with ``sparse.triu`` plus
+``lexsort``, and the Zalesak limiter recomputing its bounds from ``ubar``
+on every call.  Every mesh is also tried with its nodes randomly
 relabelled, which leaves the CSR column order unsorted before assembly.
 """
 
@@ -22,7 +24,10 @@ from femfct import (
     assemble_stiffness,
     linear_fluxes,
     lump,
+    prelimit,
     raw_fluxes,
+    zalesak,
+    zalesak_bounds,
 )
 from femfct.cli import ExperimentConfig, build_grid
 
@@ -182,3 +187,46 @@ def test_flux_kernels_match_matrix_formulas(mesh, operators):
         dirichlet=bnodes, g_rate=g_rate,
     )
     np.testing.assert_array_equal(flux.values, ref)
+
+
+def old_zalesak(flux, ubar, m_lumped, dirichlet=None):
+    n, i, j, f = flux.n, flux.i, flux.j, flux.values
+    fpos = np.maximum(f, 0.0)
+    fneg = np.minimum(f, 0.0)
+    p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
+    p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
+    du = ubar[j] - ubar[i]
+    q_plus = np.zeros(n)
+    np.maximum.at(q_plus, i, du)
+    np.maximum.at(q_plus, j, -du)
+    q_minus = np.zeros(n)
+    np.minimum.at(q_minus, i, du)
+    np.minimum.at(q_minus, j, -du)
+    r_plus = np.where(
+        p_plus > 0.0, np.minimum(1.0, m_lumped * q_plus / np.where(p_plus > 0.0, p_plus, 1.0)), 1.0
+    )
+    r_minus = np.where(
+        p_minus < 0.0, np.minimum(1.0, m_lumped * q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
+    )
+    if dirichlet is not None:
+        r_plus[dirichlet] = 1.0
+        r_minus[dirichlet] = 1.0
+    return np.where(f > 0.0, np.minimum(r_plus[i], r_minus[j]), np.minimum(r_minus[i], r_plus[j]))
+
+
+def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
+    # one set of bounds from ubar serves every fixed-point iterate's fluxes
+    mass, d, _ = operators
+    pairs, m_lumped, bnodes = PairGraph.of(mass), lump(mass), mesh.boundary_nodes
+    m_ij, d_ij = pairs.gather(mass), pairs.gather(d)
+    rng = np.random.default_rng(2)
+    u_prev, ubar = rng.standard_normal(mesh.n_nodes), rng.standard_normal(mesh.n_nodes)
+    bounds = zalesak_bounds(pairs, ubar, m_lumped)
+    for _ in range(3):
+        u_new = u_prev + 0.1 * rng.standard_normal(mesh.n_nodes)
+        flux = prelimit(raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, 1e-3), ubar)
+        for dirichlet in (None, bnodes):
+            np.testing.assert_array_equal(
+                zalesak(flux, bounds, dirichlet=dirichlet).values,
+                old_zalesak(flux, ubar, m_lumped, dirichlet=dirichlet),
+            )

@@ -19,6 +19,7 @@ from femfct import (
     prelimit,
     raw_fluxes,
     zalesak,
+    zalesak_bounds,
 )
 
 
@@ -209,24 +210,27 @@ class TestZalesak:
     def flux(self, value):
         return FluxMatrix(2, np.array([0]), np.array([1]), np.array([value]))
 
+    def limit(self, flux, ubar, m_lumped, dirichlet=None):
+        return zalesak(flux, zalesak_bounds(flux, ubar, m_lumped), dirichlet=dirichlet)
+
     def test_zero_fluxes_give_alpha_one(self):
-        alpha = zalesak(self.flux(0.0), np.array([0.0, 1.0]), np.ones(2))
+        alpha = self.limit(self.flux(0.0), np.array([0.0, 1.0]), np.ones(2))
         np.testing.assert_array_equal(alpha.values, 1.0)
 
     def test_unconstrained_pair(self):
-        alpha = zalesak(self.flux(0.5), np.array([0.0, 1.0]), np.ones(2))
+        alpha = self.limit(self.flux(0.5), np.array([0.0, 1.0]), np.ones(2))
         assert alpha.values[0] == pytest.approx(1.0)
 
     def test_constrained_pair(self):
-        alpha = zalesak(self.flux(0.5), np.array([0.0, 0.2]), np.ones(2))
+        alpha = self.limit(self.flux(0.5), np.array([0.0, 0.2]), np.ones(2))
         assert alpha.values[0] == pytest.approx(0.4)
 
     def test_dirichlet_nodes_do_not_limit(self):
         ubar = np.array([0.0, 0.2])
-        alpha = zalesak(self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([1]))
+        alpha = self.limit(self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([1]))
         # node 1 no longer throttles; node 0's own ratio is R_0^+ = 0.4
         assert alpha.values[0] == pytest.approx(0.4)
-        alpha = zalesak(
+        alpha = self.limit(
             self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([0, 1])
         )
         assert alpha.values[0] == pytest.approx(1.0)
@@ -240,7 +244,7 @@ class TestZalesak:
         flux = FluxMatrix(n, i, j, rng.standard_normal(i.size))
         ubar = rng.standard_normal(n)
         m = rng.random(n) + 0.1
-        alpha = zalesak(flux, ubar, m)
+        alpha = self.limit(flux, ubar, m)
         assert np.all(alpha.values >= 0.0)
         assert np.all(alpha.values <= 1.0)
 

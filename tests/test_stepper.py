@@ -9,6 +9,7 @@ from femfct import (
     FixedPointOptions,
     ProblemSpec,
     SchemeKind,
+    TimeLevel,
     TimeStepper,
     ZalesakLimiter,
     build_friedrichs_keller,
@@ -67,14 +68,13 @@ class TestLowOrder:
         stepper = TimeStepper(fk2, spec, SchemeKind("low_order"))
         for _ in range(50):
             u_prev = rng.random(fk2.n_nodes)
-            rec = stepper.step_low_order(t=spec.tau, u_prev=u_prev)
+            rec = stepper.step_low_order(TimeLevel(stepper, spec.tau), u_prev)
             assert rec.u.min() >= -1e-13
 
     def test_zero_in_zero_out(self, fk1):
         spec = constant_data_spec()
-        rec = TimeStepper(fk1, spec, SchemeKind("low_order")).step_low_order(
-            t=spec.tau, u_prev=np.zeros(fk1.n_nodes)
-        )
+        stepper = TimeStepper(fk1, spec, SchemeKind("low_order"))
+        rec = stepper.step_low_order(TimeLevel(stepper, spec.tau), np.zeros(fk1.n_nodes))
         np.testing.assert_array_equal(rec.u, 0.0)
 
 
@@ -219,15 +219,27 @@ class TestSharedPairs:
 
 
 class TestVariableCoefficientPath:
-    @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
-    def test_matches_constant_path_bitwise(self, fk2, kind):
-        # time-independent data through the per-step rebuild of the
-        # operators, the d_ij gather and the factorizations
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            *(pytest.param(SchemeKind(kind), id=kind)
+              for kind in ("galerkin", "low_order", "linear_fct", "nonlinear_fct")),
+            # the exact constant-alpha system of nonlinear_fct
+            pytest.param(
+                SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)),
+                id="nonlinear_fct-constant0.3",
+            ),
+            pytest.param(SchemeKind("linear_fct", ConstantLimiter(0.5)), id="linear_fct-constant0.5"),
+        ],
+    )
+    def test_matches_constant_path_bitwise(self, fk2, scheme):
+        # time-independent data through the per-level rebuild of the
+        # operators and the d_ij gather, and the per-step factorizations
         runs = []
         for constant in (True, False):
             spec, _ = space_study_problem()
             spec.constant_coefficients = constant
-            runs.append(TimeStepper(fk2, spec, SchemeKind(kind)).run(20))
+            runs.append(TimeStepper(fk2, spec, scheme).run(20))
         for ra, rb in zip(*runs):
             np.testing.assert_array_equal(ra.u, rb.u)
 
@@ -252,6 +264,41 @@ class TestStepData:
         TimeStepper(fk2, spec, SchemeKind(kind)).run(5)
         assert len(count) == calls
         assert len(set(count)) == calls
+
+    @pytest.mark.parametrize("constant", [True, False])
+    @pytest.mark.parametrize(
+        "kind, first",
+        [("galerkin", 1), ("low_order", 1), ("linear_fct", 0), ("nonlinear_fct", 0)],
+    )
+    def test_one_operator_build_per_level(self, fk2, monkeypatch, kind, first, constant):
+        # variable coefficients: each level t = k tau builds its operators
+        # once (the FCT steps also use level 0's) with t exactly k tau, and
+        # each step factorizes once; n * 1e-3 - 1e-3 != (n - 1) * 1e-3 for
+        # n = 11, 15, 19.  Constant coefficients: one build, one LU.
+        spec, _ = space_study_problem()
+        spec.constant_coefficients = constant
+        n = 20
+        times, factorizations = [], []
+        assemble = femfct.stepper.assemble_stiffness
+        factorization = femfct.stepper.Factorization
+
+        def counting_assemble(mesh, spec, t):
+            times.append(t)
+            return assemble(mesh, spec, t)
+
+        def counting_factorization(matrix):
+            factorizations.append(matrix)
+            return factorization(matrix)
+
+        monkeypatch.setattr(femfct.stepper, "assemble_stiffness", counting_assemble)
+        monkeypatch.setattr(femfct.stepper, "Factorization", counting_factorization)
+        TimeStepper(fk2, spec, SchemeKind(kind)).run(n)
+        if constant:
+            assert len(times) == 1
+            assert len(factorizations) == 1
+        else:
+            assert sorted(times) == [k * spec.tau for k in range(first, n + 1)]
+            assert len(factorizations) == n
 
     @pytest.mark.parametrize(
         "scheme, value",
