@@ -14,8 +14,10 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-# 3-point edge-midpoint rule, exact for polynomials of degree 2; its
-# points are the mesh's Geometry.midpoints.
+# 3-point edge-midpoint rule, exact for polynomials of degree 2; point q
+# is the midpoint of edge q = (vertex q, vertex q+1), so the rule's points
+# are the mesh's edge midpoints (mesh.edges.x, .y), shared by the two
+# triangles of an interior edge.
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
@@ -75,20 +77,22 @@ def assemble_mass(mesh) -> sparse.csr_matrix:
 def assemble_laplacian(mesh) -> sparse.csr_matrix:
     """P1 stiffness matrix of -lap(u), the Gram matrix of the gradients."""
     geo = mesh.geometry
-    local = geo.areas[:, None, None] * np.einsum("mid,mjd->mij", geo.grads, geo.grads)
-    return _to_csr(mesh, local)
+    return _to_csr(mesh, geo.areas[:, None, None] * geo.gram)
 
 
 def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     """Stiffness matrix of diffusion, convection, and reaction at time t."""
-    geo = mesh.geometry
+    geo, edges = mesh.geometry, mesh.edges
     area, grads = geo.areas, geo.grads
-    x, y = geo.midpoints[..., 0], geo.midpoints[..., 1]  # (m, 3)
-    bx, by = spec.b(t, x, y)
-    cval = spec.c(t, x, y)
-    bx, by, cval = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in (bx, by, cval))
+    bx, by = spec.b(t, edges.x, edges.y)
+    cval = spec.c(t, edges.x, edges.y)
+    # the coefficients at each triangle's quadrature points, (m, 3)
+    bx, by, cval = (
+        np.broadcast_to(np.asarray(v, dtype=float), edges.x.shape)[edges.of_triangle]
+        for v in (bx, by, cval)
+    )
 
-    local = spec.eps * np.einsum("mid,mjd->mij", grads, grads) * area[:, None, None]
+    local = spec.eps * geo.gram * area[:, None, None]
     # (b . grad phi_j) phi_i and c phi_i phi_j with the 3-point rule;
     # phi_i at quadrature point q equals the barycentric coordinate
     bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
@@ -99,27 +103,41 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
 
 
 def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
-    """Load vector f_i = (f(t, .), phi_i) with the 3-point rule."""
-    geo = mesh.geometry
-    x, y = geo.midpoints[..., 0], geo.midpoints[..., 1]
-    fval = np.broadcast_to(np.asarray(spec.f(t, x, y), dtype=float), x.shape)
-    local = geo.areas[:, None] * np.einsum("q,mq,qi->mi", QUAD2_W, fval, QUAD2_BARY)
+    """Load vector f_i = (f(t, .), phi_i) with the 3-point rule, f being
+    evaluated once per edge."""
+    edges = mesh.edges
+    fval = np.broadcast_to(np.asarray(spec.f(t, edges.x, edges.y), dtype=float), edges.x.shape)
+    # h_q = w f(x_q) / 2 per triangle, (m, 3), the three weights being
+    # equal; phi_i is 1/2 at the midpoints of the edges q = i and q = i - 1
+    # meeting vertex i, else 0.  These roundings are those of the sum
+    # over q of w_q f_q phi_i(q), written without a matmul, whose BLAS
+    # kernel may fuse multiply-adds.
+    h = ((fval * QUAD2_W[0]) * 0.5)[edges.of_triangle]
+    local = np.empty_like(h)
+    np.add(h[:, 0], h[:, 2], out=local[:, 0])
+    np.add(h[:, 0], h[:, 1], out=local[:, 1])
+    np.add(h[:, 1], h[:, 2], out=local[:, 2])
+    local *= mesh.geometry.areas[:, None]
     return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 
 
 def apply_dirichlet(matrix, rhs, mesh, spec: ProblemSpec, t: float):
     """Replace boundary rows by identity rows with rhs g(t, node).
 
-    Returns a new (matrix, rhs) pair; interior rows are untouched.
+    Returns a new (matrix, rhs) pair; interior rows are untouched.  With
+    rhs None only the matrix is constrained: the pair is (matrix, None)
+    and g is not evaluated.
     """
     mat = matrix.tocsr().copy()
-    rhs = np.array(rhs, dtype=float, copy=True)
     mask = mesh.boundary_mask
     row_of_entry = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     mat.data[mask[row_of_entry]] = 0.0
     diag_pos = np.flatnonzero(mat.indices == row_of_entry)
     drow = row_of_entry[diag_pos]
     mat.data[diag_pos[mask[drow]]] = 1.0
+    if rhs is None:
+        return mat, None
+    rhs = np.array(rhs, dtype=float, copy=True)
     bn = mesh.boundary_nodes
     rhs[bn] = spec.g(t, mesh.nodes[bn, 0], mesh.nodes[bn, 1])
     return mat, rhs

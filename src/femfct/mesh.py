@@ -26,13 +26,36 @@ class Geometry:
 
     areas : (m,) element areas
     grads : (m, 3, 2) constant gradients of the three P1 basis functions
-    midpoints : (m, 3, 2) midpoints of the edges (0,1), (1,2), (2,0), the
-        points of the 3-point quadrature rule
     """
 
     areas: np.ndarray
     grads: np.ndarray
-    midpoints: np.ndarray
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(m, 3, 3) Gram matrices grad phi_i . grad phi_j, computed on
+        first use; read-only."""
+        gram = np.einsum("mid,mjd->mij", self.grads, self.grads)
+        gram.setflags(write=False)
+        return gram
+
+
+@dataclass(frozen=True)
+class Edges:
+    """The edges of a mesh, numbered once; every array is read-only.
+
+    i, j : (E,) endpoints, i < j, in lexicographic order (the order of the
+        node pairs of the mass matrix's pattern)
+    x, y : (E,) edge midpoints, the points of the 3-point quadrature rule
+    of_triangle : (m, 3) id of edge q = (local vertex q, local vertex q+1)
+        of each triangle
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    of_triangle: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,10 +102,31 @@ class TriMesh:
             grads[:, a, 0] = p[:, j, 1] - p[:, k, 1]
             grads[:, a, 1] = p[:, k, 0] - p[:, j, 0]
         grads /= (2.0 * area)[:, None, None]
-        midpoints = 0.5 * (p + np.roll(p, -1, axis=1))
-        for a in (area, grads, midpoints):
+        for a in (area, grads):
             a.setflags(write=False)
-        return Geometry(area, grads, midpoints)
+        return Geometry(area, grads)
+
+    @cached_property
+    def edges(self) -> Edges:
+        """Edge numbering, computed on first use; its arrays are read-only."""
+        t = self.triangles
+        nxt = np.roll(t, -1, axis=1)  # edge q = (vertex q, vertex q+1)
+        lo, hi = np.minimum(t, nxt).ravel(), np.maximum(t, nxt).ravel()
+        # one stable sort of the 3m keys groups the copies of each edge
+        key = lo * self.n_nodes + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.concatenate(([True], key[1:] != key[:-1]))
+        of_triangle = np.empty(key.size, dtype=np.int64)
+        of_triangle[order] = np.cumsum(start) - 1
+        first = order[start]
+        i, j = lo[first], hi[first]
+        x = 0.5 * (self.nodes[i, 0] + self.nodes[j, 0])
+        y = 0.5 * (self.nodes[i, 1] + self.nodes[j, 1])
+        of_triangle = of_triangle.reshape(t.shape)
+        for arr in (i, j, x, y, of_triangle):
+            arr.setflags(write=False)
+        return Edges(i, j, x, y, of_triangle)
 
     def areas(self) -> np.ndarray:
         return self.geometry.areas
@@ -251,8 +295,7 @@ def edge_arrays(mesh: TriMesh):
     t = mesh.triangles
     pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]])
     pairs = np.sort(pairs, axis=1)
-    unique = np.unique(pairs, axis=0)
-    return unique[:, 0], unique[:, 1], pairs
+    return mesh.edges.i, mesh.edges.j, pairs
 
 
 def max_opposite_angle_sum(mesh: TriMesh) -> float:

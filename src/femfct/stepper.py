@@ -209,7 +209,7 @@ class TimeStepper:
             system = (1.0 - v) * ml + v * self.mass + tau * a + (1.0 - v) * tau * d
         else:
             system = ml + tau * abar
-        system, _ = apply_dirichlet(system, np.zeros(self.mesh.n_nodes), self.mesh, self.spec, level.t)
+        system, _ = apply_dirichlet(system, None, self.mesh, self.spec, level.t)
         return Factorization(system)
 
     def _constrained_rhs(self, rhs, g):

@@ -199,6 +199,18 @@ class TestDirichlet:
         )
         np.testing.assert_array_equal(rhs2[interior], rhs[interior])
 
+    def test_matrix_only_without_rhs(self, fk1, benchmark_spec):
+        a = assemble_stiffness(fk1, benchmark_spec, t=0.0)
+        ref, _ = apply_dirichlet(a, np.zeros(fk1.n_nodes), fk1, benchmark_spec, t=0.0)
+
+        def no_g(t, x, y):
+            raise AssertionError("g evaluated without a right-hand side")
+
+        benchmark_spec.g = no_g
+        a2, rhs2 = apply_dirichlet(a, None, fk1, benchmark_spec, t=0.0)
+        assert rhs2 is None
+        np.testing.assert_array_equal(a2.toarray(), ref.toarray())
+
 
 class TestSharedGeometry:
     def test_assemblies_read_the_cached_geometry(self):

@@ -1,13 +1,16 @@
-"""Differential tests: the shared per-mesh geometry and pair graph, and the
-Zalesak bounds computed once per step, against the per-call
-reconstructions they replaced.
+"""Differential tests: the shared per-mesh geometry, edge numbering and
+pair graph, and the Zalesak bounds computed once per step, against the
+per-call reconstructions they replaced.
 
 The references below are the former implementations, written inline:
 element geometry recomputed from the node coordinates, COO assembly with
-``np.add.at`` for the load, the pair list read with ``sparse.triu`` plus
-``lexsort``, and the Zalesak limiter recomputing its bounds from ``ubar``
-on every call.  Every mesh is also tried with its nodes randomly
-relabelled, which leaves the CSR column order unsorted before assembly.
+``np.add.at`` for the load, coefficients and load evaluated at each
+triangle's own edge midpoints (three points per triangle) and summed with
+``einsum``, the edge list read with ``np.unique``, the pair list read with
+``sparse.triu`` plus ``lexsort``, and the Zalesak limiter recomputing its
+bounds from ``ubar`` on every call.  Every mesh is also tried with its
+nodes randomly relabelled, which leaves the CSR column order unsorted
+before assembly.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from scipy import sparse
 
 from femfct import (
     PairGraph,
+    edge_arrays,
     ProblemSpec,
     TriMesh,
     artificial_diffusion,
@@ -111,12 +115,85 @@ def assert_close(new, ref, rtol=1e-15):
     assert np.abs(new - ref).max() <= rtol * np.abs(ref).max()
 
 
+def old_midpoints(mesh):
+    """(m, 3, 2) midpoints of each triangle's edges (0,1), (1,2), (2,0)."""
+    p = mesh.nodes[mesh.triangles]
+    return 0.5 * (p + np.roll(p, -1, axis=1))
+
+
 def test_geometry_matches_recomputation(mesh):
-    area, grads, pts = old_geometry(mesh)
-    geo = mesh.geometry
+    area, grads, _ = old_geometry(mesh)
+    geo, edges = mesh.geometry, mesh.edges
     np.testing.assert_array_equal(geo.areas, area)
     np.testing.assert_array_equal(geo.grads, grads)
-    np.testing.assert_array_equal(geo.midpoints, pts)
+    np.testing.assert_array_equal(geo.gram, np.einsum("mid,mjd->mij", grads, grads))
+    pts = old_midpoints(mesh)
+    np.testing.assert_array_equal(edges.x[edges.of_triangle], pts[..., 0])
+    np.testing.assert_array_equal(edges.y[edges.of_triangle], pts[..., 1])
+
+
+def test_edges_match_unique_and_pair_graph(mesh):
+    edges, t = mesh.edges, mesh.triangles
+    pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]), axis=1)
+    unique = np.unique(pairs, axis=0)
+    graph = PairGraph.of(assemble_mass(mesh))
+    for ref in (unique[:, 0], edge_arrays(mesh)[0], graph.i):
+        np.testing.assert_array_equal(edges.i, ref)
+    for ref in (unique[:, 1], edge_arrays(mesh)[1], graph.j):
+        np.testing.assert_array_equal(edges.j, ref)
+    # edge q of a triangle joins its local vertices q and q+1
+    a, b = t, np.roll(t, -1, axis=1)
+    np.testing.assert_array_equal(edges.i[edges.of_triangle], np.minimum(a, b))
+    np.testing.assert_array_equal(edges.j[edges.of_triangle], np.maximum(a, b))
+    for arr in (edges.i, edges.j, edges.x, edges.y, edges.of_triangle):
+        assert not arr.flags.writeable
+    assert edges.x.flags.c_contiguous and edges.y.flags.c_contiguous
+    assert mesh.edges is edges
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+def test_load_matches_per_triangle_einsum_bitwise(mesh, spec, t):
+    pts = old_midpoints(mesh)
+    x, y = pts[..., 0], pts[..., 1]
+    local = mesh.geometry.areas[:, None] * np.einsum(
+        "q,mq,qi->mi", QUAD2_W, spec.f(t, x, y), QUAD2_BARY
+    )
+    ref = np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
+    np.testing.assert_array_equal(assemble_load(mesh, spec, t), ref)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+def test_stiffness_matches_per_triangle_evaluation_bitwise(mesh, spec, t):
+    area, grads, _ = old_geometry(mesh)
+    pts = old_midpoints(mesh)
+    x, y = pts[..., 0], pts[..., 1]
+    bx, by = spec.b(t, x, y)
+    local = spec.eps * np.einsum("mid,mjd->mij", grads, grads) * area[:, None, None]
+    bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
+    local += area[:, None, None] * np.einsum("q,qi,mqj->mij", QUAD2_W, QUAD2_BARY, bgrad)
+    local += area[:, None, None] * np.einsum(
+        "q,mq,qi,qj->mij", QUAD2_W, spec.c(t, x, y), QUAD2_BARY, QUAD2_BARY
+    )
+    new = assemble_stiffness(mesh, spec, t)
+    ref = old_to_csr(mesh, local)
+    ref.sort_indices()
+    np.testing.assert_array_equal(new.indptr, ref.indptr)
+    np.testing.assert_array_equal(new.indices, ref.indices)
+    np.testing.assert_array_equal(new.data, ref.data)
+
+
+def test_load_evaluates_f_once_per_edge(mesh, spec):
+    shapes = []
+    f = spec.f
+
+    def recording(t, x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return f(t, x, y)
+
+    spec.f = recording
+    for k, t in enumerate((0.0, 0.5)):
+        assemble_load(mesh, spec, t)
+        assert shapes == [((mesh.edges.i.size,), (mesh.edges.i.size,))] * (k + 1)
 
 
 def test_assembly_matches_coo_reference(mesh, spec):

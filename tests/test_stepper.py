@@ -300,6 +300,25 @@ class TestStepData:
             assert sorted(times) == [k * spec.tau for k in range(first, n + 1)]
             assert len(factorizations) == n
 
+    @pytest.mark.parametrize("constant", [True, False])
+    @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+    def test_one_g_evaluation_per_level(self, fk2, kind, constant):
+        # g(t) once for each of the n + 1 levels; the LU's Dirichlet rows
+        # need no boundary values
+        spec, _ = space_study_problem()
+        spec.constant_coefficients = constant
+        times = []
+        g = spec.g
+
+        def counting(t, x, y):
+            times.append(t)
+            return g(t, x, y)
+
+        spec.g = counting
+        n = 20
+        TimeStepper(fk2, spec, SchemeKind(kind)).run(n)
+        assert sorted(times) == [k * spec.tau for k in range(n + 1)]
+
     @pytest.mark.parametrize(
         "scheme, value",
         [
