@@ -3,7 +3,8 @@
 Assembles the consistent mass matrix, the convection-diffusion-reaction
 stiffness matrix, and the load vector.  Variable coefficients are
 integrated with a 3-point edge-midpoint quadrature rule (exact to degree
-2); all matrices share the node-connectivity sparsity pattern.
+2); all matrices are data arrays on the mesh's one sparsity pattern
+(``mesh.pattern``) and share its structure arrays.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ class ProblemSpec:
 
 
 def _to_csr(mesh, local):
-    """Sum (m, 3, 3) element matrices into a CSR matrix with sorted indices."""
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n = mesh.n_nodes
-    mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return mat
+    """Sum (m, 3, 3) element matrices into a CSR matrix on the mesh pattern;
+    duplicate entries are summed in element order."""
+    pattern = mesh.pattern
+    data = np.bincount(pattern.of_element.ravel(), local.ravel(), pattern.indices.size)
+    return pattern.matrix(data)
 
 
 def assemble_mass(mesh) -> sparse.csr_matrix:

@@ -98,8 +98,9 @@ def run_single(mesh, spec, exact, scheme):
     n_steps = int(round(spec.t_end / spec.tau))
     records = stepper.run(n_steps)
     ws = err.ErrorWorkspace(mesh)
-    # the stepper puts every record's limiter on one pair graph, which must
-    # be the mass pattern's: dh_seminorm weights it with the diffusion
+    # the stepper puts every record's limiter on the mesh's pair graph,
+    # which must be the mass pattern's: dh_seminorm weights it with the
+    # diffusion's d_ij on those pairs
     i, j, _ = _upper_pairs(stepper.mass)
     last = records[-1].alpha
     if last is not None and not (np.array_equal(last.i, i) and np.array_equal(last.j, j)):
@@ -108,14 +109,14 @@ def run_single(mesh, spec, exact, scheme):
     series = {"l2": [], "h1": [], "fct": [], "dh": []}
     for record in records[1:]:
         t = record.t
-        diffusion = stepper.operators(t)[1]
+        d_ij = stepper.operators(t)[3]
         series["l2"].append(ws.l2_error(record.u, exact.u, t))
         series["h1"].append(ws.h1_error(record.u, exact.gradient, t))
         e_nodes = (
             np.asarray(exact.u(t, mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
             - record.u
         )
-        dh = err.dh_seminorm(record.alpha, diffusion, e_nodes)
+        dh = err.dh_seminorm(record.alpha, d_ij, e_nodes)
         fct_val = np.sqrt(
             spec.eps * ws.h1_nodal(e_nodes) ** 2
             + spec.c0 * ws.l2_nodal(e_nodes) ** 2

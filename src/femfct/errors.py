@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .assembly import assemble_laplacian, assemble_mass
-from .fct import LimiterMatrix, PairGraph
+from .fct import LimiterMatrix
 
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011, 0.109951743655322
@@ -76,30 +75,29 @@ def h1_seminorm_error(mesh, u_h, u_exact_gradient, t, workspace=None) -> float:
     return (workspace or ErrorWorkspace(mesh)).h1_error(u_h, u_exact_gradient, t)
 
 
-def dh_seminorm(alpha: LimiterMatrix, diffusion, e_nodes) -> float:
+def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     """Square root of the stabilization form
-    d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2.
+    d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2, the
+    diffusion entries ``d_ij`` given on the limiter's pairs.
 
-    Raises ValueError unless the strictly upper entries of ``diffusion``
-    sit exactly on the limiter's pairs.
+    Raises ValueError unless ``d_ij`` has one value per pair.
     """
-    diffusion = sparse.csr_matrix(diffusion)
-    pairs = PairGraph.of(diffusion)
-    if not (np.array_equal(pairs.i, alpha.i) and np.array_equal(pairs.j, alpha.j)):
-        raise ValueError("the diffusion's upper pattern is not the limiter's pairs")
-    d_ij = pairs.gather(diffusion)
+    d_ij = np.asarray(d_ij)
+    if d_ij.shape != alpha.values.shape:
+        raise ValueError(f"d_ij has shape {d_ij.shape}, the limiter {alpha.values.shape}")
     de = e_nodes[alpha.j] - e_nodes[alpha.i]
     return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
 
 
-def fct_norm(mesh, e_nodes, alpha, diffusion, eps, c0, workspace=None) -> float:
+def fct_norm(mesh, e_nodes, alpha, d_ij, eps, c0, workspace=None) -> float:
     """Energy norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
-    vector, with the d_h term weighted by the step's limiter."""
+    vector, with the d_h term weighted by the step's limiter; ``d_ij`` as
+    for ``dh_seminorm``."""
     ws = workspace or ErrorWorkspace(mesh)
     return math.sqrt(
         eps * ws.h1_nodal(e_nodes) ** 2
         + c0 * ws.l2_nodal(e_nodes) ** 2
-        + dh_seminorm(alpha, diffusion, e_nodes) ** 2
+        + dh_seminorm(alpha, d_ij, e_nodes) ** 2
     )
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .mesh import PairGraph, Pattern
+
 
 @dataclass(frozen=True)
 class FluxMatrix:
@@ -52,62 +54,28 @@ class LimiterMatrix:
 
 
 def _upper_pairs(mat: sparse.csr_matrix):
-    """Pairs i < j of the strictly upper entries of a CSR matrix, in
-    lexicographic order, and the positions of those entries in ``mat.data``.
-
-    Sorts the matrix's column indices in place if they are not sorted.
-    """
+    """Pairs i < j of a CSR matrix's strictly upper entries, in lexicographic
+    order, and their positions in ``mat.data``; sorts its indices in place."""
     mat.sort_indices()
     row = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
     pos = np.flatnonzero(mat.indices > row)
     return row[pos], mat.indices[pos], pos
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """Unordered node pairs i < j of a symmetric sparsity pattern.
-
-    Fluxes and limiter values live on these pairs; ``pos`` locates entry
-    (i, j) in the data array of every CSR matrix with the pattern the
-    graph was read from (sorted indices).  The arrays are read-only, and
-    every FluxMatrix and LimiterMatrix built on the graph shares them.
-    """
-
-    n: int
-    i: np.ndarray
-    j: np.ndarray
-    pos: np.ndarray
-
-    @classmethod
-    def of(cls, mat: sparse.csr_matrix) -> PairGraph:
-        i, j, pos = _upper_pairs(mat)
-        for a in (i, j, pos):
-            a.setflags(write=False)
-        return cls(mat.shape[0], i, j, pos)
-
-    def gather(self, mat: sparse.csr_matrix) -> np.ndarray:
-        """Entries mat[i, j] of a CSR matrix with the graph's pattern."""
-        return mat.data[self.pos]
-
-
-def artificial_diffusion(a_mat: sparse.spmatrix) -> sparse.csr_matrix:
-    """Artificial diffusion D with d_ij = -max{a_ij, 0, a_ji} (i != j) and
-    zero row sums.  D is symmetric with nonnegative diagonal."""
-    a = a_mat.tocsr()
-    a.sort_indices()
-    at = a.T.tocsr()
-    at.sort_indices()
-    if np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices):
-        data = -np.maximum(np.maximum(a.data, at.data), 0.0)
-        d = sparse.csr_matrix(
-            (data, a.indices.copy(), a.indptr.copy()), shape=a.shape
-        )
-    else:
-        # structurally nonsymmetric input: work on the union pattern
-        d = -a.maximum(at).maximum(sparse.csr_matrix(a.shape)).tocsr()
-    d.setdiag(0.0)
-    d.setdiag(-np.asarray(d.sum(axis=1)).ravel())
-    return d
+def artificial_diffusion(a_mat: sparse.csr_matrix, pattern: Pattern) -> sparse.csr_matrix:
+    """Artificial diffusion D with d_ij = -max{a_ij, a_ji, 0} (i != j) and
+    zero row sums, on the mesh pattern of ``a_mat``.  D is symmetric with
+    nonnegative diagonal."""
+    same = np.array_equal(a_mat.indptr, pattern.indptr)
+    if not (same and np.array_equal(a_mat.indices, pattern.indices)):
+        raise ValueError("the matrix is not on the mesh pattern")
+    a_up, a_low = a_mat.data[pattern.upper], a_mat.data[pattern.lower]
+    data = np.zeros(a_mat.data.shape)
+    data[pattern.upper] = -np.maximum(np.maximum(a_up, a_low), 0.0)
+    data[pattern.lower] = -np.maximum(np.maximum(a_low, a_up), 0.0)
+    # the diagonal: minus the off-diagonal CSR row sums
+    data[pattern.diag] = -np.asarray(pattern.matrix(data).sum(axis=1)).ravel()
+    return pattern.matrix(data)
 
 
 def lump(mass: sparse.spmatrix) -> np.ndarray:
@@ -247,12 +215,8 @@ def m_matrix_check(m_lumped, abar, tau, rel_tol: float = 1e-13) -> MMatrixReport
     bad_diag = np.flatnonzero(diag <= 0.0)
 
     coo = system.tocoo()
-    off = coo.row != coo.col
-    bad_off = [
-        (int(r), int(c), float(v))
-        for r, c, v in zip(coo.row[off], coo.col[off], coo.data[off])
-        if v > tol
-    ]
+    bad = (coo.row != coo.col) & (coo.data > tol)
+    bad_off = list(zip(coo.row[bad].tolist(), coo.col[bad].tolist(), coo.data[bad].tolist()))
 
     row_margin = np.asarray(system.sum(axis=1)).ravel()
     bad_rows = np.flatnonzero(row_margin < -tol)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 BOUNDARY_TOL = 1e-12
 
@@ -56,6 +57,40 @@ class Edges:
     x: np.ndarray
     y: np.ndarray
     of_triangle: np.ndarray
+
+
+@dataclass(frozen=True)
+class PairGraph:
+    """The edges i < j of a mesh as the node pairs of the fluxes and limiter
+    values; every FluxMatrix and LimiterMatrix on it shares its arrays."""
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """The sparsity pattern of a mesh's P1 matrices (the diagonal and both
+    entries of every edge) with sorted column indices; read-only arrays.
+
+    indptr, indices : int32 CSR structure, shared by every matrix on it
+    diag : (n,) position of entry (i, i) in a matrix's data array
+    upper, lower : (E,) positions of (i, j) and of (j, i) for edge (i, j)
+    of_element : (m, 3, 3) position of entry (a, b) of each element matrix
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    of_element: np.ndarray
+
+    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        """The CSR matrix with ``data`` on this pattern's structure arrays."""
+        n = self.diag.size
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -128,6 +163,41 @@ class TriMesh:
             arr.setflags(write=False)
         return Edges(i, j, x, y, of_triangle)
 
+    @cached_property
+    def pairs(self) -> PairGraph:
+        """The edges as the pair graph of the FCT kernels."""
+        return PairGraph(self.n_nodes, self.edges.i, self.edges.j)
+
+    @cached_property
+    def pattern(self) -> Pattern:
+        """Sparsity pattern of the P1 matrices, built from the edges on
+        first use; its arrays are read-only."""
+        n, i, j = self.n_nodes, self.edges.i, self.edges.j
+        n_upper, n_lower = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
+        # row r: its lower entries (r, i < r), the diagonal, then its upper
+        # entries (r, j > r)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
+        diag = indptr[:-1] + n_lower
+        # the edges are sorted by (i, j), so row i's upper entries are its
+        # edges in order; one stable sort by j gives row j's lower entries
+        rank = np.arange(i.size)
+        upper = diag[i] + 1 + rank - (np.cumsum(n_upper) - n_upper)[i]
+        by_j = np.argsort(j, kind="stable")
+        lower = np.empty_like(upper)
+        lower[by_j] = indptr[j[by_j]] + rank - (np.cumsum(n_lower) - n_lower)[j[by_j]]
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[diag], indices[upper], indices[lower] = np.arange(n), j, i
+        # entry (a, b) of an element matrix: the diagonal for a == b, else
+        # the edge joining local vertices a and b (edge q joins q and q+1)
+        t = self.triangles
+        edge = self.edges.of_triangle[:, [[0, 0, 2], [0, 1, 1], [2, 1, 2]]]
+        of_element = np.where(t[:, :, None] < t[:, None, :], upper[edge], lower[edge])
+        of_element[:, [0, 1, 2], [0, 1, 2]] = diag[t]
+        for arr in (indptr, indices, diag, upper, lower, of_element):
+            arr.setflags(write=False)
+        return Pattern(indptr, indices, diag, upper, lower, of_element)
+
     def areas(self) -> np.ndarray:
         return self.geometry.areas
 
@@ -166,63 +236,44 @@ def _make_mesh(nodes, triangles, level, h) -> TriMesh:
     return TriMesh(nodes, triangles, _boundary_mask(nodes), level, h)
 
 
+def _lattice(level: int, flip_even_rows: bool):
+    """Nodes, triangles and spacing of the lattice of 2**(level+1) cells per
+    side, two triangles per cell, cells numbered row by row from the
+    bottom.  Every cell's diagonal runs from lower left to upper right,
+    except in the even cell rows when ``flip_even_rows`` is set."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    n = 2 ** (level + 1)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    row, col = np.divmod(np.arange(n * n), n)
+    v00 = row * (n + 1) + col
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+    if flip_even_rows:
+        flipped = np.stack([v00, v10, v01, v10, v11, v01], axis=1)
+        tris = np.where((row % 2 == 0)[:, None], flipped, tris)
+    return nodes, tris.reshape(-1, 3), 1.0 / n
+
+
 def build_friedrichs_keller(level: int) -> TriMesh:
     """Structured grid of the unit square with uniform diagonal direction.
 
     Level 0 is the 3x3 lattice (9 nodes, 8 triangles); each level halves
     the lattice spacing 2**-(level+1).
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    n = 2 ** (level + 1)
-    spacing = 1.0 / n
-    xs = np.linspace(0.0, 1.0, n + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            # diagonal from lower-left to upper-right in every cell
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return _make_mesh(nodes, np.array(tris), level, spacing)
+    nodes, tris, spacing = _lattice(level, flip_even_rows=False)
+    return _make_mesh(nodes, tris, level, spacing)
 
 
 def build_shifted_grid(level: int) -> TriMesh:
     """Friedrichs-Keller lattice with flipped diagonals in even cell rows
-    and interior nodes shifted right by a tenth of the mesh width."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    n = 2 ** (level + 1)
-    spacing = 1.0 / n
-    xs = np.linspace(0.0, 1.0, n + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            if j % 2 == 0:
-                # even cell rows (counted from the bottom): flipped diagonal
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-            else:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-    interior = ~_boundary_mask(nodes)
-    nodes[interior, 0] += spacing / 10.0
-    return _make_mesh(nodes, np.array(tris), level, spacing)
+    (counted from the bottom) and interior nodes shifted right by a tenth
+    of the mesh width."""
+    nodes, tris, spacing = _lattice(level, flip_even_rows=True)
+    nodes[~_boundary_mask(nodes), 0] += spacing / 10.0
+    return _make_mesh(nodes, tris, level, spacing)
 
 
 def load_mesh(path) -> TriMesh:
@@ -264,9 +315,7 @@ def load_mesh(path) -> TriMesh:
         lineno = rows[1 + n_nodes + int(np.argmax(np.any((tris < 0) | (tris >= n_nodes), axis=1)))][0]
         raise MeshError(f"{path}:{lineno}: triangle node index out of range")
     p = nodes[tris]
-    diam = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        diam = max(diam, float(np.max(np.linalg.norm(p[:, a] - p[:, b], axis=1))))
+    diam = float(np.max(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)))
     return _make_mesh(nodes, tris, 0, diam)
 
 
@@ -291,11 +340,9 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
 
 
 def edge_arrays(mesh: TriMesh):
-    """Unique edge endpoint arrays (i < j) plus the raw sorted pair list."""
-    t = mesh.triangles
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]])
-    pairs = np.sort(pairs, axis=1)
-    return mesh.edges.i, mesh.edges.j, pairs
+    """Endpoint arrays (i, j) of the mesh's edges, i < j, in lexicographic
+    order."""
+    return mesh.edges.i, mesh.edges.j
 
 
 def max_opposite_angle_sum(mesh: TriMesh) -> float:
@@ -304,14 +351,13 @@ def max_opposite_angle_sum(mesh: TriMesh) -> float:
     A triangulation is Delaunay iff this never exceeds pi; values above
     pi/2 already break the angle condition for an M-matrix Laplacian.
     """
-    opposite: dict[tuple[int, int], list[float]] = {}
-    for tri in mesh.triangles:
-        for a in range(3):
-            i, j, k = tri[a], tri[(a + 1) % 3], tri[(a + 2) % 3]
-            key = (int(i), int(j)) if i < j else (int(j), int(i))
-            vi = mesh.nodes[i] - mesh.nodes[k]
-            vj = mesh.nodes[j] - mesh.nodes[k]
-            cosang = np.dot(vi, vj) / (np.linalg.norm(vi) * np.linalg.norm(vj))
-            opposite.setdefault(key, []).append(float(np.arccos(np.clip(cosang, -1, 1))))
-    sums = [sum(v) for v in opposite.values() if len(v) == 2]
-    return max(sums) if sums else 0.0
+    p = mesh.nodes[mesh.triangles]
+    # edge q = (vertex q, vertex q+1) is opposite vertex q+2
+    opposite = np.roll(p, -2, axis=1)
+    vi, vj = p - opposite, np.roll(p, -1, axis=1) - opposite
+    norms = np.linalg.norm(vi, axis=2) * np.linalg.norm(vj, axis=2)
+    angle = np.arccos(np.clip(np.sum(vi * vj, axis=2) / norms, -1, 1))
+    edge, n_edges = mesh.edges.of_triangle.ravel(), mesh.edges.i.size
+    sums = np.bincount(edge, angle.ravel(), n_edges)
+    interior = np.bincount(edge, minlength=n_edges) == 2
+    return float(sums[interior].max(initial=0.0))

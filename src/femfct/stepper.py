@@ -19,7 +19,6 @@ from .assembly import apply_dirichlet, assemble_load, assemble_mass, assemble_st
 from .fct import (
     FluxMatrix,
     LimiterMatrix,
-    PairGraph,
     artificial_diffusion,
     correction_vector,
     linear_fluxes,
@@ -129,9 +128,10 @@ class TimeStepper:
     constant coefficients the operators and the LU of the scheme's system
     matrix are built once per stepper and reused for every step (and
     every fixed-point iteration); for variable coefficients each level
-    builds its operators and each step one LU.  The node pairs of the
-    mass matrix's pattern (``pairs``) are read once; every flux and
-    limiter of the run lives on them.
+    builds its operators and each step one LU.  Every flux and limiter of
+    the run lives on the mesh's pair graph (``pairs``, its edges), and
+    the pair entries m_ij, d_ij are read from the matrices' data arrays at
+    the pattern's upper positions.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -141,8 +141,8 @@ class TimeStepper:
         self.fp_opts = fp_opts or FixedPointOptions()
         self.mass = assemble_mass(mesh)
         self.m_lumped = lump(self.mass)
-        self.pairs = PairGraph.of(self.mass)
-        self._m_ij = self.pairs.gather(self.mass)
+        self.pairs = mesh.pairs
+        self._m_ij = self.mass.data[mesh.pattern.upper]
         bmask = mesh.boundary_mask
         self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes
@@ -165,11 +165,15 @@ class TimeStepper:
 
     def _build_operators(self, t):
         a = assemble_stiffness(self.mesh, self.spec, t)
-        d = artificial_diffusion(a)
+        d = artificial_diffusion(a, self.mesh.pattern)
+        # Abar stays scipy's sum, which drops the entries where upwinding
+        # cancels a_ij exactly (43% of them at FK L5): the LU of that
+        # smaller pattern factors three to four times faster, and solves
+        # twice as fast, as on the full mesh pattern
         abar = (a + d).tocsr()
         if self._check_predictor:
             self._check_predictor_bound(abar)
-        return a, d, abar, self.pairs.gather(d)
+        return a, d, abar, d.data[self.mesh.pattern.upper]
 
     def _check_predictor_bound(self, abar):
         """Warn once if tau exceeds min_i 2 m_i / abar_ii over the interior
@@ -209,6 +213,8 @@ class TimeStepper:
             system = (1.0 - v) * ml + v * self.mass + tau * a + (1.0 - v) * tau * d
         else:
             system = ml + tau * abar
+        # scipy's sums and apply_dirichlet keep the pattern that dropped
+        # the exact zeros of Abar, which the LU's fill depends on
         system, _ = apply_dirichlet(system, None, self.mesh, self.spec, level.t)
         return Factorization(system)
 

@@ -1,33 +1,47 @@
-"""Differential tests: the shared per-mesh geometry, edge numbering and
-pair graph, and the Zalesak bounds computed once per step, against the
-per-call reconstructions they replaced.
+"""Differential tests: the shared per-mesh geometry, edge numbering,
+sparsity pattern and pair graph, and the Zalesak bounds computed once per
+step, against the per-call reconstructions they replaced.
 
 The references below are the former implementations, written inline:
-element geometry recomputed from the node coordinates, COO assembly with
-``np.add.at`` for the load, coefficients and load evaluated at each
-triangle's own edge midpoints (three points per triangle) and summed with
-``einsum``, the edge list read with ``np.unique``, the pair list read with
-``sparse.triu`` plus ``lexsort``, and the Zalesak limiter recomputing its
-bounds from ``ubar`` on every call.  Every mesh is also tried with its
-nodes randomly relabelled, which leaves the CSR column order unsorted
-before assembly.
+element geometry recomputed from the node coordinates, COO assembly
+(scipy's COO->CSR conversion for the matrices, ``np.add.at`` for the
+load), coefficients and load evaluated at each triangle's own edge
+midpoints (three points per triangle) and summed with ``einsum``, the
+edge list read with ``np.unique``, the pair list read with
+``sparse.triu`` plus ``lexsort``, the artificial diffusion built through
+a transpose and ``setdiag``, the Delaunay angle sums collected per edge
+in a dict, the lattice grids built cell by cell, and the Zalesak limiter recomputing its bounds from ``ubar``
+on every call.  Every mesh is also tried with its nodes randomly
+relabelled, which leaves the CSR column order unsorted before assembly.
 """
+
+import math
+
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from femfct import (
-    PairGraph,
-    edge_arrays,
+    ConstantLimiter,
     ProblemSpec,
+    SchemeKind,
+    TimeLevel,
+    TimeStepper,
     TriMesh,
+    apply_dirichlet,
     artificial_diffusion,
+    assemble_laplacian,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    build_friedrichs_keller,
+    build_shifted_grid,
+    edge_arrays,
     linear_fluxes,
     lump,
+    max_opposite_angle_sum,
     prelimit,
     raw_fluxes,
     zalesak,
@@ -103,6 +117,41 @@ def old_to_csr(mesh, local):
     return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def old_sorted_csr(mesh, local):
+    mat = old_to_csr(mesh, local)
+    mat.sort_indices()
+    return mat
+
+
+def old_artificial_diffusion(a_mat):
+    a = a_mat.tocsr()
+    a.sort_indices()
+    at = a.T.tocsr()
+    at.sort_indices()
+    if np.array_equal(a.indptr, at.indptr) and np.array_equal(a.indices, at.indices):
+        data = -np.maximum(np.maximum(a.data, at.data), 0.0)
+        d = sparse.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    else:
+        d = -a.maximum(at).maximum(sparse.csr_matrix(a.shape)).tocsr()
+    d.setdiag(0.0)
+    d.setdiag(-np.asarray(d.sum(axis=1)).ravel())
+    return d
+
+
+def old_max_opposite_angle_sum(mesh):
+    opposite = {}
+    for tri in mesh.triangles:
+        for a in range(3):
+            i, j, k = tri[a], tri[(a + 1) % 3], tri[(a + 2) % 3]
+            key = (int(i), int(j)) if i < j else (int(j), int(i))
+            vi = mesh.nodes[i] - mesh.nodes[k]
+            vj = mesh.nodes[j] - mesh.nodes[k]
+            cosang = np.dot(vi, vj) / (np.linalg.norm(vi) * np.linalg.norm(vj))
+            opposite.setdefault(key, []).append(float(np.arccos(np.clip(cosang, -1, 1))))
+    sums = [sum(v) for v in opposite.values() if len(v) == 2]
+    return max(sums) if sums else 0.0
+
+
 def old_upper_pairs(mat):
     up = sparse.triu(mat, k=1).tocoo()
     order = np.lexsort((up.col, up.row))
@@ -121,6 +170,27 @@ def old_midpoints(mesh):
     return 0.5 * (p + np.roll(p, -1, axis=1))
 
 
+def old_local_stiffness(mesh, spec, t):
+    """(m, 3, 3) element stiffness matrices, the coefficients evaluated at
+    each triangle's own edge midpoints."""
+    area, grads, _ = old_geometry(mesh)
+    pts = old_midpoints(mesh)
+    x, y = pts[..., 0], pts[..., 1]
+    bx, by = spec.b(t, x, y)
+    local = spec.eps * np.einsum("mid,mjd->mij", grads, grads) * area[:, None, None]
+    bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
+    local += area[:, None, None] * np.einsum("q,qi,mqj->mij", QUAD2_W, QUAD2_BARY, bgrad)
+    local += area[:, None, None] * np.einsum(
+        "q,mq,qi,qj->mij", QUAD2_W, spec.c(t, x, y), QUAD2_BARY, QUAD2_BARY
+    )
+    return local
+
+
+def old_mass(mesh):
+    area = old_geometry(mesh)[0]
+    return old_sorted_csr(mesh, area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0))
+
+
 def test_geometry_matches_recomputation(mesh):
     area, grads, _ = old_geometry(mesh)
     geo, edges = mesh.geometry, mesh.edges
@@ -136,11 +206,14 @@ def test_edges_match_unique_and_pair_graph(mesh):
     edges, t = mesh.edges, mesh.triangles
     pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [0, 2]]]), axis=1)
     unique = np.unique(pairs, axis=0)
-    graph = PairGraph.of(assemble_mass(mesh))
-    for ref in (unique[:, 0], edge_arrays(mesh)[0], graph.i):
+    mass_i, mass_j, _ = old_upper_pairs(assemble_mass(mesh))
+    for ref in (unique[:, 0], edge_arrays(mesh)[0], mass_i):
         np.testing.assert_array_equal(edges.i, ref)
-    for ref in (unique[:, 1], edge_arrays(mesh)[1], graph.j):
+    for ref in (unique[:, 1], edge_arrays(mesh)[1], mass_j):
         np.testing.assert_array_equal(edges.j, ref)
+    # the mesh's one pair graph holds the edge arrays themselves
+    assert mesh.pairs is mesh.pairs and mesh.pairs.n == mesh.n_nodes
+    assert mesh.pairs.i is edges.i and mesh.pairs.j is edges.j
     # edge q of a triangle joins its local vertices q and q+1
     a, b = t, np.roll(t, -1, axis=1)
     np.testing.assert_array_equal(edges.i[edges.of_triangle], np.minimum(a, b))
@@ -164,22 +237,14 @@ def test_load_matches_per_triangle_einsum_bitwise(mesh, spec, t):
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
 def test_stiffness_matches_per_triangle_evaluation_bitwise(mesh, spec, t):
-    area, grads, _ = old_geometry(mesh)
-    pts = old_midpoints(mesh)
-    x, y = pts[..., 0], pts[..., 1]
-    bx, by = spec.b(t, x, y)
-    local = spec.eps * np.einsum("mid,mjd->mij", grads, grads) * area[:, None, None]
-    bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
-    local += area[:, None, None] * np.einsum("q,qi,mqj->mij", QUAD2_W, QUAD2_BARY, bgrad)
-    local += area[:, None, None] * np.einsum(
-        "q,mq,qi,qj->mij", QUAD2_W, spec.c(t, x, y), QUAD2_BARY, QUAD2_BARY
-    )
+    # the per-triangle element matrices, scattered with the pattern
+    local = old_local_stiffness(mesh, spec, t)
+    pattern = mesh.pattern
+    ref = np.bincount(pattern.of_element.ravel(), local.ravel(), pattern.indices.size)
     new = assemble_stiffness(mesh, spec, t)
-    ref = old_to_csr(mesh, local)
-    ref.sort_indices()
-    np.testing.assert_array_equal(new.indptr, ref.indptr)
-    np.testing.assert_array_equal(new.indices, ref.indices)
-    np.testing.assert_array_equal(new.data, ref.data)
+    np.testing.assert_array_equal(new.indptr, pattern.indptr)
+    np.testing.assert_array_equal(new.indices, pattern.indices)
+    np.testing.assert_array_equal(new.data, ref)
 
 
 def test_load_evaluates_f_once_per_edge(mesh, spec):
@@ -204,13 +269,7 @@ def test_assembly_matches_coo_reference(mesh, spec):
     ref_mass = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None]
     assert_close(assemble_mass(mesh), old_to_csr(mesh, ref_mass))
 
-    bx, by = spec.b(t, x, y)
-    local = spec.eps * np.einsum("mid,mjd->mij", grads, grads) * area[:, None, None]
-    bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
-    local += area[:, None, None] * np.einsum("q,qi,mqj->mij", QUAD2_W, QUAD2_BARY, bgrad)
-    local += area[:, None, None] * np.einsum(
-        "q,mq,qi,qj->mij", QUAD2_W, spec.c(t, x, y), QUAD2_BARY, QUAD2_BARY
-    )
+    local = old_local_stiffness(mesh, spec, t)
     assert_close(assemble_stiffness(mesh, spec, t), old_to_csr(mesh, local))
 
     local = area[:, None] * np.einsum("q,mq,qi->mi", QUAD2_W, spec.f(t, x, y), QUAD2_BARY)
@@ -223,20 +282,19 @@ def test_assembly_matches_coo_reference(mesh, spec):
 def operators(mesh, spec):
     mass = assemble_mass(mesh)
     a = assemble_stiffness(mesh, spec, 0.0)
-    d = artificial_diffusion(a)
+    d = artificial_diffusion(a, mesh.pattern)
     return mass, d, (a + d).tocsr()
 
 
 def test_pair_graph_matches_triu_lexsort(mesh, operators):
     mass, d, _ = operators
-    pairs = PairGraph.of(mass)
+    pairs, upper = mesh.pairs, mesh.pattern.upper
     i, j, m_ij = old_upper_pairs(mass)
     di, dj, d_ij = old_upper_pairs(d)
     for new, ref in ((pairs.i, i), (pairs.j, j), (pairs.i, di), (pairs.j, dj)):
-        assert new.dtype == ref.dtype
         np.testing.assert_array_equal(new, ref)
-    np.testing.assert_array_equal(pairs.gather(mass), m_ij)
-    np.testing.assert_array_equal(pairs.gather(d), d_ij)
+    np.testing.assert_array_equal(mass.data[upper], m_ij)
+    np.testing.assert_array_equal(d.data[upper], d_ij)
 
 
 def test_flux_kernels_match_matrix_formulas(mesh, operators):
@@ -247,8 +305,8 @@ def test_flux_kernels_match_matrix_formulas(mesh, operators):
     g_rate = rng.standard_normal(bnodes.size)
     i, j, m_ij = old_upper_pairs(mass)
     d_ij = old_upper_pairs(d)[2]
-    pairs = PairGraph.of(mass)
-    m_new, d_new = pairs.gather(mass), pairs.gather(d)
+    pairs, upper = mesh.pairs, mesh.pattern.upper
+    m_new, d_new = mass.data[upper], d.data[upper]
 
     du = u_new - u_prev
     ref = m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
@@ -294,8 +352,8 @@ def old_zalesak(flux, ubar, m_lumped, dirichlet=None):
 def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
     # one set of bounds from ubar serves every fixed-point iterate's fluxes
     mass, d, _ = operators
-    pairs, m_lumped, bnodes = PairGraph.of(mass), lump(mass), mesh.boundary_nodes
-    m_ij, d_ij = pairs.gather(mass), pairs.gather(d)
+    pairs, m_lumped, bnodes = mesh.pairs, lump(mass), mesh.boundary_nodes
+    m_ij, d_ij = mass.data[mesh.pattern.upper], d.data[mesh.pattern.upper]
     rng = np.random.default_rng(2)
     u_prev, ubar = rng.standard_normal(mesh.n_nodes), rng.standard_normal(mesh.n_nodes)
     bounds = zalesak_bounds(pairs, ubar, m_lumped)
@@ -307,3 +365,127 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
                 zalesak(flux, bounds, dirichlet=dirichlet).values,
                 old_zalesak(flux, ubar, m_lumped, dirichlet=dirichlet),
             )
+
+
+def test_pattern_matches_coo_structure(mesh):
+    pattern, edges, t = mesh.pattern, mesh.edges, mesh.triangles
+    ref = old_sorted_csr(mesh, np.ones((mesh.n_triangles, 3, 3)))
+    np.testing.assert_array_equal(pattern.indptr, ref.indptr)
+    np.testing.assert_array_equal(pattern.indices, ref.indices)
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    row = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
+    col = pattern.indices
+    # every position indexes the (row, col) it stands for
+    shape = (mesh.n_triangles, 3, 3)
+    np.testing.assert_array_equal(row[pattern.of_element], np.broadcast_to(t[:, :, None], shape))
+    np.testing.assert_array_equal(col[pattern.of_element], np.broadcast_to(t[:, None, :], shape))
+    np.testing.assert_array_equal(row[pattern.diag], np.arange(mesh.n_nodes))
+    np.testing.assert_array_equal(col[pattern.diag], np.arange(mesh.n_nodes))
+    np.testing.assert_array_equal(row[pattern.upper], edges.i)
+    np.testing.assert_array_equal(col[pattern.upper], edges.j)
+    np.testing.assert_array_equal(row[pattern.lower], edges.j)
+    np.testing.assert_array_equal(col[pattern.lower], edges.i)
+    for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.upper,
+                pattern.lower, pattern.of_element):
+        assert not arr.flags.writeable
+    assert mesh.pattern is pattern
+
+
+def test_assembled_matrices_share_the_pattern(mesh, spec):
+    pattern = mesh.pattern
+    stiffness = assemble_stiffness(mesh, spec, 0.5)
+    for mat in (assemble_mass(mesh), assemble_laplacian(mesh), stiffness):
+        assert np.shares_memory(mat.indices, pattern.indices)
+        assert np.shares_memory(mat.indptr, pattern.indptr)
+    d = artificial_diffusion(stiffness, pattern)
+    assert np.shares_memory(d.indices, pattern.indices)
+
+
+def test_artificial_diffusion_matches_transpose_formula_bitwise(mesh, spec):
+    for t in (0.0, 0.7):
+        a = assemble_stiffness(mesh, spec, t)
+        new, ref = artificial_diffusion(a, mesh.pattern), old_artificial_diffusion(a)
+        np.testing.assert_array_equal(new.indptr, ref.indptr)
+        np.testing.assert_array_equal(new.indices, ref.indices)
+        # sign bits included
+        assert new.data.tobytes() == ref.data.tobytes()
+
+
+def test_artificial_diffusion_rejects_other_patterns(mesh, spec):
+    # one stored entry dropped, as scipy's sum drops exact zeros
+    a = assemble_stiffness(mesh, spec, 0.0).copy()
+    a.data[mesh.pattern.upper[0]] = 0.0
+    a.eliminate_zeros()
+    with pytest.raises(ValueError, match="pattern"):
+        artificial_diffusion(a, mesh.pattern)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        SchemeKind("galerkin"),
+        SchemeKind("low_order"),
+        SchemeKind("linear_fct"),
+        SchemeKind("nonlinear_fct"),
+        SchemeKind("nonlinear_fct", ConstantLimiter(0.5, zalesak_boundary=False)),
+    ],
+    ids=["galerkin", "low_order", "linear_fct", "nonlinear_fct", "nonlinear_fct-constant0.5"],
+)
+def test_system_lu_matches_scipy_assembly(mesh, spec, scheme):
+    # the constrained system matrix of the former scipy-assembled operators
+    # factors with the same column order and fill as the stepper's
+    mass = old_mass(mesh)
+    a = old_sorted_csr(mesh, old_local_stiffness(mesh, spec, 0.0))
+    d = old_artificial_diffusion(a)
+    ml, tau = sparse.diags(lump(mass)), spec.tau
+    if scheme.kind == "galerkin":
+        system = mass + tau * a
+    elif isinstance(scheme.limiter, ConstantLimiter):
+        v = scheme.limiter.value
+        system = (1.0 - v) * ml + v * mass + tau * a + (1.0 - v) * tau * d
+    else:
+        system = ml + tau * (a + d).tocsr()
+    system, _ = apply_dirichlet(system, None, mesh, spec, 0.0)
+    ref = splu(sparse.csc_matrix(system))
+
+    stepper = TimeStepper(mesh, spec, scheme)
+    new = stepper._factorize(TimeLevel(stepper, 0.0))._lu
+    np.testing.assert_array_equal(new.perm_c, ref.perm_c)
+    assert new.L.nnz + new.U.nnz == ref.L.nnz + ref.U.nnz
+
+
+def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):
+    assert math.isclose(
+        max_opposite_angle_sum(mesh), old_max_opposite_angle_sum(mesh), rel_tol=0, abs_tol=1e-14
+    )
+
+
+def old_lattice(level, shifted):
+    n = 2 ** (level + 1)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v01, v11 = v00 + n + 1, v10 + n + 1
+            if shifted and j % 2 == 0:
+                tris += [(v00, v10, v01), (v10, v11, v01)]
+            else:
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+    if shifted:
+        x, y = nodes[:, 0], nodes[:, 1]
+        interior = (x > 1e-12) & (x < 1 - 1e-12) & (y > 1e-12) & (y < 1 - 1e-12)
+        nodes[interior, 0] += 1.0 / n / 10.0
+    return nodes, np.array(tris)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("build", [build_friedrichs_keller, build_shifted_grid])
+def test_lattice_builders_match_cell_loops(build, level):
+    nodes, tris = old_lattice(level, shifted=build is build_shifted_grid)
+    mesh = build(level)
+    assert mesh.nodes.tobytes() == nodes.tobytes()
+    np.testing.assert_array_equal(mesh.triangles, tris)
+    assert mesh.h == 2.0 ** -(level + 1)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from femfct import (
     ErrorReport,
@@ -103,21 +102,25 @@ class TestH1Error:
 class TestDhSeminorm:
     def toy(self, alpha_value):
         alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([alpha_value]))
-        diff = sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        return alpha, diff
+        return alpha, np.array([-1.0])
 
     def test_zero_error(self):
-        alpha, diff = self.toy(0.0)
-        assert dh_seminorm(alpha, diff, np.zeros(2)) == 0.0
+        alpha, d_ij = self.toy(0.0)
+        assert dh_seminorm(alpha, d_ij, np.zeros(2)) == 0.0
 
     def test_alpha_one_vanishes(self):
-        alpha, diff = self.toy(1.0)
-        assert dh_seminorm(alpha, diff, np.array([0.0, 1.0])) == 0.0
+        alpha, d_ij = self.toy(1.0)
+        assert dh_seminorm(alpha, d_ij, np.array([0.0, 1.0])) == 0.0
 
     def test_two_node_value(self):
         # sum over unordered pairs of (1 - alpha)|d_ij| (e_j - e_i)^2
-        alpha, diff = self.toy(0.0)
-        assert dh_seminorm(alpha, diff, np.array([0.0, 1.0])) == pytest.approx(1.0)
+        alpha, d_ij = self.toy(0.0)
+        assert dh_seminorm(alpha, d_ij, np.array([0.0, 1.0])) == pytest.approx(1.0)
+
+    def test_one_value_per_pair_required(self):
+        alpha, _ = self.toy(0.0)
+        with pytest.raises(ValueError, match="shape"):
+            dh_seminorm(alpha, np.array([-1.0, -1.0]), np.zeros(2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -144,7 +147,7 @@ class TestDhSeminorm:
             for q in range(n)
             if p != q
         )
-        edge = dh_seminorm(alpha, sparse.csr_matrix(dense), e)
+        edge = dh_seminorm(alpha, d_off, e)
         assert edge**2 == pytest.approx(nodal, rel=1e-10, abs=1e-12)
 
 
@@ -152,9 +155,9 @@ class TestFctNorm:
     def test_zero_error(self, fk1):
         i, j = np.triu_indices(2, k=1)
         alpha = LimiterMatrix(2, i, j, np.ones(1))
-        diff = sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert (
-            fct_norm(fk1, np.zeros(fk1.n_nodes), alpha, diff, eps=1.0, c0=1.0) == 0.0
+            fct_norm(fk1, np.zeros(fk1.n_nodes), alpha, np.array([-1.0]), eps=1.0, c0=1.0)
+            == 0.0
         )
 
     def test_alpha_one_reduces_to_energy_norm(self, fk1):
@@ -163,12 +166,7 @@ class TestFctNorm:
         i, j = np.triu_indices(fk1.n_nodes, k=1)
         # alpha = 1 on an arbitrary pattern: d_h term drops out
         alpha = LimiterMatrix(fk1.n_nodes, i[:3], j[:3], np.ones(3))
-        dense = np.zeros((fk1.n_nodes, fk1.n_nodes))
-        dense[i[:3], j[:3]] = -1.0
-        dense[j[:3], i[:3]] = -1.0
-        np.fill_diagonal(dense, -dense.sum(axis=1))
-        diff = sparse.csr_matrix(dense)
-        full = fct_norm(fk1, e, alpha, diff, eps=2.0, c0=3.0)
+        full = fct_norm(fk1, e, alpha, np.full(3, -1.0), eps=2.0, c0=3.0)
         import femfct.errors as err_mod
 
         ws = err_mod.ErrorWorkspace(fk1)
@@ -190,17 +188,12 @@ class TestFctNorm:
             a_vals = rng.random(i.size)
             alpha = LimiterMatrix(mesh.n_nodes, i, j, a_vals)
             d_off = -rng.random(i.size)
-            dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
-            dense[i, j] = d_off
-            dense[j, i] = d_off
-            np.fill_diagonal(dense, -dense.sum(axis=1))
-            diff = sparse.csr_matrix(dense)
             eps, c0 = rng.random() + 0.1, rng.random() + 0.1
-            total = fct_norm(mesh, e, alpha, diff, eps=eps, c0=c0) ** 2
+            total = fct_norm(mesh, e, alpha, d_off, eps=eps, c0=c0) ** 2
             parts = (
                 eps * ws.h1_nodal(e) ** 2
                 + c0 * ws.l2_nodal(e) ** 2
-                + dh_seminorm(alpha, diff, e) ** 2
+                + dh_seminorm(alpha, d_off, e) ** 2
             )
             assert abs(total - parts) <= 1e-12 * max(total, 1.0)
 

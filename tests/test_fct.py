@@ -14,6 +14,7 @@ from femfct import (
     linear_fluxes,
     lump,
     PairGraph,
+    TriMesh,
     m_matrix_check,
     predictor_half_step,
     prelimit,
@@ -24,31 +25,48 @@ from femfct import (
 
 
 def two_node_matrices(m12=0.1, d12=-0.2):
-    """Pair graph of a 2x2 mass matrix and the pair entries m_12, d_12."""
-    mass = sparse.csr_matrix(np.array([[0.5, m12], [m12, 0.5]]))
-    diff = sparse.csr_matrix(np.array([[-d12, d12], [d12, -d12]]))
-    pairs = PairGraph.of(mass)
-    return pairs, pairs.gather(mass), pairs.gather(diff)
+    """Pair graph of two nodes and the pair entries m_12, d_12."""
+    pairs = PairGraph(2, np.array([0]), np.array([1]))
+    return pairs, np.array([m12]), np.array([d12])
+
+
+# one triangle: its pattern holds every entry of a 3x3 matrix
+TRIANGLE = TriMesh(
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), np.ones(3, bool), 0, 1.0
+)
+
+
+def on_triangle(dense):
+    """The 3x3 matrix ``dense`` on the triangle's pattern, zeros stored."""
+    pattern = TRIANGLE.pattern
+    row = np.repeat(np.arange(3), np.diff(pattern.indptr))
+    return pattern.matrix(np.asarray(dense, dtype=float)[row, pattern.indices])
 
 
 class TestArtificialDiffusion:
     def test_small_example(self):
-        a = sparse.csr_matrix(np.array([[2.0, -3.0], [1.0, 4.0]]))
-        d = artificial_diffusion(a).toarray()
-        np.testing.assert_allclose(d, [[1.0, -1.0], [-1.0, 1.0]])
+        a = on_triangle([[2.0, -3.0, 0.0], [1.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        d = artificial_diffusion(a, TRIANGLE.pattern).toarray()
+        np.testing.assert_allclose(d, [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_nonpositive_offdiagonals_give_zero(self):
-        a = sparse.csr_matrix(np.array([[2.0, -3.0], [-1.0, 4.0]]))
-        assert abs(artificial_diffusion(a)).max() == 0.0
+        a = on_triangle([[2.0, -3.0, -1.0], [-1.0, 4.0, -2.0], [-1.0, 0.0, 1.0]])
+        assert abs(artificial_diffusion(a, TRIANGLE.pattern)).max() == 0.0
 
     def test_one_sided_positive_entry(self):
-        a = sparse.csr_matrix(np.array([[5.0, 2.0], [0.0, 5.0]]))
-        d = artificial_diffusion(a).toarray()
-        np.testing.assert_allclose(d, [[2.0, -2.0], [-2.0, 2.0]])
+        # a_ij > 0 with a_ji = 0 stored on the pattern
+        a = on_triangle([[5.0, 2.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
+        d = artificial_diffusion(a, TRIANGLE.pattern).toarray()
+        np.testing.assert_allclose(d, [[2.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def test_matrix_off_the_pattern_rejected(self):
+        a = sparse.csr_matrix(np.array([[5.0, 2.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]]))
+        with pytest.raises(ValueError, match="pattern"):
+            artificial_diffusion(a, TRIANGLE.pattern)
 
     def test_benchmark_operator_properties(self, fk2, benchmark_spec):
         a = assemble_stiffness(fk2, benchmark_spec, t=0.0)
-        d = artificial_diffusion(a)
+        d = artificial_diffusion(a, fk2.pattern)
         np.testing.assert_allclose(
             np.asarray(d.sum(axis=1)).ravel(), 0.0, atol=1e-15
         )
@@ -59,15 +77,13 @@ class TestArtificialDiffusion:
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_symmetry_and_zero_row_sums_random(self, seed):
+    def test_symmetry_and_zero_row_sums_random(self, fk0, seed):
         rng = np.random.default_rng(seed)
-        n = 6
-        dense = rng.standard_normal((n, n))
-        dense[rng.random((n, n)) < 0.4] = 0.0
-        # symmetric sparsity pattern, arbitrary values
-        pattern = (dense != 0) | (dense != 0).T
-        a = sparse.csr_matrix(np.where(pattern, rng.standard_normal((n, n)), 0.0))
-        d = artificial_diffusion(a)
+        # arbitrary values, some of them zero, on the level-0 mesh pattern
+        pattern = fk0.pattern
+        data = rng.standard_normal(pattern.indices.size)
+        data[rng.random(data.size) < 0.4] = 0.0
+        d = artificial_diffusion(pattern.matrix(data), pattern)
         assert abs(d - d.T).max() < 1e-12
         np.testing.assert_allclose(np.asarray(d.sum(axis=1)).ravel(), 0.0, atol=1e-12)
         offdiag = d - sparse.diags(d.diagonal())
@@ -301,7 +317,7 @@ class TestMMatrixCheck:
 
     def test_benchmark_low_order_system(self, fk2, benchmark_spec):
         a = assemble_stiffness(fk2, benchmark_spec, t=0.0)
-        d = artificial_diffusion(a)
+        d = artificial_diffusion(a, fk2.pattern)
         m = lump(assemble_mass(fk2))
         report = m_matrix_check(m, a + d, tau=benchmark_spec.tau)
         assert report.ok
