@@ -3,8 +3,9 @@
 Assembles the consistent mass matrix, the convection-diffusion-reaction
 stiffness matrix, and the load vector.  Variable coefficients are
 integrated with a 3-point edge-midpoint quadrature rule (exact to degree
-2); all matrices are data arrays on the mesh's one sparsity pattern
-(``mesh.pattern``) and share its structure arrays.
+2), its sums written out per element without einsum; all matrices are
+data arrays on the mesh's one sparsity pattern (``mesh.pattern``) and
+share its structure arrays.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ from scipy import sparse
 # 3-point edge-midpoint rule, exact for polynomials of degree 2; point q
 # is the midpoint of edge q = (vertex q, vertex q+1), so the rule's points
 # are the mesh's edge midpoints (mesh.edges.x, .y), shared by the two
-# triangles of an interior edge.
+# triangles of an interior edge.  The weights are equal and phi_i is 1/2
+# at the two points _POINTS_OF_VERTEX[i] (the midpoints of the edges
+# meeting vertex i, the nonzero entries of column i of QUAD2_BARY) and 0
+# at the third, so the load and stiffness kernels write the rule's sums
+# out over those points instead of contracting with einsum.
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
+_POINTS_OF_VERTEX = ((0, 2), (0, 1), (1, 2))
 
 
 def _zero(t, x, y):
@@ -91,12 +97,31 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     )
 
     local = spec.eps * geo.gram * area[:, None, None]
-    # (b . grad phi_j) phi_i and c phi_i phi_j with the 3-point rule;
-    # phi_i at quadrature point q equals the barycentric coordinate
-    bgrad = bx[..., None] * grads[:, None, :, 0] + by[..., None] * grads[:, None, :, 1]
-    phi = QUAD2_BARY  # (q, i)
-    local += area[:, None, None] * np.einsum("q,qi,mqj->mij", QUAD2_W, phi, bgrad)
-    local += area[:, None, None] * np.einsum("q,mq,qi,qj->mij", QUAD2_W, cval, phi, phi)
+    # (b . grad phi_j) phi_i and c phi_i phi_j with the 3-point rule: the
+    # sums over q without their zero terms, scaled by the area and added
+    # to local a row or an entry at a time, so that s is the one (m, 3, 3)
+    # temporary.  They round as the einsums "q,qi,mqj->mij" and
+    # "q,mq,qi,qj->mij" they replace, sign bits included.
+    # s = w (b . grad phi_j) / 2 at point q, (m, q, j)
+    s = bx[..., None] * grads[:, None, :, 0]
+    s += by[..., None] * grads[:, None, :, 1]
+    s *= QUAD2_W[0] * 0.5
+    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
+        row = s[:, qa] + s[:, qb]
+        row *= area[:, None]
+        local[:, i] += row
+    # r = ((w c) / 2) / 2 at point q, (m, q), in the gathered c's buffer
+    r = cval
+    r *= QUAD2_W[0]
+    r *= 0.5
+    r *= 0.5
+    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
+        local[:, i, i] += area * (r[:, qa] + r[:, qb])
+    # phi_i phi_j, i != j, is nonzero only at the midpoint q of edge (i, j)
+    for q in range(3):
+        rq = area * r[:, q]
+        local[:, q, (q + 1) % 3] += rq
+        local[:, (q + 1) % 3, q] += rq
     return _to_csr(mesh, local)
 
 
@@ -105,16 +130,13 @@ def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     evaluated once per edge."""
     edges = mesh.edges
     fval = np.broadcast_to(np.asarray(spec.f(t, edges.x, edges.y), dtype=float), edges.x.shape)
-    # h_q = w f(x_q) / 2 per triangle, (m, 3), the three weights being
-    # equal; phi_i is 1/2 at the midpoints of the edges q = i and q = i - 1
-    # meeting vertex i, else 0.  These roundings are those of the sum
-    # over q of w_q f_q phi_i(q), written without a matmul, whose BLAS
-    # kernel may fuse multiply-adds.
+    # h_q = w f(x_q) / 2 per triangle, (m, 3).  These roundings are those
+    # of the sum over q of w_q f_q phi_i(q), written without a matmul,
+    # whose BLAS kernel may fuse multiply-adds.
     h = ((fval * QUAD2_W[0]) * 0.5)[edges.of_triangle]
     local = np.empty_like(h)
-    np.add(h[:, 0], h[:, 2], out=local[:, 0])
-    np.add(h[:, 0], h[:, 1], out=local[:, 1])
-    np.add(h[:, 1], h[:, 2], out=local[:, 2])
+    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
+        np.add(h[:, qa], h[:, qb], out=local[:, i])
     local *= mesh.geometry.areas[:, None]
     return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 

@@ -58,11 +58,13 @@ class ErrorWorkspace:
         dy = np.asarray(gy, dtype=float) - uh_g[:, None, 1]
         return math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, dx * dx + dy * dy, self.area)))
 
+    # the quadratic forms e . (K e) sum with einsum, not BLAS's dot, whose
+    # summation order depends on its thread count
     def l2_nodal(self, e):
-        return math.sqrt(max(float(e @ (self.mass @ e)), 0.0))
+        return math.sqrt(max(float(np.einsum("i,i->", e, self.mass @ e)), 0.0))
 
     def h1_nodal(self, e):
-        return math.sqrt(max(float(e @ (self.laplacian @ e)), 0.0))
+        return math.sqrt(max(float(np.einsum("i,i->", e, self.laplacian @ e)), 0.0))
 
 
 def l2_error(mesh, u_h, u_exact, t, workspace: ErrorWorkspace | None = None) -> float:

@@ -214,9 +214,9 @@ def m_matrix_check(m_lumped, abar, tau, rel_tol: float = 1e-13) -> MMatrixReport
     diag = system.diagonal()
     bad_diag = np.flatnonzero(diag <= 0.0)
 
-    coo = system.tocoo()
-    bad = (coo.row != coo.col) & (coo.data > tol)
-    bad_off = list(zip(coo.row[bad].tolist(), coo.col[bad].tolist(), coo.data[bad].tolist()))
+    row = np.repeat(np.arange(system.shape[0]), np.diff(system.indptr))
+    bad = (row != system.indices) & (system.data > tol)
+    bad_off = list(zip(row[bad].tolist(), system.indices[bad].tolist(), system.data[bad].tolist()))
 
     row_margin = np.asarray(system.sum(axis=1)).ravel()
     bad_rows = np.flatnonzero(row_margin < -tol)

@@ -320,23 +320,16 @@ def load_mesh(path) -> TriMesh:
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Red refinement: split every triangle into 4 via edge midpoints."""
-    nodes = [tuple(p) for p in mesh.nodes]
-    midpoint = {}
+    """Red refinement: split every triangle into 4 via edge midpoints.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            midpoint[key] = len(nodes)
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-        return midpoint[key]
-
-    tris = []
-    for i, j, k in mesh.triangles:
-        mij, mjk, mik = mid(i, j), mid(j, k), mid(i, k)
-        tris.extend([(i, mij, mik), (j, mjk, mij), (k, mik, mjk), (mij, mjk, mik)])
-    return _make_mesh(np.array(nodes), np.array(tris), mesh.level + 1, mesh.h / 2.0)
+    The midpoint of edge e is the new node n + e."""
+    edges = mesh.edges
+    nodes = np.concatenate([mesh.nodes, np.column_stack([edges.x, edges.y])])
+    # e0 = edge (i, j), e1 = edge (j, k), e2 = edge (k, i) of triangle (i, j, k)
+    i, j, k = mesh.triangles.T
+    e0, e1, e2 = (mesh.n_nodes + edges.of_triangle).T
+    tris = np.stack([i, e0, e2, j, e1, e0, k, e2, e1, e0, e1, e2], axis=1)
+    return _make_mesh(nodes, tris.reshape(-1, 3), mesh.level + 1, mesh.h / 2.0)
 
 
 def edge_arrays(mesh: TriMesh):

@@ -8,6 +8,7 @@ fluxes).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -128,10 +129,11 @@ class TimeStepper:
     constant coefficients the operators and the LU of the scheme's system
     matrix are built once per stepper and reused for every step (and
     every fixed-point iteration); for variable coefficients each level
-    builds its operators and each step one LU.  Every flux and limiter of
-    the run lives on the mesh's pair graph (``pairs``, its edges), and
-    the pair entries m_ij, d_ij are read from the matrices' data arrays at
-    the pattern's upper positions.
+    builds its operators and each step one LU, which reuses the column
+    order of the step before unless Abar's structure (its exact zeros)
+    changed.  Every flux and limiter of the run lives on the mesh's pair
+    graph (``pairs``, its edges), and the pair entries m_ij, d_ij are read
+    from the matrices' data arrays at the pattern's upper positions.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -148,6 +150,9 @@ class TimeStepper:
         self._bnodes = mesh.boundary_nodes
         self._check_predictor = scheme.kind in _FCT_KINDS
         self.fixed_alpha = self._fixed_limiter()
+        # the column order of the last LU, handed to the next one; only the
+        # structure and permutation arrays, never the factors
+        self._lu_order = None
 
     # -- operators ---------------------------------------------------
 
@@ -216,7 +221,9 @@ class TimeStepper:
         # scipy's sums and apply_dirichlet keep the pattern that dropped
         # the exact zeros of Abar, which the LU's fill depends on
         system, _ = apply_dirichlet(system, None, self.mesh, self.spec, level.t)
-        return Factorization(system)
+        factor = Factorization(system, order=self._lu_order)
+        self._lu_order = factor.order
+        return factor
 
     def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
@@ -319,7 +326,8 @@ class TimeStepper:
             flux, alpha, fstar = limited_correction(u)
             res_vec = self.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
             res_vec[self._bnodes] = u[self._bnodes] - g
-            residual = float(np.linalg.norm(res_vec))
+            # einsum, not BLAS: the same sum whatever BLAS's thread count
+            residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
             if residual < self.fp_opts.tol:
                 return StepRecord(
                     t,

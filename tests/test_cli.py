@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import femfct
 from femfct import space_study_problem, time_study_problem
 from femfct.cli import (
     ExperimentConfig,
@@ -170,3 +176,36 @@ class TestStudies:
         assert out.exists()
         text = capsys.readouterr().out
         assert "tau=" in text
+
+
+# 5 linear_fct steps, the four integrated norms and each step's nodal
+# norms on shifted level 6 (16641 nodes, above the size from which
+# OpenBLAS threads its dot product)
+BLAS_THREADS_SCRIPT = """
+import hashlib
+from femfct import SchemeKind, build_shifted_grid, space_study_problem
+from femfct.cli import run_single
+from femfct.errors import ErrorWorkspace
+mesh = build_shifted_grid(6)
+spec, exact = space_study_problem(tau=1e-3, t_end=5e-3)
+integrated, records = run_single(mesh, spec, exact, SchemeKind("linear_fct"))
+print(hashlib.sha256(b"".join(r.u.tobytes() for r in records)).hexdigest())
+print(sorted((k, float(v).hex()) for k, v in integrated.items()))
+ws = ErrorWorkspace(mesh)
+for r in records:
+    e = exact.u(r.t, mesh.nodes[:, 0], mesh.nodes[:, 1]) - r.u
+    print(ws.l2_nodal(e).hex(), ws.h1_nodal(e).hex())
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = str(Path(femfct.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -9,10 +9,13 @@ load), coefficients and load evaluated at each triangle's own edge
 midpoints (three points per triangle) and summed with ``einsum``, the
 edge list read with ``np.unique``, the pair list read with
 ``sparse.triu`` plus ``lexsort``, the artificial diffusion built through
-a transpose and ``setdiag``, the Delaunay angle sums collected per edge
-in a dict, the lattice grids built cell by cell, and the Zalesak limiter recomputing its bounds from ``ubar``
-on every call.  Every mesh is also tried with its nodes randomly
-relabelled, which leaves the CSR column order unsorted before assembly.
+a transpose and ``setdiag``, the red refinement numbering its midpoints
+through a dict, the M-matrix check reading the entries through COO, the
+Delaunay angle sums collected per edge in a dict, the lattice grids
+built cell by cell, the Zalesak limiter recomputing its bounds from
+``ubar`` on every call, and an LU ordering its columns afresh for every
+matrix.  Every mesh is also tried with its nodes randomly relabelled,
+which leaves the CSR column order unsorted before assembly.
 """
 
 import math
@@ -23,8 +26,11 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+import femfct.stepper
+
 from femfct import (
     ConstantLimiter,
+    Factorization,
     ProblemSpec,
     SchemeKind,
     TimeLevel,
@@ -41,13 +47,16 @@ from femfct import (
     edge_arrays,
     linear_fluxes,
     lump,
+    m_matrix_check,
     max_opposite_angle_sum,
     prelimit,
     raw_fluxes,
+    refine_uniform,
     zalesak,
     zalesak_bounds,
 )
 from femfct.cli import ExperimentConfig, build_grid
+from femfct.mesh import _make_mesh
 
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
@@ -245,6 +254,7 @@ def test_stiffness_matches_per_triangle_evaluation_bitwise(mesh, spec, t):
     np.testing.assert_array_equal(new.indptr, pattern.indptr)
     np.testing.assert_array_equal(new.indices, pattern.indices)
     np.testing.assert_array_equal(new.data, ref)
+    np.testing.assert_array_equal(np.signbit(new.data), np.signbit(ref))
 
 
 def test_load_evaluates_f_once_per_edge(mesh, spec):
@@ -454,6 +464,42 @@ def test_system_lu_matches_scipy_assembly(mesh, spec, scheme):
     assert new.L.nnz + new.U.nnz == ref.L.nnz + ref.U.nnz
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        SchemeKind("galerkin"),
+        SchemeKind("low_order"),
+        SchemeKind("linear_fct"),
+        SchemeKind("nonlinear_fct"),
+        SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)),
+    ],
+    ids=["galerkin", "low_order", "linear_fct", "nonlinear_fct", "nonlinear_fct-constant0.3"],
+)
+def test_reused_column_order_matches_fresh_lu(mesh, spec, scheme, monkeypatch):
+    # a matrix of the stepper's system's structure, factored in the column
+    # order of the stepper's LU, pivots, fills and solves as a fresh
+    # COLAMD factorization of it
+    systems = []
+
+    def recording(matrix, order=None):
+        systems.append(matrix)
+        return Factorization(matrix, order=order)
+
+    monkeypatch.setattr(femfct.stepper, "Factorization", recording)
+    stepper = TimeStepper(mesh, spec, scheme)
+    first = stepper._factorize(TimeLevel(stepper, 0.0))
+    rng = np.random.default_rng(3)
+    system = sparse.csc_matrix(systems[0], copy=True)
+    system.data *= 1.0 + 0.01 * rng.random(system.nnz)
+    reused, fresh = Factorization(system, order=first.order), splu(system)
+    assert reused.order[2] is first.order[2]
+    np.testing.assert_array_equal(reused._lu.perm_r, fresh.perm_r)
+    assert reused._lu.L.nnz + reused._lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+    for _ in range(3):
+        rhs = rng.standard_normal(mesh.n_nodes)
+        assert reused.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+
+
 def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):
     assert math.isclose(
         max_opposite_angle_sum(mesh), old_max_opposite_angle_sum(mesh), rel_tol=0, abs_tol=1e-14
@@ -489,3 +535,61 @@ def test_lattice_builders_match_cell_loops(build, level):
     assert mesh.nodes.tobytes() == nodes.tobytes()
     np.testing.assert_array_equal(mesh.triangles, tris)
     assert mesh.h == 2.0 ** -(level + 1)
+
+
+def old_refine_uniform(mesh):
+    """Red refinement numbering each midpoint on first appearance."""
+    nodes = [tuple(p) for p in mesh.nodes]
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            midpoint[key] = len(nodes)
+            pa, pb = mesh.nodes[a], mesh.nodes[b]
+            nodes.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+        return midpoint[key]
+
+    tris = []
+    for i, j, k in mesh.triangles:
+        mij, mjk, mik = mid(i, j), mid(j, k), mid(i, k)
+        tris.extend([(i, mij, mik), (j, mjk, mij), (k, mik, mjk), (mij, mjk, mik)])
+    return _make_mesh(np.array(nodes), np.array(tris), mesh.level + 1, mesh.h / 2.0)
+
+
+@pytest.mark.parametrize("level", range(3))
+@pytest.mark.parametrize("grid", ["unstructured", "fk"])
+def test_refine_uniform_matches_dict_numbering_up_to_relabelling(grid, level):
+    coarse = build_grid(ExperimentConfig(grid=grid), level)
+    new, ref = refine_uniform(coarse), old_refine_uniform(coarse)
+    n = coarse.n_nodes
+    assert new.n_nodes == ref.n_nodes and new.level == ref.level and new.h == ref.h
+    # the old nodes keep their numbers; each new node is one of the
+    # reference's midpoints, matched by its exact coordinates
+    assert new.nodes[:n].tobytes() == ref.nodes[:n].tobytes()
+    ref_of = {p.tobytes(): k for k, p in enumerate(ref.nodes)}
+    relabel = np.array([ref_of[p.tobytes()] for p in new.nodes])
+    np.testing.assert_array_equal(relabel[:n], np.arange(n))
+    assert np.array_equal(np.sort(relabel), np.arange(ref.n_nodes))
+    assert ref.nodes[relabel].tobytes() == new.nodes.tobytes()
+    np.testing.assert_array_equal(relabel[new.triangles], ref.triangles)
+    np.testing.assert_array_equal(new.boundary_mask, ref.boundary_mask[relabel])
+
+
+def old_positive_offdiagonal(m_lumped, abar, tau, rel_tol=1e-13):
+    system = (sparse.diags(m_lumped) + tau * abar.tocsr()).tocsr()
+    tol = rel_tol * np.abs(system.data).max()
+    coo = system.tocoo()
+    bad = (coo.row != coo.col) & (coo.data > tol)
+    return list(zip(coo.row[bad].tolist(), coo.col[bad].tolist(), coo.data[bad].tolist()))
+
+
+def test_m_matrix_check_matches_coo_reference(mesh, spec, operators):
+    mass, _, abar = operators
+    m_lumped, a = lump(mass), assemble_stiffness(mesh, spec, 0.0)
+    # Abar passes; A alone has the positive off-diagonals of convection
+    assert m_matrix_check(m_lumped, abar, tau=spec.tau).ok
+    assert old_positive_offdiagonal(m_lumped, a, spec.tau)
+    for mat in (abar, a):
+        report = m_matrix_check(m_lumped, mat, tau=spec.tau)
+        assert report.positive_offdiagonal == old_positive_offdiagonal(m_lumped, mat, spec.tau)

@@ -46,3 +46,28 @@ class TestFactorization:
             u = fac.solve(rhs)
             assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
+
+    def test_reuses_column_order_of_same_structure(self):
+        a, rhs = random_dominant_system(5, n=40)
+        first = Factorization(a)
+        cols = first.order[2]
+        np.testing.assert_array_equal(np.sort(cols), np.arange(40))
+        # new values on the same structure: factored in the same order
+        b = a.copy()
+        b.data *= 1.5
+        second = Factorization(b, order=first.order)
+        assert second.order[2] is cols
+        u = second.solve(rhs)
+        assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    def test_orders_columns_afresh_for_other_structure(self):
+        a, rhs = random_dominant_system(5, n=40)
+        first = Factorization(a)
+        b = a.tolil()
+        b[0, 39] = b[39, 0] = 0.25
+        b = b.tocsr()
+        second = Factorization(b, order=first.order)
+        assert second.order[2] is not first.order[2]
+        np.testing.assert_array_equal(second.order[1], b.tocsc().indices)
+        u = second.solve(rhs)
+        assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+import femfct.solver
 import femfct.stepper
 from femfct import (
+    Factorization,
     ConstantLimiter,
     FixedPointOptions,
     ProblemSpec,
@@ -243,6 +245,45 @@ class TestVariableCoefficientPath:
         for ra, rb in zip(*runs):
             np.testing.assert_array_equal(ra.u, rb.u)
 
+    @pytest.mark.parametrize("kind", ["low_order", "linear_fct", "nonlinear_fct"])
+    def test_structure_changes_order_columns_afresh(self, monkeypatch, kind):
+        # b = (2 cos 40t, 3 sin 40t) moves the exact zeros of Abar: each
+        # system whose CSC structure differs from the step before's takes
+        # COLAMD, every other one the previous column order; every u is
+        # that of a run factoring afresh on every step
+        spec, _ = space_study_problem()
+        spec.constant_coefficients = False
+        spec.b = lambda t, x, y: (np.full_like(x, 2.0 * np.cos(40.0 * t), dtype=float),
+                                  np.full_like(x, 3.0 * np.sin(40.0 * t), dtype=float))
+        mesh = build_friedrichs_keller(3)
+        structures, specs = [], []
+        splu = femfct.solver.splu
+
+        def recording_factorization(matrix, order=None):
+            csc = matrix.tocsc()
+            structures.append((csc.indptr.tobytes(), csc.indices.tobytes()))
+            return Factorization(matrix, order=order)
+
+        def recording_splu(matrix, permc_spec):
+            specs.append(permc_spec)
+            return splu(matrix, permc_spec=permc_spec)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(femfct.stepper, "Factorization", recording_factorization)
+            patch.setattr(femfct.solver, "splu", recording_splu)
+            reused = TimeStepper(mesh, spec, SchemeKind(kind)).run(30)
+        changed = [k == 0 or structures[k] != structures[k - 1] for k in range(len(structures))]
+        assert len(specs) == len(structures) == 30
+        assert specs == ["COLAMD" if c else "NATURAL" for c in changed]
+        assert 1 < specs.count("COLAMD") < 30
+
+        monkeypatch.setattr(
+            femfct.stepper, "Factorization", lambda matrix, order=None: Factorization(matrix)
+        )
+        fresh = TimeStepper(mesh, spec, SchemeKind(kind)).run(30)
+        for ra, rb in zip(reused, fresh):
+            assert ra.u.tobytes() == rb.u.tobytes()
+
 
 class TestStepData:
     @pytest.mark.parametrize(
@@ -286,9 +327,9 @@ class TestStepData:
             times.append(t)
             return assemble(mesh, spec, t)
 
-        def counting_factorization(matrix):
+        def counting_factorization(matrix, order=None):
             factorizations.append(matrix)
-            return factorization(matrix)
+            return factorization(matrix, order=order)
 
         monkeypatch.setattr(femfct.stepper, "assemble_stiffness", counting_assemble)
         monkeypatch.setattr(femfct.stepper, "Factorization", counting_factorization)
