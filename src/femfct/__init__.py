@@ -14,8 +14,6 @@ from .errors import (
     dh_seminorm,
     eoc,
     fct_norm,
-    h1_seminorm_error,
-    l2_error,
     time_integrate,
 )
 from .fct import (

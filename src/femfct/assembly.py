@@ -141,13 +141,9 @@ def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 
 
-def apply_dirichlet(matrix, rhs, mesh, spec: ProblemSpec, t: float):
-    """Replace boundary rows by identity rows with rhs g(t, node).
-
-    Returns a new (matrix, rhs) pair; interior rows are untouched.  With
-    rhs None only the matrix is constrained: the pair is (matrix, None)
-    and g is not evaluated.
-    """
+def apply_dirichlet(matrix, mesh) -> sparse.csr_matrix:
+    """A copy of the matrix whose boundary rows are identity rows; interior
+    rows and the stored entries are untouched."""
     mat = matrix.tocsr().copy()
     mask = mesh.boundary_mask
     row_of_entry = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
@@ -155,9 +151,4 @@ def apply_dirichlet(matrix, rhs, mesh, spec: ProblemSpec, t: float):
     diag_pos = np.flatnonzero(mat.indices == row_of_entry)
     drow = row_of_entry[diag_pos]
     mat.data[diag_pos[mask[drow]]] = 1.0
-    if rhs is None:
-        return mat, None
-    rhs = np.array(rhs, dtype=float, copy=True)
-    bn = mesh.boundary_nodes
-    rhs[bn] = spec.g(t, mesh.nodes[bn, 0], mesh.nodes[bn, 1])
-    return mat, rhs
+    return mat

@@ -117,12 +117,7 @@ def run_single(mesh, spec, exact, scheme):
             - record.u
         )
         dh = err.dh_seminorm(record.alpha, d_ij, e_nodes)
-        fct_val = np.sqrt(
-            spec.eps * ws.h1_nodal(e_nodes) ** 2
-            + spec.c0 * ws.l2_nodal(e_nodes) ** 2
-            + dh * dh
-        )
-        series["fct"].append(float(fct_val))
+        series["fct"].append(ws.fct_nodal(e_nodes, dh, spec.eps, spec.c0))
         series["dh"].append(dh)
 
     integrated = {k: err.time_integrate(v, spec.tau) for k, v in series.items()}
@@ -251,16 +246,22 @@ def _parse_levels(text) -> tuple[int, int]:
     return a, b
 
 
-def _read_config_file(path) -> dict:
-    out = {}
+def _config_flags(path, keys) -> list[str]:
+    """The entries ``key = value`` of a config file as the flags
+    ``--key=value`` they name (underscores become dashes); only the
+    ``keys`` given are allowed."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
             key, _, value = text.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+            key = key.strip()
+            if key not in keys:
+                raise SystemExit(f"unknown config key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def parse_args(argv=None) -> ExperimentConfig:
@@ -268,7 +269,7 @@ def parse_args(argv=None) -> ExperimentConfig:
         prog="femfct",
         description="FEM-FCT convergence studies for convection-diffusion-reaction",
     )
-    parser.add_argument("--config", help="key=value file; flags override")
+    parser.add_argument("--config", help="key=value file of flags; flags override")
     parser.add_argument("--grid", choices=["fk", "shifted", "unstructured"])
     parser.add_argument("--mesh-file")
     parser.add_argument("--levels", type=_parse_levels, help="range A..B")
@@ -282,21 +283,14 @@ def parse_args(argv=None) -> ExperimentConfig:
     parser.add_argument("--study", choices=["space", "time"])
     parser.add_argument("--time-level", type=int, dest="time_level")
     parser.add_argument("--out")
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
+    if ns.config:
+        # the file's flags go first, so those of the command line win
+        keys = set(vars(ns)) - {"config"}
+        ns = parser.parse_args(_config_flags(ns.config, keys) + argv)
 
     config = ExperimentConfig()
-    if ns.config:
-        converters = {
-            "levels": _parse_levels,
-            "eps": float,
-            "tau": float,
-            "t_end": float,
-            "time_level": int,
-        }
-        for key, value in _read_config_file(ns.config).items():
-            if not hasattr(config, key):
-                raise SystemExit(f"unknown config key {key!r}")
-            setattr(config, key, converters.get(key, str)(value))
     # every flag but --config names an ExperimentConfig field
     for key, value in vars(ns).items():
         if key != "config" and value is not None:

@@ -44,14 +44,14 @@ class ErrorWorkspace:
         self.mass = assemble_mass(mesh)
         self.laplacian = assemble_laplacian(mesh)
 
-    def field_at_quad(self, u_h):
-        return np.einsum("qa,ma->mq", QUAD4_BARY, u_h[self.mesh.triangles])
-
     def l2_error(self, u_h, u_exact, t):
-        diff = np.asarray(u_exact(t, self.qx, self.qy), dtype=float) - self.field_at_quad(u_h)
+        """L2(Omega) error of the P1 field u_h against u_exact(t, x, y)."""
+        uh_q = np.einsum("qa,ma->mq", QUAD4_BARY, u_h[self.mesh.triangles])
+        diff = np.asarray(u_exact(t, self.qx, self.qy), dtype=float) - uh_q
         return math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, diff * diff, self.area)))
 
     def h1_error(self, u_h, u_exact_gradient, t):
+        """H1 seminorm error; u_exact_gradient(t, x, y) returns (du/dx, du/dy)."""
         gx, gy = u_exact_gradient(t, self.qx, self.qy)
         uh_g = np.einsum("ma,mad->md", u_h[self.mesh.triangles], self.grads)
         dx = np.asarray(gx, dtype=float) - uh_g[:, None, 0]
@@ -66,15 +66,10 @@ class ErrorWorkspace:
     def h1_nodal(self, e):
         return math.sqrt(max(float(np.einsum("i,i->", e, self.laplacian @ e)), 0.0))
 
-
-def l2_error(mesh, u_h, u_exact, t, workspace: ErrorWorkspace | None = None) -> float:
-    """L2(Omega) error of the P1 field u_h against u_exact(t, x, y)."""
-    return (workspace or ErrorWorkspace(mesh)).l2_error(u_h, u_exact, t)
-
-
-def h1_seminorm_error(mesh, u_h, u_exact_gradient, t, workspace=None) -> float:
-    """H1 seminorm error; u_exact_gradient(t, x, y) returns (du/dx, du/dy)."""
-    return (workspace or ErrorWorkspace(mesh)).h1_error(u_h, u_exact_gradient, t)
+    def fct_nodal(self, e, dh, eps, c0):
+        """FCT norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
+        vector, given its d_h seminorm ``dh``."""
+        return math.sqrt(eps * self.h1_nodal(e) ** 2 + c0 * self.l2_nodal(e) ** 2 + dh * dh)
 
 
 def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
@@ -91,16 +86,12 @@ def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
 
 
-def fct_norm(mesh, e_nodes, alpha, d_ij, eps, c0, workspace=None) -> float:
-    """Energy norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
-    vector, with the d_h term weighted by the step's limiter; ``d_ij`` as
-    for ``dh_seminorm``."""
-    ws = workspace or ErrorWorkspace(mesh)
-    return math.sqrt(
-        eps * ws.h1_nodal(e_nodes) ** 2
-        + c0 * ws.l2_nodal(e_nodes) ** 2
-        + dh_seminorm(alpha, d_ij, e_nodes) ** 2
-    )
+def fct_norm(mesh, e_nodes, alpha, d_ij, eps, c0) -> float:
+    """FCT norm of a nodal vector (``ErrorWorkspace.fct_nodal``), with the
+    d_h term weighted by the step's limiter; ``d_ij`` as for
+    ``dh_seminorm``."""
+    dh = dh_seminorm(alpha, d_ij, e_nodes)
+    return ErrorWorkspace(mesh).fct_nodal(e_nodes, dh, eps, c0)
 
 
 def time_integrate(values, tau) -> float:

@@ -28,12 +28,6 @@ class FluxMatrix:
     j: np.ndarray
     values: np.ndarray  # f_ij; f_ji = -f_ij
 
-    def row_sums(self) -> np.ndarray:
-        """r_i = sum_j f_ij."""
-        return np.bincount(self.i, self.values, self.n) - np.bincount(
-            self.j, self.values, self.n
-        )
-
     def abs_sum(self) -> float:
         """Sum of |f_ij| over unordered pairs."""
         return float(np.abs(self.values).sum())
@@ -87,15 +81,12 @@ def lump(mass: sparse.spmatrix) -> np.ndarray:
     return m
 
 
-def predictor_half_step(m_lumped, abar, u_prev, f_prev, tau, dirichlet=None, g_values=None):
-    """Forward-Euler half step: u_prev - tau/2 * M_L^-1 (Abar u_prev - f_prev).
-
-    If ``dirichlet`` node indices are given, those entries are overwritten
-    with ``g_values``.
-    """
+def predictor_half_step(m_lumped, abar, u_prev, f_prev, tau, dirichlet, g_values):
+    """Forward-Euler half step: u_prev - tau/2 * M_L^-1 (Abar u_prev - f_prev),
+    its entries at the ``dirichlet`` node indices overwritten with
+    ``g_values``."""
     ubar = u_prev - 0.5 * tau * (abar @ u_prev - f_prev) / m_lumped
-    if dirichlet is not None:
-        ubar[dirichlet] = 0.0 if g_values is None else g_values
+    ubar[dirichlet] = g_values
     return ubar
 
 
@@ -111,21 +102,20 @@ def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> FluxMatrix:
 
 
 def linear_fluxes(
-    pairs: PairGraph, m_ij, d_ij, m_lumped, abar, u_prev, f_prev, tau, dirichlet=None, g_rate=None
+    pairs: PairGraph, m_ij, d_ij, m_lumped, abar, u_prev, f_prev, tau, dirichlet, g_rate
 ) -> FluxMatrix:
     """Fluxes of the linear scheme built from the explicit rate
     nu = M_L^-1 (f^{n-1} - Abar u^{n-1}):
     f_ij = tau m_ij (nu_i - nu_j) + tau d_ij [u_j - u_i + tau (nu_j - nu_i)].
 
-    The residual is meaningless on constrained rows, so when a
-    ``dirichlet`` index array is given, nu there is replaced by the rate
-    of the boundary data (``g_rate``, zero by default); otherwise the
-    spurious values would pollute the fluxes of boundary-adjacent pairs.
+    The residual is meaningless on constrained rows, so at the
+    ``dirichlet`` node indices nu is replaced by the rate of the boundary
+    data, ``g_rate``; otherwise the spurious values would pollute the
+    fluxes of boundary-adjacent pairs.
     """
     i, j = pairs.i, pairs.j
     nu = (f_prev - abar @ u_prev) / m_lumped
-    if dirichlet is not None:
-        nu[dirichlet] = 0.0 if g_rate is None else g_rate
+    nu[dirichlet] = g_rate
     dnu = nu[i] - nu[j]
     vals = tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
     return FluxMatrix(pairs.n, i, j, vals)
@@ -152,7 +142,7 @@ def zalesak_bounds(pairs, ubar: np.ndarray, m_lumped: np.ndarray):
     return m_lumped * q_plus, m_lumped * q_minus
 
 
-def zalesak(flux: FluxMatrix, bounds, dirichlet=None) -> LimiterMatrix:
+def zalesak(flux: FluxMatrix, bounds, dirichlet) -> LimiterMatrix:
     """Zalesak limiter.
 
     Sums P_i^+- of the positive/negative fluxes, the bounds Q_i^+- of
@@ -160,7 +150,7 @@ def zalesak(flux: FluxMatrix, bounds, dirichlet=None) -> LimiterMatrix:
     where P is zero), and alpha_ij = min{R_i^+, R_j^-} for f_ij > 0 else
     min{R_i^-, R_j^+}.
 
-    R_i^+- is set to 1 at the nodes flagged in ``dirichlet``: their
+    R_i^+- is set to 1 at the ``dirichlet`` node indices: their
     equations are replaced by the boundary condition anyway, and letting
     them throttle the antidiffusion of interior neighbours destroys the
     convergence order near the boundary.
@@ -178,9 +168,8 @@ def zalesak(flux: FluxMatrix, bounds, dirichlet=None) -> LimiterMatrix:
     r_minus = np.where(
         p_minus < 0.0, np.minimum(1.0, q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
     )
-    if dirichlet is not None:
-        r_plus[dirichlet] = 1.0
-        r_minus[dirichlet] = 1.0
+    r_plus[dirichlet] = 1.0
+    r_minus[dirichlet] = 1.0
     alpha = np.where(f > 0.0, np.minimum(r_plus[i], r_minus[j]), np.minimum(r_minus[i], r_plus[j]))
     return LimiterMatrix(n, i, j, alpha)
 
@@ -202,14 +191,18 @@ class MMatrixReport:
     n_strict_rows: int
 
 
-def m_matrix_check(m_lumped, abar, tau, rel_tol: float = 1e-13) -> MMatrixReport:
+# entries within this fraction of the largest |entry| count as zero
+_M_MATRIX_REL_TOL = 1e-13
+
+
+def m_matrix_check(m_lumped, abar, tau) -> MMatrixReport:
     """Check that M_L + tau * Abar has positive diagonal, nonpositive
     off-diagonal entries, and weak diagonal dominance with at least one
     strictly dominant row."""
     system = sparse.diags(m_lumped) + tau * abar.tocsr()
     system = system.tocsr()
     scale = np.abs(system.data).max() if system.nnz else 1.0
-    tol = rel_tol * scale
+    tol = _M_MATRIX_REL_TOL * scale
 
     diag = system.diagonal()
     bad_diag = np.flatnonzero(diag <= 0.0)

@@ -303,6 +303,11 @@ def load_mesh(path) -> TriMesh:
             raise MeshError(f"{path}:{lineno}: {exc}") from exc
 
     n_nodes, n_tris = parse(rows[0], 2, int, "header")
+    if n_nodes < 3 or n_tris < 1:
+        raise MeshError(
+            f"{path}:{rows[0][0]}: a mesh needs 3 nodes and 1 triangle, "
+            f"the header gives {n_nodes} and {n_tris}"
+        )
     if len(rows) != 1 + n_nodes + n_tris:
         raise MeshError(
             f"{path}: expected {1 + n_nodes + n_tris} data lines, got {len(rows)}"

@@ -220,7 +220,7 @@ class TimeStepper:
             system = ml + tau * abar
         # scipy's sums and apply_dirichlet keep the pattern that dropped
         # the exact zeros of Abar, which the LU's fill depends on
-        system, _ = apply_dirichlet(system, None, self.mesh, self.spec, level.t)
+        system = apply_dirichlet(system, self.mesh)
         factor = Factorization(system, order=self._lu_order)
         self._lu_order = factor.order
         return factor
@@ -252,7 +252,7 @@ class TimeStepper:
     def _limit(self, flux: FluxMatrix, bounds) -> LimiterMatrix:
         """Zalesak limiter of the flux, with a constant limiter's value on
         the interior pairs."""
-        alpha = zalesak(flux, bounds, dirichlet=self._bnodes)
+        alpha = zalesak(flux, bounds, self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
             values = alpha.values.copy()
             values[self._interior_pairs] = self.scheme.limiter.value
@@ -278,7 +278,7 @@ class TimeStepper:
         ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, prev.f, tau, self._bnodes, g)
         flux = linear_fluxes(
             self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, prev.f, tau,
-            dirichlet=self._bnodes, g_rate=(g - prev.g) / tau,
+            self._bnodes, (g - prev.g) / tau,
         )
         alpha = self.fixed_alpha
         if alpha is None:

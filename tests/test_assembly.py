@@ -172,16 +172,9 @@ class TestLoad:
 
 
 class TestDirichlet:
-    def test_zero_boundary_data(self, fk1, benchmark_spec):
-        a = assemble_stiffness(fk1, benchmark_spec, t=0.0)
-        rhs = np.ones(fk1.n_nodes)
-        a2, rhs2 = apply_dirichlet(a, rhs, fk1, benchmark_spec, t=0.0)
-        np.testing.assert_array_equal(rhs2[fk1.boundary_mask], 0.0)
-
-    def test_boundary_row_is_identity(self, fk1, benchmark_spec):
+    def test_boundary_row_is_identity(self, fk1):
         a = sparse.identity(fk1.n_nodes, format="csr")
-        rhs = np.arange(fk1.n_nodes, dtype=float)
-        a2, rhs2 = apply_dirichlet(a, rhs, fk1, benchmark_spec, t=0.0)
+        a2 = apply_dirichlet(a, fk1)
         bn = fk1.boundary_nodes
         dense = a2.toarray()
         for i in bn:
@@ -191,25 +184,11 @@ class TestDirichlet:
 
     def test_interior_rows_untouched(self, fk1, benchmark_spec):
         a = assemble_stiffness(fk1, benchmark_spec, t=0.0)
-        rhs = np.random.default_rng(3).standard_normal(fk1.n_nodes)
-        a2, rhs2 = apply_dirichlet(a, rhs.copy(), fk1, benchmark_spec, t=0.0)
+        a2 = apply_dirichlet(a, fk1)
         interior = ~fk1.boundary_mask
         np.testing.assert_array_equal(
             a2.toarray()[interior], a.toarray()[interior]
         )
-        np.testing.assert_array_equal(rhs2[interior], rhs[interior])
-
-    def test_matrix_only_without_rhs(self, fk1, benchmark_spec):
-        a = assemble_stiffness(fk1, benchmark_spec, t=0.0)
-        ref, _ = apply_dirichlet(a, np.zeros(fk1.n_nodes), fk1, benchmark_spec, t=0.0)
-
-        def no_g(t, x, y):
-            raise AssertionError("g evaluated without a right-hand side")
-
-        benchmark_spec.g = no_g
-        a2, rhs2 = apply_dirichlet(a, None, fk1, benchmark_spec, t=0.0)
-        assert rhs2 is None
-        np.testing.assert_array_equal(a2.toarray(), ref.toarray())
 
 
 class TestSharedGeometry:

@@ -105,6 +105,16 @@ class TestConfig:
         with pytest.raises(SystemExit):
             parse_args(["--config", str(path)])
 
+    @pytest.mark.parametrize(
+        "line", ["taus = 0.1, 0.05", "levels = 3..1", "tau = abc", "grid = hexagonal"]
+    )
+    def test_config_values_checked_like_flags(self, tmp_path, line):
+        # taus has no flag; the others fail the flag's type or choices
+        path = tmp_path / "study.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit):
+            parse_args(["--config", str(path)])
+
 
 class TestGrids:
     def test_unstructured_sample_loads(self):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from femfct import (
     ErrorReport,
+    ErrorWorkspace,
     LimiterMatrix,
     build_friedrichs_keller,
     dh_seminorm,
     eoc,
     fct_norm,
-    h1_seminorm_error,
-    l2_error,
     load_mesh,
     time_integrate,
 )
@@ -51,11 +50,13 @@ def dense_l2_oracle(mesh, u_h, func, n_sub=200):
 class TestL2Error:
     def test_linear_exact(self, fk1):
         u_h = interpolate(fk1, lambda x, y: 2.0 * x - y + 0.5)
-        err = l2_error(fk1, u_h, lambda t, x, y: 2.0 * x - y + 0.5, t=0.0)
+        err = ErrorWorkspace(fk1).l2_error(u_h, lambda t, x, y: 2.0 * x - y + 0.5, t=0.0)
         assert err < 1e-14
 
     def test_constant_one(self, fk1):
-        err = l2_error(fk1, np.zeros(fk1.n_nodes), lambda t, x, y: np.ones_like(x), t=0.0)
+        err = ErrorWorkspace(fk1).l2_error(
+            np.zeros(fk1.n_nodes), lambda t, x, y: np.ones_like(x), t=0.0
+        )
         assert err == pytest.approx(1.0, abs=1e-14)
 
     def test_quadratic_matches_dense_oracle(self, tmp_path):
@@ -63,7 +64,7 @@ class TestL2Error:
         path.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
         mesh = load_mesh(path)
         u_h = interpolate(mesh, lambda x, y: x**2)
-        err = l2_error(mesh, u_h, lambda t, x, y: x**2, t=0.0)
+        err = ErrorWorkspace(mesh).l2_error(u_h, lambda t, x, y: x**2, t=0.0)
         oracle = dense_l2_oracle(mesh, u_h, lambda x, y: x**2)
         assert err == pytest.approx(oracle, abs=1e-6)
 
@@ -71,14 +72,13 @@ class TestL2Error:
 class TestH1Error:
     def test_linear_exact(self, fk1):
         u_h = interpolate(fk1, lambda x, y: 3.0 * x + y)
-        err = h1_seminorm_error(
-            fk1, u_h, lambda t, x, y: (np.full_like(x, 3.0), np.ones_like(x)), t=0.0
+        err = ErrorWorkspace(fk1).h1_error(
+            u_h, lambda t, x, y: (np.full_like(x, 3.0), np.ones_like(x)), t=0.0
         )
         assert err < 1e-13
 
     def test_zero_field_unit_gradient(self, fk1):
-        err = h1_seminorm_error(
-            fk1,
+        err = ErrorWorkspace(fk1).h1_error(
             np.zeros(fk1.n_nodes),
             lambda t, x, y: (np.ones_like(x), np.zeros_like(x)),
             t=0.0,
@@ -91,9 +91,7 @@ class TestH1Error:
         # on each element, e_x = 2x - (x_l + x_r) with zero mean, and
         # int (2x - 2xbar)^2 over a cell pair of width h is h^4/3 per cell
         u_h = interpolate(fk2, lambda x, y: x**2)
-        err = h1_seminorm_error(
-            fk2, u_h, lambda t, x, y: (2.0 * x, np.zeros_like(x)), t=0.0
-        )
+        err = ErrorWorkspace(fk2).h1_error(u_h, lambda t, x, y: (2.0 * x, np.zeros_like(x)), t=0.0)
         h = fk2.h
         exact = math.sqrt(h * h / 3.0)
         assert err == pytest.approx(exact, rel=1e-12)

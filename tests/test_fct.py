@@ -24,6 +24,10 @@ from femfct import (
 )
 
 
+# the Dirichlet node indices of a test without boundary conditions
+NO_DIRICHLET = np.empty(0, dtype=np.intp)
+
+
 def two_node_matrices(m12=0.1, d12=-0.2):
     """Pair graph of two nodes and the pair entries m_12, d_12."""
     pairs = PairGraph(2, np.array([0]), np.array([1]))
@@ -115,13 +119,13 @@ class TestPredictor:
         u = np.array([3.0, 4.0])
         f = abar @ u
         np.testing.assert_array_equal(
-            predictor_half_step(np.array([1.0, 1.0]), abar, u, f, tau=0.5), u
+            predictor_half_step(np.array([1.0, 1.0]), abar, u, f, 0.5, NO_DIRICHLET, 0.0), u
         )
 
     def test_hand_example(self):
         abar = sparse.identity(2, format="csr")
         ubar = predictor_half_step(
-            np.array([2.0, 2.0]), abar, np.array([2.0, 0.0]), np.zeros(2), tau=1.0
+            np.array([2.0, 2.0]), abar, np.array([2.0, 0.0]), np.zeros(2), 1.0, NO_DIRICHLET, 0.0
         )
         np.testing.assert_allclose(ubar, [1.5, 0.0])
 
@@ -172,19 +176,22 @@ class TestLinearFluxes:
         pairs, m_ij, d_ij, abar = self.setup_system()
         u = np.array([1.0, 2.0])
         f = abar @ u
-        flux = linear_fluxes(pairs, m_ij, d_ij, np.ones(2), abar, u, f, tau=0.5)
+        flux = linear_fluxes(pairs, m_ij, d_ij, np.ones(2), abar, u, f, 0.5, NO_DIRICHLET, 0.0)
         assert flux.values[0] == pytest.approx(0.5 * (-0.2) * (2.0 - 1.0))
 
     def test_constant_steady_is_zero(self):
         pairs, m_ij, d_ij, abar = self.setup_system()
         u = np.array([2.0, 2.0])
-        flux = linear_fluxes(pairs, m_ij, d_ij, np.ones(2), abar, u, abar @ u, tau=0.5)
+        flux = linear_fluxes(
+            pairs, m_ij, d_ij, np.ones(2), abar, u, abar @ u, 0.5, NO_DIRICHLET, 0.0
+        )
         np.testing.assert_allclose(flux.values, 0.0, atol=1e-16)
 
     def test_hand_example(self):
         pairs, m_ij, d_ij, abar = self.setup_system()
         flux = linear_fluxes(
-            pairs, m_ij, d_ij, np.ones(2), abar, np.array([1.0, 0.0]), np.zeros(2), tau=0.5
+            pairs, m_ij, d_ij, np.ones(2), abar, np.array([1.0, 0.0]), np.zeros(2), 0.5,
+            NO_DIRICHLET, 0.0,
         )
         assert flux.values[0] == pytest.approx(0.06)
 
@@ -199,7 +206,7 @@ class TestLinearFluxes:
         assert flux.values[0] == pytest.approx(0.06)
         flux0 = linear_fluxes(
             pairs, m_ij, d_ij, np.ones(2), abar, u, f, tau=0.5,
-            dirichlet=np.array([0, 1]),
+            dirichlet=np.array([0, 1]), g_rate=0.0,
         )
         # zero rate kills the mass part and the nu correction
         assert flux0.values[0] == pytest.approx(0.5 * (-0.2) * (-1.0))
@@ -226,8 +233,8 @@ class TestZalesak:
     def flux(self, value):
         return FluxMatrix(2, np.array([0]), np.array([1]), np.array([value]))
 
-    def limit(self, flux, ubar, m_lumped, dirichlet=None):
-        return zalesak(flux, zalesak_bounds(flux, ubar, m_lumped), dirichlet=dirichlet)
+    def limit(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET):
+        return zalesak(flux, zalesak_bounds(flux, ubar, m_lumped), dirichlet)
 
     def test_zero_fluxes_give_alpha_one(self):
         alpha = self.limit(self.flux(0.0), np.array([0.0, 1.0]), np.ones(2))

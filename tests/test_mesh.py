@@ -115,6 +115,13 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="empty"):
             load_mesh(self.write(tmp_path, "# nothing\n"))
 
+    @pytest.mark.parametrize(
+        "text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n"], ids=["no-nodes", "no-triangles"]
+    )
+    def test_header_without_triangles(self, tmp_path, text):
+        with pytest.raises(MeshError, match=r"mesh\.msh:1: a mesh needs"):
+            load_mesh(self.write(tmp_path, text))
+
 
 class TestRefine:
     def test_reference_triangle(self, tmp_path):
