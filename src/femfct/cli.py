@@ -246,6 +246,14 @@ def _parse_levels(text) -> tuple[int, int]:
     return a, b
 
 
+def _check_limiter(text) -> str:
+    try:
+        ExperimentConfig(limiter=text).limiter_obj()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _config_flags(path, keys) -> list[str]:
     """The entries ``key = value`` of a config file as the flags
     ``--key=value`` they name (underscores become dashes); only the
@@ -276,7 +284,7 @@ def parse_args(argv=None) -> ExperimentConfig:
     parser.add_argument(
         "--scheme", choices=[GALERKIN, LOW_ORDER, LINEAR_FCT, NONLINEAR_FCT]
     )
-    parser.add_argument("--limiter", help="zalesak or constant:<v>")
+    parser.add_argument("--limiter", type=_check_limiter, help="zalesak or constant:<v>")
     parser.add_argument("--eps", type=float)
     parser.add_argument("--tau", type=float)
     parser.add_argument("--t-end", type=float, dest="t_end")

@@ -131,9 +131,11 @@ class TimeStepper:
     every fixed-point iteration); for variable coefficients each level
     builds its operators and each step one LU, which reuses the column
     order of the step before unless Abar's structure (its exact zeros)
-    changed.  Every flux and limiter of the run lives on the mesh's pair
-    graph (``pairs``, its edges), and the pair entries m_ij, d_ij are read
-    from the matrices' data arrays at the pattern's upper positions.
+    changed.  The upwinded systems M_L + tau*Abar factor in downwind order
+    (see ``Factorization``).  Every flux and limiter of the run lives on
+    the mesh's pair graph (``pairs``, its edges), and the pair entries
+    m_ij, d_ij are read from the matrices' data arrays at the pattern's
+    upper positions.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -150,8 +152,9 @@ class TimeStepper:
         self._bnodes = mesh.boundary_nodes
         self._check_predictor = scheme.kind in _FCT_KINDS
         self.fixed_alpha = self._fixed_limiter()
-        # the column order of the last LU, handed to the next one; only the
-        # structure and permutation arrays, never the factors
+        # the column order of the last variable-coefficient LU, handed to
+        # the next one; only the structure and permutation arrays, never
+        # the factors
         self._lu_order = None
 
     # -- operators ---------------------------------------------------
@@ -172,9 +175,10 @@ class TimeStepper:
         a = assemble_stiffness(self.mesh, self.spec, t)
         d = artificial_diffusion(a, self.mesh.pattern)
         # Abar stays scipy's sum, which drops the entries where upwinding
-        # cancels a_ij exactly (43% of them at FK L5): the LU of that
-        # smaller pattern factors three to four times faster, and solves
-        # twice as fast, as on the full mesh pattern
+        # cancels a_ij exactly (43% of them at FK L5): an edge with a_ij or
+        # a_ji >= 0 keeps only one of the two, which makes the graphs of
+        # convection-dominated systems acyclic and their LUs triangular in
+        # downwind order
         abar = (a + d).tocsr()
         if self._check_predictor:
             self._check_predictor_bound(abar)
@@ -221,7 +225,9 @@ class TimeStepper:
         # scipy's sums and apply_dirichlet keep the pattern that dropped
         # the exact zeros of Abar, which the LU's fill depends on
         system = apply_dirichlet(system, self.mesh)
-        factor = Factorization(system, order=self._lu_order)
+        # with constant coefficients no second LU reuses the column order
+        constant = self.spec.constant_coefficients
+        factor = Factorization(system, order=self._lu_order, keep_order=not constant)
         self._lu_order = factor.order
         return factor
 

@@ -169,8 +169,8 @@ def test_criterion_2_m_matrix():
             checked += 1
     elapsed = time.perf_counter() - start
     assert report(
-        2, all_ok, f"M_L + tau*Abar strictly diagonally dominant M-matrix "
-        f"on {checked} grids ({elapsed:.1f}s)"
+        2, all_ok, f"M_L + tau*Abar weakly diagonally dominant M-matrix with a "
+        f"strictly dominant row on {checked} grids ({elapsed:.1f}s)"
     )
     assert elapsed < 10.0
 

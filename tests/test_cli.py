@@ -80,6 +80,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(limiter="minmod").limiter_obj()
 
+    @pytest.mark.parametrize("limiter", ["minmod", "constant:2", "constant:x"])
+    def test_bad_limiter_is_a_usage_error(self, tmp_path, capsys, limiter):
+        path = tmp_path / "study.cfg"
+        path.write_text(f"limiter = {limiter}\n")
+        for argv in (["--limiter", limiter], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2
+            assert "argument --limiter" in capsys.readouterr().err
+
     def test_flag_parsing(self):
         cfg = parse_args(
             ["--grid", "shifted", "--levels", "2..4", "--scheme", "galerkin",

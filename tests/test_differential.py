@@ -13,8 +13,9 @@ a transpose and ``setdiag``, the red refinement numbering its midpoints
 through a dict, the M-matrix check reading the entries through COO, the
 Delaunay angle sums collected per edge in a dict, the lattice grids
 built cell by cell, the Zalesak limiter recomputing its bounds from
-``ubar`` on every call, and an LU ordering its columns afresh for every
-matrix.  Every mesh is also tried with its nodes randomly relabelled,
+``ubar`` on every call, an LU ordering its columns afresh for every
+matrix, and COLAMD's column order for the upwinded systems that now
+factor in downwind order.  Every mesh is also tried with its nodes randomly relabelled,
 which leaves the CSR column order unsorted before assembly.
 """
 
@@ -26,6 +27,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+import femfct.solver
 import femfct.stepper
 
 from femfct import (
@@ -52,6 +54,7 @@ from femfct import (
     prelimit,
     raw_fluxes,
     refine_uniform,
+    space_study_problem,
     zalesak,
     zalesak_bounds,
 )
@@ -482,9 +485,9 @@ def test_reused_column_order_matches_fresh_lu(mesh, spec, scheme, monkeypatch):
     # COLAMD factorization of it
     systems = []
 
-    def recording(matrix, order=None):
+    def recording(matrix, **kwargs):
         systems.append(matrix)
-        return Factorization(matrix, order=order)
+        return Factorization(matrix, **kwargs)
 
     monkeypatch.setattr(femfct.stepper, "Factorization", recording)
     stepper = TimeStepper(mesh, spec, scheme)
@@ -499,6 +502,68 @@ def test_reused_column_order_matches_fresh_lu(mesh, spec, scheme, monkeypatch):
     for _ in range(3):
         rhs = rng.standard_normal(mesh.n_nodes)
         assert reused.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+
+
+def factored_system(stepper, monkeypatch):
+    """The constrained system matrix the stepper factors at t = 0, as CSC,
+    and its Factorization."""
+    systems = []
+
+    def recording(matrix, **kwargs):
+        systems.append(matrix)
+        return Factorization(matrix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(femfct.stepper, "Factorization", recording)
+        factor = stepper._factorize(TimeLevel(stepper, 0.0))
+    return sparse.csc_matrix(systems[0]), factor
+
+
+@pytest.mark.parametrize(
+    "grid, level, seed",
+    [("fk", 5, 0), ("fk", 5, 3), ("shifted", 5, 0), ("unstructured", 2, 0)],
+)
+def test_upwinded_system_factors_without_fill(grid, level, seed, monkeypatch):
+    # M_L + tau*Abar of the paper's problem has an acyclic graph; in
+    # downwind order its LU stores the matrix's entries and L's unit
+    # diagonal, with every pivot on the diagonal
+    mesh = relabel(build_grid(ExperimentConfig(grid=grid), level), seed)
+    spec, _ = space_study_problem()
+    system, factor = factored_system(TimeStepper(mesh, spec, SchemeKind("linear_fct")), monkeypatch)
+    lu, cols = factor._lu, factor._cols
+    assert cols is not None
+    assert lu.L.nnz + lu.U.nnz <= system.nnz + mesh.n_nodes
+    np.testing.assert_array_equal(lu.perm_r[cols], np.arange(mesh.n_nodes))
+
+
+def test_downwind_solves_match_colamd(mesh, monkeypatch):
+    spec, _ = space_study_problem()
+    system, factor = factored_system(TimeStepper(mesh, spec, SchemeKind("linear_fct")), monkeypatch)
+    assert factor._cols is not None
+    colamd = splu(system, permc_spec="COLAMD")
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        rhs = rng.standard_normal(mesh.n_nodes)
+        new, ref = factor.solve(rhs), colamd.solve(rhs)
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "variable"])
+@pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+def test_downwind_runs_match_colamd_runs(mesh, kind, constant, monkeypatch):
+    # 20 steps of the paper's problem against the same run with every
+    # LU in COLAMD's column order (reused across steps as before)
+    runs = []
+    for downwind in (True, False):
+        spec, _ = space_study_problem()
+        spec.constant_coefficients = constant
+        with monkeypatch.context() as patch:
+            if not downwind:
+                patch.setattr(femfct.solver, "_downwind_order", lambda csc: None)
+            runs.append(TimeStepper(mesh, spec, SchemeKind(kind)).run(20))
+    for new, ref in zip(*runs):
+        assert np.abs(new.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
+        assert new.fp_iters == ref.fp_iters
 
 
 def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import femfct.solver
 from femfct import Factorization, SolverError, solve
 
 
@@ -46,6 +47,52 @@ class TestFactorization:
             u = fac.solve(rhs)
             assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
+    @staticmethod
+    def spy_on_orderings(monkeypatch):
+        specs = []
+        splu = femfct.solver.splu
+
+        def recording_splu(matrix, permc_spec):
+            specs.append(permc_spec)
+            return splu(matrix, permc_spec=permc_spec)
+
+        monkeypatch.setattr(femfct.solver, "splu", recording_splu)
+        return specs
+
+    def test_acyclic_graph_factors_in_downwind_order(self, monkeypatch):
+        # edges j -> i for a_ij != 0: 2 -> 0 and 0 -> 1; the stored zero
+        # a_20 is no edge, so 0 -> 2 closes no cycle
+        rows, cols = [0, 1, 2, 0, 1, 2], [0, 1, 2, 2, 0, 0]
+        vals = [4.0, 4.0, 4.0, -1.0, -1.0, 0.0]
+        a = sparse.coo_matrix((vals, (rows, cols)), shape=(3, 3)).tocsr()
+        assert a.nnz == 6
+        specs = self.spy_on_orderings(monkeypatch)
+        fac = Factorization(a)
+        assert specs == ["NATURAL"]
+        np.testing.assert_array_equal(fac.order[2], [2, 0, 1])
+        # every pivot on the diagonal
+        np.testing.assert_array_equal(fac._lu.perm_r[fac.order[2]], np.arange(3))
+        rhs = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-15)
+
+    def test_cycle_takes_colamd(self, monkeypatch):
+        # 0 -> 1 -> 2 -> 0: no downwind order exists
+        a = sparse.csr_matrix(
+            np.array([[4.0, 0.0, -1.0], [-1.0, 4.0, 0.0], [0.0, -1.0, 4.0]])
+        )
+        specs = self.spy_on_orderings(monkeypatch)
+        fac = Factorization(a)
+        assert specs == ["COLAMD"]
+        np.testing.assert_array_equal(fac.order[2], np.argsort(fac._lu.perm_c))
+        rhs = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-15)
+
+    def test_factored_once_keeps_no_order(self):
+        a, rhs = random_dominant_system(5, n=40)
+        fac = Factorization(a, keep_order=False)
+        assert fac.order is None
+        u = fac.solve(rhs)
+        assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
     def test_reuses_column_order_of_same_structure(self):
         a, rhs = random_dominant_system(5, n=40)

@@ -248,41 +248,56 @@ class TestVariableCoefficientPath:
     @pytest.mark.parametrize("kind", ["low_order", "linear_fct", "nonlinear_fct"])
     def test_structure_changes_order_columns_afresh(self, monkeypatch, kind):
         # b = (2 cos 40t, 3 sin 40t) moves the exact zeros of Abar: each
-        # system whose CSC structure differs from the step before's takes
-        # COLAMD, every other one the previous column order; every u is
-        # that of a run factoring afresh on every step
+        # system whose CSC structure differs from the step before's has its
+        # columns ordered afresh, every other one takes the previous column
+        # order; every u is that of a run ordering afresh on every step
         spec, _ = space_study_problem()
         spec.constant_coefficients = False
         spec.b = lambda t, x, y: (np.full_like(x, 2.0 * np.cos(40.0 * t), dtype=float),
                                   np.full_like(x, 3.0 * np.sin(40.0 * t), dtype=float))
         mesh = build_friedrichs_keller(3)
-        structures, specs = [], []
-        splu = femfct.solver.splu
+        structures, fresh_orders = [], []
+        downwind_order = femfct.solver._downwind_order
 
-        def recording_factorization(matrix, order=None):
+        def recording_factorization(matrix, **kwargs):
             csc = matrix.tocsc()
             structures.append((csc.indptr.tobytes(), csc.indices.tobytes()))
-            return Factorization(matrix, order=order)
+            fresh_orders.append(False)
+            return Factorization(matrix, **kwargs)
 
-        def recording_splu(matrix, permc_spec):
-            specs.append(permc_spec)
-            return splu(matrix, permc_spec=permc_spec)
+        def recording_order(csc):
+            fresh_orders[-1] = True
+            return downwind_order(csc)
 
         with monkeypatch.context() as patch:
             patch.setattr(femfct.stepper, "Factorization", recording_factorization)
-            patch.setattr(femfct.solver, "splu", recording_splu)
+            patch.setattr(femfct.solver, "_downwind_order", recording_order)
             reused = TimeStepper(mesh, spec, SchemeKind(kind)).run(30)
         changed = [k == 0 or structures[k] != structures[k - 1] for k in range(len(structures))]
-        assert len(specs) == len(structures) == 30
-        assert specs == ["COLAMD" if c else "NATURAL" for c in changed]
-        assert 1 < specs.count("COLAMD") < 30
+        assert len(fresh_orders) == len(structures) == 30
+        assert fresh_orders == changed
+        assert 1 < fresh_orders.count(True) < 30
 
         monkeypatch.setattr(
-            femfct.stepper, "Factorization", lambda matrix, order=None: Factorization(matrix)
+            femfct.stepper, "Factorization", lambda matrix, **kwargs: Factorization(matrix)
         )
         fresh = TimeStepper(mesh, spec, SchemeKind(kind)).run(30)
         for ra, rb in zip(reused, fresh):
             assert ra.u.tobytes() == rb.u.tobytes()
+
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "variable"])
+    def test_keeps_column_order_only_for_variable_coefficients(self, fk2, constant):
+        # with constant coefficients no second LU reuses the one LU's order
+        spec, _ = space_study_problem()
+        spec.constant_coefficients = constant
+        stepper = TimeStepper(fk2, spec, SchemeKind("linear_fct"))
+        stepper.run(3)
+        factor = stepper._factorization(TimeLevel(stepper, 3 * spec.tau))
+        if constant:
+            assert stepper._lu_order is None and factor.order is None
+        else:
+            assert stepper._lu_order is factor.order is not None
 
 
 class TestStepData:
@@ -327,9 +342,9 @@ class TestStepData:
             times.append(t)
             return assemble(mesh, spec, t)
 
-        def counting_factorization(matrix, order=None):
+        def counting_factorization(matrix, **kwargs):
             factorizations.append(matrix)
-            return factorization(matrix, order=order)
+            return factorization(matrix, **kwargs)
 
         monkeypatch.setattr(femfct.stepper, "assemble_stiffness", counting_assemble)
         monkeypatch.setattr(femfct.stepper, "Factorization", counting_factorization)
