@@ -15,8 +15,9 @@ Delaunay angle sums collected per edge in a dict, the lattice grids
 built cell by cell, the Zalesak limiter recomputing its bounds from
 ``ubar`` on every call, an LU ordering its columns afresh for every
 matrix, and COLAMD's column order for the upwinded systems that now
-factor in downwind order.  Every mesh is also tried with its nodes randomly relabelled,
-which leaves the CSR column order unsorted before assembly.
+factor in downwind order.  Every mesh is also tried with its nodes
+randomly relabelled, which leaves the CSR column order unsorted before
+assembly.
 """
 
 import math
