@@ -32,31 +32,91 @@ QUAD4_BARY = np.array(
 QUAD4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
+# triangles per block of the L2 and H1 quadrature: a (6, BLOCK) array of
+# doubles is about 200 KB, so one block's temporaries stay in cache
+BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Quadrature data of one block of b triangles, point-major."""
+
+    tri: np.ndarray  # (3, b) vertex indices
+    qx: np.ndarray  # (6, b) quadrature points
+    qy: np.ndarray
+    gx: np.ndarray  # (3, b) components of the P1 basis gradients
+    gy: np.ndarray
+    area: np.ndarray  # (b,)
+
+
+def _at_points(v):
+    """The (6, b) values at the quadrature points of the P1 field with
+    vertex values ``v`` (3, b)."""
+    b = QUAD4_BARY
+    return b[:, 0, None] * v[0] + b[:, 1, None] * v[1] + b[:, 2, None] * v[2]
+
+
+def _vertex_sum(u, g):
+    """sum_a u[a] * g[a] over the three vertices of each triangle."""
+    return u[0] * g[0] + u[1] * g[1] + u[2] * g[2]
+
+
+def _integrate(d):
+    """The 6-point rule's weighted sums (b,) of the values ``d`` (6, b) at
+    each triangle's quadrature points, per unit area."""
+    return _W1 * (d[0] + d[1] + d[2]) + _W2 * (d[3] + d[4] + d[5])
+
+
 class ErrorWorkspace:
-    """Per-mesh cache of quadrature data and the norm matrices."""
+    """Per-mesh cache of quadrature data and the norm matrices.
+
+    The L2 and H1 errors loop over blocks of ``BLOCK`` triangles and add
+    the block sums in block order, with no BLAS call, so the result does
+    not depend on the BLAS thread count.
+    """
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        self.area, self.grads = mesh.geometry.areas, mesh.geometry.grads
-        p = mesh.nodes[mesh.triangles]
-        self.qx = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 0])
-        self.qy = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 1])
+        geo = mesh.geometry
+        self._blocks = []
+        for s in range(0, mesh.n_triangles, BLOCK):
+            tri = np.ascontiguousarray(mesh.triangles[s : s + BLOCK].T)
+            grads = geo.grads[s : s + BLOCK]
+            self._blocks.append(
+                _Block(
+                    tri=tri,
+                    qx=_at_points(mesh.nodes[tri, 0]),
+                    qy=_at_points(mesh.nodes[tri, 1]),
+                    gx=np.ascontiguousarray(grads[..., 0].T),
+                    gy=np.ascontiguousarray(grads[..., 1].T),
+                    area=geo.areas[s : s + BLOCK].copy(),
+                )
+            )
         self.mass = assemble_mass(mesh)
         self.laplacian = assemble_laplacian(mesh)
 
     def l2_error(self, u_h, u_exact, t):
         """L2(Omega) error of the P1 field u_h against u_exact(t, x, y)."""
-        uh_q = np.einsum("qa,ma->mq", QUAD4_BARY, u_h[self.mesh.triangles])
-        diff = np.asarray(u_exact(t, self.qx, self.qy), dtype=float) - uh_q
-        return math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, diff * diff, self.area)))
+        total = 0.0
+        for blk in self._blocks:
+            d = np.asarray(u_exact(t, blk.qx, blk.qy), dtype=float) - _at_points(u_h[blk.tri])
+            d *= d
+            total += float(np.einsum("m,m->", _integrate(d), blk.area))
+        return math.sqrt(total)
 
     def h1_error(self, u_h, u_exact_gradient, t):
         """H1 seminorm error; u_exact_gradient(t, x, y) returns (du/dx, du/dy)."""
-        gx, gy = u_exact_gradient(t, self.qx, self.qy)
-        uh_g = np.einsum("ma,mad->md", u_h[self.mesh.triangles], self.grads)
-        dx = np.asarray(gx, dtype=float) - uh_g[:, None, 0]
-        dy = np.asarray(gy, dtype=float) - uh_g[:, None, 1]
-        return math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, dx * dx + dy * dy, self.area)))
+        total = 0.0
+        for blk in self._blocks:
+            u = u_h[blk.tri]
+            gx, gy = u_exact_gradient(t, blk.qx, blk.qy)
+            # (6, b) also when a component is a constant
+            dx = np.subtract(gx, _vertex_sum(u, blk.gx), out=np.empty_like(blk.qx))
+            dy = np.subtract(gy, _vertex_sum(u, blk.gy), out=np.empty_like(blk.qx))
+            dx *= dx
+            dy *= dy
+            dx += dy
+            total += float(np.einsum("m,m->", _integrate(dx), blk.area))
+        return math.sqrt(total)
 
     # the quadratic forms e . (K e) sum with einsum, not BLAS's dot, whose
     # summation order depends on its thread count

@@ -18,22 +18,16 @@ import numpy as np
 from .assembly import ProblemSpec
 
 
+def _factors(x, y):
+    """x^2, x^2 (1 - x^2) and y (1 - y) (1 - 2y): S is the product of the
+    last two, and its derivatives reuse all three."""
+    xx = x * x
+    return xx, xx * (1.0 - xx), y * (1.0 - y) * (1.0 - 2.0 * y)
+
+
 def _profile(x, y):
-    return x * x * (1.0 - x * x) * y * (1.0 - y) * (1.0 - 2.0 * y)
-
-
-def _profile_dx(x, y):
-    return (2.0 * x - 4.0 * x**3) * y * (1.0 - y) * (1.0 - 2.0 * y)
-
-
-def _profile_dy(x, y):
-    return x * x * (1.0 - x * x) * (1.0 - 6.0 * y + 6.0 * y * y)
-
-
-def _profile_lap(x, y):
-    xx = (2.0 - 12.0 * x * x) * y * (1.0 - y) * (1.0 - 2.0 * y)
-    yy = x * x * (1.0 - x * x) * (12.0 * y - 6.0)
-    return xx + yy
+    _, px, py = _factors(x, y)
+    return px * py
 
 
 @dataclass(frozen=True)
@@ -51,13 +45,17 @@ def _make_problem(scale, scale_dt, eps, tau, t_end):
         return scale(t) * _profile(x, y)
 
     def gradient(t, x, y):
-        return scale(t) * _profile_dx(x, y), scale(t) * _profile_dy(x, y)
+        xx, px, py = _factors(x, y)
+        s = scale(t)
+        return s * (x * (2.0 - 4.0 * xx) * py), s * (px * (1.0 - 6.0 * y + 6.0 * y * y))
 
     def f(t, x, y):
-        adv_reac = 2.0 * _profile_dx(x, y) + 3.0 * _profile_dy(x, y) + _profile(x, y)
-        return scale_dt(t) * _profile(x, y) + scale(t) * (
-            -eps * _profile_lap(x, y) + adv_reac
-        )
+        xx, px, py = _factors(x, y)
+        prof = px * py
+        dx = x * (2.0 - 4.0 * xx) * py
+        dy = px * (1.0 - 6.0 * y + 6.0 * y * y)
+        lap = (2.0 - 12.0 * xx) * py + px * (12.0 * y - 6.0)
+        return scale_dt(t) * prof + scale(t) * (-eps * lap + 2.0 * dx + 3.0 * dy + prof)
 
     spec = ProblemSpec(
         eps=eps,

@@ -53,12 +53,13 @@ class Factorization:
     takes COLAMD's column order.
 
     ``order`` is an earlier factorization's ``order``: the CSC structure
-    ``(indptr, indices)`` it factored and the column order ``cols`` it
-    used (``argsort(perm_c)`` for COLAMD).  A matrix of that structure is
-    factored as ``A[:, cols]`` in natural order, with the row pivots, fill
-    and solves of a fresh factorization; any other matrix is ordered
-    afresh.  With ``keep_order=False`` (no later matrix reuses the order)
-    ``order`` is None and the structure arrays are not kept.
+    ``(indptr, indices)`` it factored, the column order ``cols`` it used
+    (``argsort(perm_c)`` for COLAMD) and whether ``cols`` is a downwind
+    order.  A matrix of that structure is factored as ``A[:, cols]`` in
+    natural order, with the row pivots, fill and solves of a fresh
+    factorization; any other matrix is ordered afresh.  With
+    ``keep_order=False`` (no later matrix reuses the order) ``order`` is
+    None and the structure arrays are not kept.
     """
 
     def __init__(self, matrix, order=None, keep_order=True):
@@ -69,20 +70,30 @@ class Factorization:
             and np.array_equal(indptr, order[0])
             and np.array_equal(indices, order[1])
         ):
-            cols = order[2]
+            cols, downwind = order[2], order[3]
         else:
             cols = _downwind_order(csc)
+            downwind = cols is not None
         if cols is not None:
             # rebinding frees the unpermuted values before SuperLU runs
             csc = csc[:, cols]
         try:
-            self._lu = splu(csc, permc_spec="COLAMD" if cols is None else "NATURAL")
+            self._lu = splu(
+                csc,
+                permc_spec="COLAMD" if cols is None else "NATURAL",
+                # one-column panels halve the time of the fill-free
+                # triangular LU and give the same factors; they would
+                # change the rounding of an LU in a reused COLAMD order
+                panel_size=1 if downwind else None,
+            )
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
         self._cols = cols
         self.order = None
         if keep_order:
-            self.order = (indptr, indices, np.argsort(self._lu.perm_c) if cols is None else cols)
+            self.order = (
+                indptr, indices, np.argsort(self._lu.perm_c) if cols is None else cols, downwind
+            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(np.asarray(rhs, dtype=float))

@@ -200,12 +200,21 @@ class TestSharedGeometry:
         load = assemble_load(mesh, spec, t=0.0)
         assert mesh.geometry is geo
         assert mesh.areas() is geo.areas
+        u_h, x_h = np.zeros(mesh.n_nodes), mesh.nodes[:, 0].copy()
         ws = ErrorWorkspace(mesh)
-        assert ws.area is geo.areas and ws.grads is geo.grads
+        l2 = ws.l2_error(u_h, lambda t, x, y: x * y, t=0.0)
+        h1 = ws.h1_error(x_h, lambda t, x, y: (0.0 * x, 0.0 * y), t=0.0)
         with pytest.raises(ValueError):
             geo.areas[0] = 1.0  # read-only: no consumer can alter the others' data
-        # doubled cached areas double what both assemblies return, so
-        # neither recomputes the geometry from the coordinates
+        # doubled cached areas double what both assemblies return and the
+        # squared L2 error, and doubled gradients as well quadruple the
+        # squared H1 error once more, so none recomputes the geometry from
+        # the coordinates
         mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas)
         assert abs(assemble_mass(mesh) - 2.0 * mass).max() == 0.0
         np.testing.assert_array_equal(assemble_load(mesh, spec, t=0.0), 2.0 * load)
+        doubled = ErrorWorkspace(mesh).l2_error(u_h, lambda t, x, y: x * y, t=0.0)
+        assert doubled**2 == pytest.approx(2.0 * l2**2, rel=1e-15)
+        mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas, grads=2.0 * geo.grads)
+        doubled = ErrorWorkspace(mesh).h1_error(x_h, lambda t, x, y: (0.0 * x, 0.0 * y), t=0.0)
+        assert doubled**2 == pytest.approx(8.0 * h1**2, rel=1e-15)

@@ -15,7 +15,9 @@ Delaunay angle sums collected per edge in a dict, the lattice grids
 built cell by cell, the Zalesak limiter recomputing its bounds from
 ``ubar`` on every call, an LU ordering its columns afresh for every
 matrix, and COLAMD's column order for the upwinded systems that now
-factor in downwind order.  Every mesh is also tried with its nodes
+factor in downwind order, SuperLU's default panel size for the
+triangular LU, the L2 and H1 error norms as whole-mesh einsums, and the
+manufactured problem's closed forms.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
@@ -56,10 +58,12 @@ from femfct import (
     raw_fluxes,
     refine_uniform,
     space_study_problem,
+    time_study_problem,
     zalesak,
     zalesak_bounds,
 )
-from femfct.cli import ExperimentConfig, build_grid
+from femfct.cli import ExperimentConfig, build_grid, run_single
+from femfct.errors import BLOCK, QUAD4_BARY, QUAD4_W, ErrorWorkspace
 from femfct.mesh import _make_mesh
 
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -660,3 +664,130 @@ def test_m_matrix_check_matches_coo_reference(mesh, spec, operators):
     for mat in (abar, a):
         report = m_matrix_check(m_lumped, mat, tau=spec.tau)
         assert report.positive_offdiagonal == old_positive_offdiagonal(m_lumped, mat, spec.tau)
+
+
+def test_triangular_lu_panel_size_keeps_the_factors(monkeypatch):
+    # one-column panels give SuperLU's default factors, bit for bit
+    spec, _ = space_study_problem()
+    stepper = TimeStepper(build_friedrichs_keller(5), spec, SchemeKind("linear_fct"))
+    system, factor = factored_system(stepper, monkeypatch)
+    new, ref = factor._lu, splu(system[:, factor._cols], permc_spec="NATURAL")
+    for name in ("L", "U"):
+        a, b = getattr(new, name), getattr(ref, name)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+    np.testing.assert_array_equal(new.perm_r, ref.perm_r)
+
+
+def old_error_norms(mesh, u_h, exact, t):
+    """The L2 and H1 errors as whole-mesh einsums over the (m, 6) points."""
+    p = mesh.nodes[mesh.triangles]
+    qx = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 0])
+    qy = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 1])
+    area, grads = mesh.geometry.areas, mesh.geometry.grads
+    uh_q = np.einsum("qa,ma->mq", QUAD4_BARY, u_h[mesh.triangles])
+    diff = exact.u(t, qx, qy) - uh_q
+    l2 = math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, diff * diff, area)))
+    gx, gy = exact.gradient(t, qx, qy)
+    uh_g = np.einsum("ma,mad->md", u_h[mesh.triangles], grads)
+    dx, dy = gx - uh_g[:, None, 0], gy - uh_g[:, None, 1]
+    h1 = math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, dx * dx + dy * dy, area)))
+    return l2, h1, qx, qy
+
+
+@pytest.mark.parametrize(
+    "grid, level, n_triangles",
+    # one partial block, two full blocks, a full and a ragged block
+    [("fk", 2, 128), ("fk", 5, 2 * BLOCK), ("shifted", 5, 2 * BLOCK),
+     ("unstructured", 3, BLOCK + 512)],
+)
+def test_blocked_error_norms_match_whole_mesh_einsums(grid, level, n_triangles):
+    mesh = build_grid(ExperimentConfig(grid=grid), level)
+    assert mesh.n_triangles == n_triangles
+    _, exact = space_study_problem()
+    ws = ErrorWorkspace(mesh)
+    rng = np.random.default_rng(level)
+    for t in (0.0, 0.37, 1.0):
+        u_h = rng.standard_normal(mesh.n_nodes)
+        l2, h1, qx, qy = old_error_norms(mesh, u_h, exact, t)
+        assert abs(ws.l2_error(u_h, exact.u, t) - l2) <= 1e-13 * l2
+        assert abs(ws.h1_error(u_h, exact.gradient, t) - h1) <= 1e-13 * h1
+    # the quadrature points are the same barycentric sums
+    assert np.concatenate([b.qx for b in ws._blocks], axis=1).T.tobytes() == qx.tobytes()
+    assert np.concatenate([b.qy for b in ws._blocks], axis=1).T.tobytes() == qy.tobytes()
+
+
+# run_single's four integrated norms (10 steps, tau = 1e-3) as computed
+# with the whole-mesh error norms and the former problem callbacks
+RUN_SINGLE_NORMS = {
+    ("fk", 5, "linear_fct"): {
+        "dh": 2.2560283183767595e-06, "fct": 2.438047447428716e-06,
+        "h1": 0.0002391690003457941, "l2": 6.139781461180113e-07,
+    },
+    ("unstructured", 3, "nonlinear_fct"): {
+        "dh": 8.850048926312918e-06, "fct": 9.098103333558734e-06,
+        "h1": 0.0003158309789192486, "l2": 1.1404902857503979e-06,
+    },
+    ("shifted", 4, "low_order"): {
+        "dh": 0.0001870025758527974, "fct": 0.0001874901376344727,
+        "h1": 0.0009827293442621966, "l2": 1.6667994999062792e-05,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_SINGLE_NORMS), ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
+def test_run_single_norms_match_former_evaluation(case):
+    grid, level, kind = case
+    spec, exact = space_study_problem(tau=1e-3, t_end=1e-2)
+    integrated, _ = run_single(build_grid(ExperimentConfig(grid=grid), level), spec, exact, SchemeKind(kind))
+    for name, ref in RUN_SINGLE_NORMS[case].items():
+        assert abs(integrated[name] - ref) <= 1e-12 * ref
+
+
+def old_profile(x, y):
+    return x * x * (1.0 - x * x) * y * (1.0 - y) * (1.0 - 2.0 * y)
+
+
+def old_profile_dx(x, y):
+    return (2.0 * x - 4.0 * x**3) * y * (1.0 - y) * (1.0 - 2.0 * y)
+
+
+def old_profile_dy(x, y):
+    return x * x * (1.0 - x * x) * (1.0 - 6.0 * y + 6.0 * y * y)
+
+
+def old_profile_lap(x, y):
+    xx = (2.0 - 12.0 * x * x) * y * (1.0 - y) * (1.0 - 2.0 * y)
+    yy = x * x * (1.0 - x * x) * (12.0 * y - 6.0)
+    return xx + yy
+
+
+@pytest.mark.parametrize(
+    "problem, scale, scale_dt",
+    [
+        (space_study_problem, lambda t: 100.0 * t, lambda t: 100.0),
+        (time_study_problem, lambda t: 1.0 + math.sin(2.0 * math.pi * t),
+         lambda t: 2.0 * math.pi * math.cos(2.0 * math.pi * t)),
+    ],
+    ids=["space", "time"],
+)
+def test_problem_callbacks_match_closed_forms(problem, scale, scale_dt):
+    eps = 1e-3
+    spec, exact = problem(eps=eps)
+    rng = np.random.default_rng(7)
+    x, y = rng.random((2, 6, 500))
+
+    def close(new, ref):
+        # relative to the field's size: the closed forms cancel at the
+        # zeros of S and its derivatives, so pointwise ratios are noise
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    for t in (0.1, 0.37, 1.0):
+        s, ds = scale(t), scale_dt(t)
+        close(exact.u(t, x, y), s * old_profile(x, y))
+        gx, gy = exact.gradient(t, x, y)
+        close(gx, s * old_profile_dx(x, y))
+        close(gy, s * old_profile_dy(x, y))
+        adv_reac = 2.0 * old_profile_dx(x, y) + 3.0 * old_profile_dy(x, y) + old_profile(x, y)
+        close(spec.f(t, x, y), ds * old_profile(x, y) + s * (-eps * old_profile_lap(x, y) + adv_reac))
+    close(spec.u0(x, y), scale(0.0) * old_profile(x, y))

@@ -85,6 +85,14 @@ class TestH1Error:
         )
         assert err == pytest.approx(1.0, abs=1e-14)
 
+    def test_constant_gradient_components(self, fk1):
+        # an exact gradient may return plain numbers
+        ws = ErrorWorkspace(fk1)
+        err = ws.h1_error(np.zeros(fk1.n_nodes), lambda t, x, y: (1.0, 0.0), t=0.0)
+        assert err == pytest.approx(1.0, abs=1e-14)
+        u_h = interpolate(fk1, lambda x, y: 3.0 * x + y)
+        assert ws.h1_error(u_h, lambda t, x, y: (3.0, 1.0), t=0.0) < 1e-13
+
     def test_quadratic_oracle(self, fk2):
         # grad(x^2) = (2x, 0); P1 gradient is piecewise constant; the
         # elementwise error integral can be computed exactly by hand:

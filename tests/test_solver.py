@@ -52,9 +52,9 @@ class TestFactorization:
         specs = []
         splu = femfct.solver.splu
 
-        def recording_splu(matrix, permc_spec):
+        def recording_splu(matrix, permc_spec, **options):
             specs.append(permc_spec)
-            return splu(matrix, permc_spec=permc_spec)
+            return splu(matrix, permc_spec=permc_spec, **options)
 
         monkeypatch.setattr(femfct.solver, "splu", recording_splu)
         return specs
@@ -118,3 +118,23 @@ class TestFactorization:
         np.testing.assert_array_equal(second.order[1], b.tocsc().indices)
         u = second.solve(rhs)
         assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    def test_one_column_panels_only_in_downwind_order(self, monkeypatch):
+        panels = []
+        splu = femfct.solver.splu
+
+        def recording_splu(matrix, **options):
+            panels.append(options.get("panel_size"))
+            return splu(matrix, **options)
+
+        monkeypatch.setattr(femfct.solver, "splu", recording_splu)
+        acyclic = sparse.csr_matrix(np.array([[4.0, 0.0], [-1.0, 4.0]]))
+        downwind = Factorization(acyclic)
+        Factorization(acyclic * 2.0, order=downwind.order)
+        a, _ = random_dominant_system(5, n=40)
+        colamd = Factorization(a)
+        assert colamd.order[3] is False
+        Factorization(a * 2.0, order=colamd.order)
+        # the triangular LU, fresh and reused, takes one-column panels; a
+        # COLAMD order, fresh and reused, SuperLU's default
+        assert panels == [1, 1, None, None]
