@@ -62,26 +62,18 @@ class ProblemSpec:
             raise ValueError("c0 must be positive")
 
 
-def _to_csr(mesh, local):
-    """Sum (m, 3, 3) element matrices into a CSR matrix on the mesh pattern;
-    duplicate entries are summed in element order."""
-    pattern = mesh.pattern
-    data = np.bincount(pattern.of_element.ravel(), local.ravel(), pattern.indices.size)
-    return pattern.matrix(data)
-
-
 def assemble_mass(mesh) -> sparse.csr_matrix:
     """Consistent P1 mass matrix (exact element integration)."""
     area = mesh.geometry.areas
     ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * ref[None, :, :]
-    return _to_csr(mesh, local)
+    return mesh.pattern.assemble(local)
 
 
 def assemble_laplacian(mesh) -> sparse.csr_matrix:
     """P1 stiffness matrix of -lap(u), the Gram matrix of the gradients."""
     geo = mesh.geometry
-    return _to_csr(mesh, geo.areas[:, None, None] * geo.gram)
+    return mesh.pattern.assemble(geo.areas[:, None, None] * geo.gram)
 
 
 def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
@@ -122,7 +114,7 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
         rq = area * r[:, q]
         local[:, q, (q + 1) % 3] += rq
         local[:, (q + 1) % 3, q] += rq
-    return _to_csr(mesh, local)
+    return mesh.pattern.assemble(local)
 
 
 def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:

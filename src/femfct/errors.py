@@ -15,6 +15,7 @@ import numpy as np
 
 from .assembly import assemble_laplacian, assemble_mass
 from .fct import LimiterMatrix
+from .problems import ExactSolution
 
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011, 0.109951743655322
@@ -53,7 +54,10 @@ def _at_points(v):
     """The (6, b) values at the quadrature points of the P1 field with
     vertex values ``v`` (3, b)."""
     b = QUAD4_BARY
-    return b[:, 0, None] * v[0] + b[:, 1, None] * v[1] + b[:, 2, None] * v[2]
+    out = b[:, 0, None] * v[0]
+    out += b[:, 1, None] * v[1]
+    out += b[:, 2, None] * v[2]
+    return out
 
 
 def _vertex_sum(u, g):
@@ -72,7 +76,12 @@ class ErrorWorkspace:
 
     The L2 and H1 errors loop over blocks of ``BLOCK`` triangles and add
     the block sums in block order, with no BLAS call, so the result does
-    not depend on the BLAS thread count.
+    not depend on the BLAS thread count.  The exact solution is a
+    callable, evaluated at each block's points on every call, or a
+    separable ``ExactSolution``, whose profile (for ``l2_error``) and
+    profile gradient (for ``h1_error``) are evaluated at each block's
+    points the first time they are passed and kept: each later call
+    only multiplies them by scale(t).
     """
 
     def __init__(self, mesh):
@@ -93,22 +102,41 @@ class ErrorWorkspace:
             )
         self.mass = assemble_mass(mesh)
         self.laplacian = assemble_laplacian(mesh)
+        # name -> (function, its values at each block's points)
+        self._kept = {}
+
+    def _exact(self, exact, name, t):
+        """Per block, the exact values at the quadrature points at time t:
+        exact(t, qx, qy) of a callable, scale(t) times the kept values of
+        an ExactSolution's ``name`` (``profile`` or ``profile_gradient``)."""
+        if not isinstance(exact, ExactSolution):
+            return (exact(t, blk.qx, blk.qy) for blk in self._blocks)
+        fn = getattr(exact, name)
+        kept = self._kept.get(name)
+        if kept is None or kept[0] is not fn:
+            kept = self._kept[name] = (fn, [fn(blk.qx, blk.qy) for blk in self._blocks])
+        s = exact.scale(t)
+        if name == "profile":
+            return (s * v for v in kept[1])
+        return ((s * gx, s * gy) for gx, gy in kept[1])
 
     def l2_error(self, u_h, u_exact, t):
-        """L2(Omega) error of the P1 field u_h against u_exact(t, x, y)."""
+        """L2(Omega) error of the P1 field u_h against u_exact, a callable
+        u_exact(t, x, y) or an ExactSolution."""
         total = 0.0
-        for blk in self._blocks:
-            d = np.asarray(u_exact(t, blk.qx, blk.qy), dtype=float) - _at_points(u_h[blk.tri])
+        for blk, ue in zip(self._blocks, self._exact(u_exact, "profile", t)):
+            d = _at_points(u_h[blk.tri])
+            np.subtract(ue, d, out=d)
             d *= d
             total += float(np.einsum("m,m->", _integrate(d), blk.area))
         return math.sqrt(total)
 
     def h1_error(self, u_h, u_exact_gradient, t):
-        """H1 seminorm error; u_exact_gradient(t, x, y) returns (du/dx, du/dy)."""
+        """H1 seminorm error; u_exact_gradient is a callable returning
+        (du/dx, du/dy) at (t, x, y), or an ExactSolution."""
         total = 0.0
-        for blk in self._blocks:
+        for blk, (gx, gy) in zip(self._blocks, self._exact(u_exact_gradient, "profile_gradient", t)):
             u = u_h[blk.tri]
-            gx, gy = u_exact_gradient(t, blk.qx, blk.qy)
             # (6, b) also when a component is a constant
             dx = np.subtract(gx, _vertex_sum(u, blk.gx), out=np.empty_like(blk.qx))
             dy = np.subtract(gy, _vertex_sum(u, blk.gy), out=np.empty_like(blk.qx))
@@ -118,18 +146,26 @@ class ErrorWorkspace:
             total += float(np.einsum("m,m->", _integrate(dx), blk.area))
         return math.sqrt(total)
 
-    # the quadratic forms e . (K e) sum with einsum, not BLAS's dot, whose
-    # summation order depends on its thread count
     def l2_nodal(self, e):
-        return math.sqrt(max(float(np.einsum("i,i->", e, self.mass @ e)), 0.0))
+        return _norm(self.mass, e)
 
     def h1_nodal(self, e):
-        return math.sqrt(max(float(np.einsum("i,i->", e, self.laplacian @ e)), 0.0))
+        return _norm(self.laplacian, e)
 
     def fct_nodal(self, e, dh, eps, c0):
         """FCT norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
         vector, given its d_h seminorm ``dh``."""
-        return math.sqrt(eps * self.h1_nodal(e) ** 2 + c0 * self.l2_nodal(e) ** 2 + dh * dh)
+        return _fct(self.h1_nodal(e), self.l2_nodal(e), dh, eps, c0)
+
+
+# the quadratic form e . (K e) sums with einsum, not BLAS's dot, whose
+# summation order depends on its thread count
+def _norm(matrix, e):
+    return math.sqrt(max(float(np.einsum("i,i->", e, matrix @ e)), 0.0))
+
+
+def _fct(h1, l2, dh, eps, c0):
+    return math.sqrt(eps * h1**2 + c0 * l2**2 + dh * dh)
 
 
 def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
@@ -151,7 +187,8 @@ def fct_norm(mesh, e_nodes, alpha, d_ij, eps, c0) -> float:
     d_h term weighted by the step's limiter; ``d_ij`` as for
     ``dh_seminorm``."""
     dh = dh_seminorm(alpha, d_ij, e_nodes)
-    return ErrorWorkspace(mesh).fct_nodal(e_nodes, dh, eps, c0)
+    h1, l2 = _norm(assemble_laplacian(mesh), e_nodes), _norm(assemble_mass(mesh), e_nodes)
+    return _fct(h1, l2, dh, eps, c0)
 
 
 def time_integrate(values, tau) -> float:

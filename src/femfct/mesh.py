@@ -8,7 +8,7 @@ nodes are moved to the right by a tenth of the horizontal mesh width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,11 +86,19 @@ class Pattern:
     upper: np.ndarray
     lower: np.ndarray
     of_element: np.ndarray
+    # of_element flattened into a writeable array, the index of assemble's
+    # bincount: np.bincount copies an index array it may not write to
+    _positions: np.ndarray = field(repr=False, compare=False)
 
     def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
         """The CSR matrix with ``data`` on this pattern's structure arrays."""
         n = self.diag.size
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def assemble(self, local: np.ndarray) -> sparse.csr_matrix:
+        """Sum (m, 3, 3) element matrices into a CSR matrix on this
+        pattern; duplicate entries are summed in element order."""
+        return self.matrix(np.bincount(self._positions, local.ravel(), self.indices.size))
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,10 @@ class TriMesh:
         edge = self.edges.of_triangle[:, [[0, 0, 2], [0, 1, 1], [2, 1, 2]]]
         of_element = np.where(t[:, :, None] < t[:, None, :], upper[edge], lower[edge])
         of_element[:, [0, 1, 2], [0, 1, 2]] = diag[t]
+        positions = of_element.reshape(-1)  # a view that stays writeable
         for arr in (indptr, indices, diag, upper, lower, of_element):
             arr.setflags(write=False)
-        return Pattern(indptr, indices, diag, upper, lower, of_element)
+        return Pattern(indptr, indices, diag, upper, lower, of_element, positions)
 
     def areas(self) -> np.ndarray:
         return self.geometry.areas

@@ -16,14 +16,16 @@ built cell by cell, the Zalesak limiter recomputing its bounds from
 ``ubar`` on every call, an LU ordering its columns afresh for every
 matrix, and COLAMD's column order for the upwinded systems that now
 factor in downwind order, SuperLU's default panel size for the
-triangular LU, the L2 and H1 error norms as whole-mesh einsums, and the
-manufactured problem's closed forms.  Every mesh is also tried with its nodes
+triangular LU, the L2 and H1 error norms as whole-mesh einsums, the
+manufactured problem's closed forms, and the exact solution's callbacks
+evaluated at every record, which a separable solution's profile kept per
+error workspace replaces.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
 
+import collections
 import math
-
 
 import numpy as np
 import pytest
@@ -35,7 +37,9 @@ import femfct.stepper
 
 from femfct import (
     ConstantLimiter,
+    ExactSolution,
     Factorization,
+    LimiterMatrix,
     ProblemSpec,
     SchemeKind,
     TimeLevel,
@@ -49,7 +53,9 @@ from femfct import (
     assemble_stiffness,
     build_friedrichs_keller,
     build_shifted_grid,
+    dh_seminorm,
     edge_arrays,
+    fct_norm,
     linear_fluxes,
     lump,
     m_matrix_check,
@@ -407,6 +413,12 @@ def test_pattern_matches_coo_structure(mesh):
     for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.upper,
                 pattern.lower, pattern.of_element):
         assert not arr.flags.writeable
+    # assemble's bincount index: of_element's memory, flat and writeable,
+    # so that np.bincount does not copy it
+    positions = pattern._positions
+    assert positions.flags.writeable and positions.flags.c_contiguous
+    assert positions.dtype == np.intp and np.shares_memory(positions, pattern.of_element)
+    np.testing.assert_array_equal(positions, pattern.of_element.ravel())
     assert mesh.pattern is pattern
 
 
@@ -791,3 +803,132 @@ def test_problem_callbacks_match_closed_forms(problem, scale, scale_dt):
         adv_reac = 2.0 * old_profile_dx(x, y) + 3.0 * old_profile_dy(x, y) + old_profile(x, y)
         close(spec.f(t, x, y), ds * old_profile(x, y) + s * (-eps * old_profile_lap(x, y) + adv_reac))
     close(spec.u0(x, y), scale(0.0) * old_profile(x, y))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid, level, n_triangles",
+    # the differential meshes, then one partial block, two full blocks, and
+    # a full and a ragged block
+    [("fk", 3, 512), ("shifted", 3, 512), ("unstructured", 1, 288), ("fk", 2, 128),
+     ("fk", 5, 2 * BLOCK), ("unstructured", 3, BLOCK + 512)],
+)
+def test_separable_error_norms_equal_the_callbacks_bitwise(grid, level, n_triangles):
+    mesh = build_grid(ExperimentConfig(grid=grid), level)
+    assert mesh.n_triangles == n_triangles
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    ws = ErrorWorkspace(mesh)
+    rng = np.random.default_rng(level)
+    # both problems share the profile, so the second reuses the kept values;
+    # the time study's scale is 0.0 at t = 0.75, and 0.0 * S carries S's sign
+    for problem in (space_study_problem, time_study_problem):
+        _, exact = problem()
+        for t in (0.0, 0.013, 0.37, 0.75, 1.0):
+            u_h = exact.u(t, x, y) + 1e-3 * rng.standard_normal(mesh.n_nodes)
+            assert bits(ws.l2_error(u_h, exact, t)) == bits(ws.l2_error(u_h, exact.u, t))
+            assert bits(ws.h1_error(u_h, exact, t)) == bits(ws.h1_error(u_h, exact.gradient, t))
+            # the exact values themselves, sign bits included
+            kept = list(ws._exact(exact, "profile", t))
+            called = list(ws._exact(exact.u, "profile", t))
+            assert [v.tobytes() for v in kept] == [v.tobytes() for v in called]
+            kept = list(ws._exact(exact, "profile_gradient", t))
+            called = list(ws._exact(exact.gradient, "profile_gradient", t))
+            assert [g.tobytes() for pair in kept for g in pair] == [
+                g.tobytes() for pair in called for g in pair
+            ]
+
+
+# run_single's four integrated norms (10 steps, tau = 1e-3) as computed with
+# the exact solution's callbacks at every record
+RUN_SINGLE_CALLBACK_NORMS = {
+    ("fk", 3, "space", "linear_fct"): {
+        "dh": 6.140126114885599e-05, "fct": 6.283126423848463e-05,
+        "h1": 0.0009948712713765836, "l2": 1.2604203896992641e-05,
+    },
+    ("fk", 3, "time", "nonlinear_fct"): {
+        "dh": 4.7222311515469056e-05, "fct": 4.7635453071373266e-05,
+        "h1": 0.0015970591304620293, "l2": 2.877098865767686e-05,
+    },
+    ("shifted", 3, "space", "linear_fct"): {
+        "dh": 5.71991153803887e-05, "fct": 5.9760745066039576e-05,
+        "h1": 0.0011535528089557556, "l2": 1.562110729960969e-05,
+    },
+    ("shifted", 3, "time", "nonlinear_fct"): {
+        "dh": 4.954426194550009e-05, "fct": 5.0236853071796096e-05,
+        "h1": 0.0015986020673306686, "l2": 2.8807553040340886e-05,
+    },
+    ("unstructured", 1, "space", "linear_fct"): {
+        "dh": 0.0002075573346525016, "fct": 0.00021069720780273743,
+        "h1": 0.0015987857093772103, "l2": 3.471499141972189e-05,
+    },
+    ("unstructured", 1, "time", "nonlinear_fct"): {
+        "dh": 0.00012892717430262732, "fct": 0.00012984860230012718,
+        "h1": 0.0020614325131929094, "l2": 5.828383422832718e-05,
+    },
+}
+PROBLEMS = {"space": space_study_problem, "time": time_study_problem}
+
+
+@pytest.mark.parametrize(
+    "case", list(RUN_SINGLE_CALLBACK_NORMS), ids=lambda c: f"{c[0]}{c[1]}-{c[2]}-{c[3]}"
+)
+def test_run_single_norms_equal_the_callback_evaluation(case):
+    grid, level, problem, kind = case
+    spec, exact = PROBLEMS[problem](tau=1e-3, t_end=1e-2)
+    integrated, _ = run_single(build_grid(ExperimentConfig(grid=grid), level), spec, exact, SchemeKind(kind))
+    assert {k: bits(v) for k, v in integrated.items()} == {
+        k: bits(v) for k, v in RUN_SINGLE_CALLBACK_NORMS[case].items()
+    }
+
+
+def test_run_single_evaluates_the_profile_once_per_block():
+    mesh = build_grid(ExperimentConfig(grid="unstructured"), 3)  # 2 blocks
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(x, y):
+            calls[name] += 1
+            return fn(x, y)
+
+        return wrapped
+
+    for n_steps in (2, 5):
+        spec, exact = space_study_problem(tau=1e-3, t_end=n_steps * 1e-3)
+        spy = ExactSolution(
+            exact.scale, counted("profile", exact.profile), counted("gradient", exact.profile_gradient)
+        )
+        calls.clear()
+        integrated, _ = run_single(mesh, spec, spy, SchemeKind("linear_fct"))
+        # per block once for l2_error and once for h1_error, plus the nodes
+        assert calls == {"profile": 2 + 1, "gradient": 2}
+        reference, _ = run_single(mesh, spec, exact, SchemeKind("linear_fct"))
+        assert {k: bits(v) for k, v in integrated.items()} == {k: bits(v) for k, v in reference.items()}
+
+    # a workspace keeps one profile: another function replaces the kept values
+    ws, u_h = ErrorWorkspace(mesh), np.zeros(mesh.n_nodes)
+    calls.clear()
+    for _ in range(3):
+        ws.l2_error(u_h, spy, 0.5)
+    assert calls == {"profile": 2}
+    other = ExactSolution(exact.scale, counted("other", lambda x, y: x * y), exact.profile_gradient)
+    ws.l2_error(u_h, other, 0.5)
+    ws.l2_error(u_h, spy, 0.5)
+    assert calls == {"profile": 4, "other": 2}
+
+
+@pytest.mark.parametrize("grid, level", [("fk", 3), ("shifted", 3), ("unstructured", 1)])
+def test_fct_norm_equals_the_workspace_formula_bitwise(grid, level):
+    # fct_norm assembles only the two norm matrices, no error workspace
+    mesh = build_grid(ExperimentConfig(grid=grid), level)
+    ws, rng = ErrorWorkspace(mesh), np.random.default_rng(level)
+    pairs = mesh.pairs
+    for _ in range(5):
+        e = rng.standard_normal(mesh.n_nodes)
+        alpha = LimiterMatrix(mesh.n_nodes, pairs.i, pairs.j, rng.random(pairs.i.size))
+        d_ij = -rng.random(pairs.i.size)
+        eps, c0 = rng.random() + 0.1, rng.random() + 0.1
+        ref = ws.fct_nodal(e, dh_seminorm(alpha, d_ij, e), eps, c0)
+        assert bits(fct_norm(mesh, e, alpha, d_ij, eps, c0)) == bits(ref)
