@@ -26,6 +26,7 @@ from .stepper import (
     NONLINEAR_FCT,
     ConstantLimiter,
     SchemeKind,
+    TimeLevel,
     TimeStepper,
     ZalesakLimiter,
 )
@@ -112,7 +113,7 @@ def run_single(mesh, spec, exact, scheme):
     nodal_profile = np.asarray(exact.profile(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     for record in records[1:]:
         t = record.t
-        d_ij = stepper.operators(t)[3]
+        d_ij = TimeLevel(stepper, t).ops[1]
         series["l2"].append(ws.l2_error(record.u, exact, t))
         series["h1"].append(ws.h1_error(record.u, exact, t))
         e_nodes = exact.scale(t) * nodal_profile - record.u

@@ -43,8 +43,6 @@ class _Block:
     """Quadrature data of one block of b triangles, point-major."""
 
     tri: np.ndarray  # (3, b) vertex indices
-    qx: np.ndarray  # (6, b) quadrature points
-    qy: np.ndarray
     gx: np.ndarray  # (3, b) components of the P1 basis gradients
     gy: np.ndarray
     area: np.ndarray  # (b,)
@@ -81,11 +79,13 @@ class ErrorWorkspace:
     separable ``ExactSolution``, whose profile (for ``l2_error``) and
     profile gradient (for ``h1_error``) are evaluated at each block's
     points the first time they are passed and kept: each later call
-    only multiplies them by scale(t).
+    only multiplies them by scale(t).  The points themselves are
+    computed when a function needs them, never kept.
     """
 
     def __init__(self, mesh):
         geo = mesh.geometry
+        self._nodes = mesh.nodes
         self._blocks = []
         for s in range(0, mesh.n_triangles, BLOCK):
             tri = np.ascontiguousarray(mesh.triangles[s : s + BLOCK].T)
@@ -93,8 +93,6 @@ class ErrorWorkspace:
             self._blocks.append(
                 _Block(
                     tri=tri,
-                    qx=_at_points(mesh.nodes[tri, 0]),
-                    qy=_at_points(mesh.nodes[tri, 1]),
                     gx=np.ascontiguousarray(grads[..., 0].T),
                     gy=np.ascontiguousarray(grads[..., 1].T),
                     area=geo.areas[s : s + BLOCK].copy(),
@@ -105,16 +103,20 @@ class ErrorWorkspace:
         # name -> (function, its values at each block's points)
         self._kept = {}
 
+    def _points(self, blk):
+        """The (6, b) coordinates (qx, qy) of a block's quadrature points."""
+        return _at_points(self._nodes[blk.tri, 0]), _at_points(self._nodes[blk.tri, 1])
+
     def _exact(self, exact, name, t):
         """Per block, the exact values at the quadrature points at time t:
         exact(t, qx, qy) of a callable, scale(t) times the kept values of
         an ExactSolution's ``name`` (``profile`` or ``profile_gradient``)."""
         if not isinstance(exact, ExactSolution):
-            return (exact(t, blk.qx, blk.qy) for blk in self._blocks)
+            return (exact(t, *self._points(blk)) for blk in self._blocks)
         fn = getattr(exact, name)
         kept = self._kept.get(name)
         if kept is None or kept[0] is not fn:
-            kept = self._kept[name] = (fn, [fn(blk.qx, blk.qy) for blk in self._blocks])
+            kept = self._kept[name] = (fn, [fn(*self._points(blk)) for blk in self._blocks])
         s = exact.scale(t)
         if name == "profile":
             return (s * v for v in kept[1])
@@ -138,8 +140,9 @@ class ErrorWorkspace:
         for blk, (gx, gy) in zip(self._blocks, self._exact(u_exact_gradient, "profile_gradient", t)):
             u = u_h[blk.tri]
             # (6, b) also when a component is a constant
-            dx = np.subtract(gx, _vertex_sum(u, blk.gx), out=np.empty_like(blk.qx))
-            dy = np.subtract(gy, _vertex_sum(u, blk.gy), out=np.empty_like(blk.qx))
+            shape = (QUAD4_W.size, blk.area.size)
+            dx = np.subtract(gx, _vertex_sum(u, blk.gx), out=np.empty(shape))
+            dy = np.subtract(gy, _vertex_sum(u, blk.gy), out=np.empty(shape))
             dx *= dx
             dy *= dy
             dx += dy

@@ -81,11 +81,11 @@ def lump(mass: sparse.spmatrix) -> np.ndarray:
     return m
 
 
-def predictor_half_step(m_lumped, abar, u_prev, f_prev, tau, dirichlet, g_values):
-    """Forward-Euler half step: u_prev - tau/2 * M_L^-1 (Abar u_prev - f_prev),
-    its entries at the ``dirichlet`` node indices overwritten with
-    ``g_values``."""
-    ubar = u_prev - 0.5 * tau * (abar @ u_prev - f_prev) / m_lumped
+def predictor_half_step(m_lumped, r, u_prev, tau, dirichlet, g_values):
+    """Forward-Euler half step: u_prev - tau/2 * M_L^-1 r, r being the
+    residual Abar u_prev - f_prev, its entries at the ``dirichlet`` node
+    indices overwritten with ``g_values``."""
+    ubar = u_prev - 0.5 * tau * r / m_lumped
     ubar[dirichlet] = g_values
     return ubar
 
@@ -102,10 +102,10 @@ def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> FluxMatrix:
 
 
 def linear_fluxes(
-    pairs: PairGraph, m_ij, d_ij, m_lumped, abar, u_prev, f_prev, tau, dirichlet, g_rate
+    pairs: PairGraph, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_rate
 ) -> FluxMatrix:
     """Fluxes of the linear scheme built from the explicit rate
-    nu = M_L^-1 (f^{n-1} - Abar u^{n-1}):
+    nu = -M_L^-1 r, r being the residual Abar u^{n-1} - f^{n-1}:
     f_ij = tau m_ij (nu_i - nu_j) + tau d_ij [u_j - u_i + tau (nu_j - nu_i)].
 
     The residual is meaningless on constrained rows, so at the
@@ -114,7 +114,7 @@ def linear_fluxes(
     fluxes of boundary-adjacent pairs.
     """
     i, j = pairs.i, pairs.j
-    nu = (f_prev - abar @ u_prev) / m_lumped
+    nu = (-r) / m_lumped
     nu[dirichlet] = g_rate
     dnu = nu[i] - nu[j]
     vals = tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)

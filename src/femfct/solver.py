@@ -57,12 +57,10 @@ class Factorization:
     (``argsort(perm_c)`` for COLAMD) and whether ``cols`` is a downwind
     order.  A matrix of that structure is factored as ``A[:, cols]`` in
     natural order, with the row pivots, fill and solves of a fresh
-    factorization; any other matrix is ordered afresh.  With
-    ``keep_order=False`` (no later matrix reuses the order) ``order`` is
-    None and the structure arrays are not kept.
+    factorization; any other matrix is ordered afresh.
     """
 
-    def __init__(self, matrix, order=None, keep_order=True):
+    def __init__(self, matrix, order=None):
         csc = sparse.csc_matrix(matrix)
         indptr, indices = csc.indptr, csc.indices
         if (
@@ -89,11 +87,9 @@ class Factorization:
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
         self._cols = cols
-        self.order = None
-        if keep_order:
-            self.order = (
-                indptr, indices, np.argsort(self._lu.perm_c) if cols is None else cols, downwind
-            )
+        self.order = (
+            indptr, indices, np.argsort(self._lu.perm_c) if cols is None else cols, downwind
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(np.asarray(rhs, dtype=float))

@@ -37,7 +37,6 @@ LOW_ORDER = "low_order"
 LINEAR_FCT = "linear_fct"
 NONLINEAR_FCT = "nonlinear_fct"
 _KINDS = (GALERKIN, LOW_ORDER, LINEAR_FCT, NONLINEAR_FCT)
-_FCT_KINDS = (LINEAR_FCT, NONLINEAR_FCT)
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ class StepFailure(RuntimeError):
 class TimeLevel:
     """The data of one time level t of a run, each part computed when a
     step first asks for it and then kept: the load f(t), the boundary
-    values g(t) and the operators (A, D, Abar, d_ij) at t, which for
-    constant coefficients are the stepper's own."""
+    values g(t) and the operators at t, which for constant coefficients
+    are the stepper's own."""
 
     stepper: TimeStepper
     t: float
@@ -117,25 +116,31 @@ class TimeLevel:
 
     @cached_property
     def ops(self):
-        return self.stepper.operators(self.t)
+        if self.stepper.spec.constant_coefficients:
+            return self.stepper._constant_operators
+        return self.stepper._build_operators(self.t)
 
 
 class TimeStepper:
     """Time loop driver; assembles operators and advances one scheme.
 
+    Every scheme solves S_v = (1-v) M_L + v M + tau Abar_v with
+    Abar_v = A + (1-v) D, the FCT system with the fixed limiter v on every
+    pair: Galerkin (v = 1), low order (v = 0) and ``nonlinear_fct`` with
+    ``ConstantLimiter(v, zalesak_boundary=False)`` share one step, and
+    every other scheme solves M_L + tau Abar (v = 0).  A level's operators
+    are (Abar_v, d_ij), d_ij being D's entries on the pairs.
+
     ``run`` builds each time level t = n tau once (a ``TimeLevel``) and
-    hands it to the next step as that step's previous level, so every
-    load, boundary value and operator of the run is computed once.  For
-    constant coefficients the operators and the LU of the scheme's system
-    matrix are built once per stepper and reused for every step (and
-    every fixed-point iteration); for variable coefficients each level
-    builds its operators and each step one LU, which reuses the column
-    order of the step before unless Abar's structure (its exact zeros)
-    changed.  The upwinded systems M_L + tau*Abar factor in downwind order
-    (see ``Factorization``).  Every flux and limiter of the run lives on
-    the mesh's pair graph (``pairs``, its edges), and the pair entries
-    m_ij, d_ij are read from the matrices' data arrays at the pattern's
-    upper positions.
+    hands it to the next step as its previous level, so every load,
+    boundary value and operator of the run is computed once.  The one LU
+    is refactored only when a level's operators are not those it was
+    built from (once per stepper for constant coefficients, once per step
+    otherwise), in the last LU's column order unless the structure (the
+    exact zeros of Abar) changed; the upwinded systems factor in downwind
+    order (see ``Factorization``).  Every flux and limiter lives on the
+    mesh's pair graph (``pairs``), whose m_ij, d_ij are read from the
+    matrices' data arrays at the pattern's upper positions.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -150,30 +155,38 @@ class TimeStepper:
         bmask = mesh.boundary_mask
         self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes
-        self._check_predictor = scheme.kind in _FCT_KINDS
-        self.fixed_alpha = self._fixed_limiter()
-        # the column order of the last variable-coefficient LU, handed to
-        # the next one; only the structure and permutation arrays, never
-        # the factors
-        self._lu_order = None
+        value = self._fixed_limiter()
+        self.fixed_alpha = None
+        if value is not None:
+            # a read-only view, shared by every record
+            values = np.broadcast_to(float(value), self.pairs.i.shape)
+            self.fixed_alpha = LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values)
+        # only a Zalesak limiter needs the explicit predictor
+        self._check_predictor = value is None
+        # the v of S_v: linear_fct solves M_L + tau Abar whatever its limiter
+        self._v = 0.0 if value is None or scheme.kind == LINEAR_FCT else value
+        # the last LU and the operators it was built from
+        self._lu = self._lu_ops = None
 
     # -- operators ---------------------------------------------------
-
-    def operators(self, t):
-        """(A, D, Abar=A+D, d_ij) at time t, d_ij being D's entries on the
-        pairs: built once per stepper for constant coefficients, else
-        built afresh."""
-        if self.spec.constant_coefficients:
-            return self._constant_operators
-        return self._build_operators(t)
 
     @cached_property
     def _constant_operators(self):
         return self._build_operators(0.0)
 
+    @cached_property
+    def _mass_v(self):
+        # (1-v) M_L + v M; scipy's sum drops the exact zeros, so v = 0 and
+        # v = 1 give M_L's and M's patterns
+        return (1.0 - self._v) * sparse.diags(self.m_lumped) + self._v * self.mass
+
     def _build_operators(self, t):
         a = assemble_stiffness(self.mesh, self.spec, t)
         d = artificial_diffusion(a, self.mesh.pattern)
+        d_ij = d.data[self.mesh.pattern.upper]
+        # (1-v) D in place: a scaled copy per build made varcoef_fk5's peak
+        # RSS about 4 MB higher and unsteady from run to run
+        d.data *= 1.0 - self._v
         # Abar stays scipy's sum, which drops the entries where upwinding
         # cancels a_ij exactly (43% of them at FK L5): an edge with a_ij or
         # a_ji >= 0 keeps only one of the two, which makes the graphs of
@@ -182,7 +195,7 @@ class TimeStepper:
         abar = (a + d).tocsr()
         if self._check_predictor:
             self._check_predictor_bound(abar)
-        return a, d, abar, d.data[self.mesh.pattern.upper]
+        return abar, d_ij
 
     def _check_predictor_bound(self, abar):
         """Warn once if tau exceeds min_i 2 m_i / abar_ii over the interior
@@ -200,36 +213,18 @@ class TimeStepper:
             )
 
     def _factorization(self, level: TimeLevel) -> Factorization:
-        """LU of the scheme's Dirichlet-constrained system matrix at the
-        level's t; one per stepper for constant coefficients."""
-        if self.spec.constant_coefficients:
-            return self._constant_factorization
-        return self._factorize(level)
-
-    @cached_property
-    def _constant_factorization(self) -> Factorization:
-        return self._factorize(TimeLevel(self, 0.0))
-
-    def _factorize(self, level: TimeLevel) -> Factorization:
-        a, d, abar, _ = level.ops
-        tau = self.spec.tau
-        ml = sparse.diags(self.m_lumped)
-        if self.scheme.kind == GALERKIN:
-            system = self.mass + tau * a
-        elif self.scheme.kind == NONLINEAR_FCT and self.fixed_alpha is not None:
-            # fully constant limiter: exact linear constant-alpha system
-            v = self.scheme.limiter.value
-            system = (1.0 - v) * ml + v * self.mass + tau * a + (1.0 - v) * tau * d
-        else:
-            system = ml + tau * abar
-        # scipy's sums and apply_dirichlet keep the pattern that dropped
-        # the exact zeros of Abar, which the LU's fill depends on
-        system = apply_dirichlet(system, self.mesh)
-        # with constant coefficients no second LU reuses the column order
-        constant = self.spec.constant_coefficients
-        factor = Factorization(system, order=self._lu_order, keep_order=not constant)
-        self._lu_order = factor.order
-        return factor
+        """LU of the Dirichlet-constrained S_v at the level's operators,
+        refactored only when they are not those of the last LU."""
+        ops = level.ops
+        if ops is not self._lu_ops:
+            order = None if self._lu is None else self._lu.order
+            # the last LU goes first: two are never held at once
+            self._lu = None
+            # scipy's sums and apply_dirichlet keep the pattern that dropped
+            # the exact zeros of Abar, which the LU's fill depends on
+            system = apply_dirichlet(self._mass_v + self.spec.tau * ops[0], self.mesh)
+            self._lu, self._lu_ops = Factorization(system, order=order), ops
+        return self._lu
 
     def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
@@ -238,22 +233,18 @@ class TimeStepper:
 
     # -- limiting ----------------------------------------------------
 
-    def _fixed_limiter(self) -> LimiterMatrix | None:
-        """The read-only limiter of a scheme whose alpha does not depend on
-        the solution: 1 for Galerkin, 0 for low order, v for a constant
-        limiter on every pair; None otherwise."""
+    def _fixed_limiter(self) -> float | None:
+        """The value of a limiter that does not depend on the solution: 1
+        for Galerkin, 0 for low order, v for a constant limiter on every
+        pair; None otherwise."""
         lim = self.scheme.limiter
         if self.scheme.kind == GALERKIN:
-            value = 1.0
-        elif self.scheme.kind == LOW_ORDER:
-            value = 0.0
-        elif isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
-            value = lim.value
-        else:
-            return None
-        values = np.full(self.pairs.i.shape, value)
-        values.setflags(write=False)
-        return LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values)
+            return 1.0
+        if self.scheme.kind == LOW_ORDER:
+            return 0.0
+        if isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
+            return lim.value
+        return None
 
     def _limit(self, flux: FluxMatrix, bounds) -> LimiterMatrix:
         """Zalesak limiter of the flux, with a constant limiter's value on
@@ -267,27 +258,34 @@ class TimeStepper:
 
     # -- single steps ------------------------------------------------
 
-    def step_galerkin(self, level: TimeLevel, u_prev) -> StepRecord:
-        rhs = self.spec.tau * level.f + self.mass @ u_prev
+    def step_fixed_limiter(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
+        """The FCT step with the fixed limiter v on every pair, solved
+        exactly: S_v u = tau f + ((1-v) M_L + v M) u_prev.  Its record
+        gives the raw fluxes of u and their correction with v, the flux
+        the step applied."""
+        tau = self.spec.tau
+        rhs = tau * level.f + self._mass_v @ u_prev
         u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
-        return StepRecord(level.t, u, alpha=self.fixed_alpha)
+        flux = raw_fluxes(self.pairs, self._m_ij, level.ops[1], u, u_prev, tau)
+        fstar = correction_vector(self.fixed_alpha, flux)
+        return StepRecord(
+            level.t, u, alpha=self.fixed_alpha, correction_sum=float(fstar.sum()),
+            flux_abs_sum=flux.abs_sum(),
+        )
 
-    def step_low_order(self, level: TimeLevel, u_prev) -> StepRecord:
-        rhs = self.spec.tau * level.f + self.m_lumped * u_prev
-        u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
-        return StepRecord(level.t, u, alpha=self.fixed_alpha)
+    step_galerkin = step_low_order = step_fixed_limiter
 
     def step_linear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
-        tau = self.spec.tau
-        _, _, abar_prev, d_ij = prev.ops
-        g = level.g
-        ubar = predictor_half_step(self.m_lumped, abar_prev, u_prev, prev.f, tau, self._bnodes, g)
+        tau, g = self.spec.tau, level.g
+        abar_prev, d_ij = prev.ops
+        r = abar_prev @ u_prev - prev.f
         flux = linear_fluxes(
-            self.pairs, self._m_ij, d_ij, self.m_lumped, abar_prev, u_prev, prev.f, tau,
-            self._bnodes, (g - prev.g) / tau,
+            self.pairs, self._m_ij, d_ij, self.m_lumped, r, u_prev, tau, self._bnodes,
+            (g - prev.g) / tau,
         )
         alpha = self.fixed_alpha
         if alpha is None:
+            ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
             alpha = self._limit(flux, zalesak_bounds(self.pairs, ubar, self.m_lumped))
         fstar = correction_vector(alpha, flux)
         rhs = tau * level.f + self.m_lumped * u_prev + fstar
@@ -297,25 +295,15 @@ class TimeStepper:
         )
 
     def step_nonlinear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
+        if self.fixed_alpha is not None:
+            # a fixed limiter makes the scheme linear: solve it exactly
+            return self.step_fixed_limiter(level, u_prev, prev)
         tau = self.spec.tau
         t, g, fvec = level.t, level.g, level.f
-        _, _, abar, d_ij = level.ops
-        ubar = predictor_half_step(self.m_lumped, prev.ops[2], u_prev, prev.f, tau, self._bnodes, g)
+        abar, d_ij = level.ops
+        r = prev.ops[0] @ u_prev - prev.f
+        ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
         factor = self._factorization(level)
-
-        alpha = self.fixed_alpha
-        if alpha is not None:
-            # with a fully constant limiter the scheme is linear; solve it
-            # exactly instead of iterating
-            v = self.scheme.limiter.value
-            rhs = tau * fvec + (1.0 - v) * self.m_lumped * u_prev + v * (self.mass @ u_prev)
-            u = factor.solve(self._constrained_rhs(rhs, g))
-            flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u, u_prev, tau), ubar)
-            fstar = correction_vector(alpha, flux)
-            return StepRecord(
-                t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
-            )
-
         bounds = zalesak_bounds(self.pairs, ubar, self.m_lumped)
 
         def limited_correction(u_cur):
@@ -336,13 +324,8 @@ class TimeStepper:
             residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
             if residual < self.fp_opts.tol:
                 return StepRecord(
-                    t,
-                    u,
-                    alpha=alpha,
-                    fp_iters=it,
-                    residual=residual,
-                    correction_sum=float(fstar.sum()),
-                    flux_abs_sum=flux.abs_sum(),
+                    t, u, alpha=alpha, fp_iters=it, residual=residual,
+                    correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum(),
                 )
         raise StepFailure(
             f"fixed point did not reach {self.fp_opts.tol:g} within "
@@ -358,9 +341,6 @@ class TimeStepper:
         if n_steps * tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
         step = getattr(self, "step_" + self.scheme.kind)
-        # the FCT steps also take the previous level: its load, boundary
-        # values and operators
-        fct = self.scheme.kind in _FCT_KINDS
         prev = TimeLevel(self, 0.0)
         # the nodal interpolant of u0 with the boundary values g(0)
         u0 = np.array(self.spec.u0(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float)
@@ -368,9 +348,8 @@ class TimeStepper:
         records = [StepRecord(0.0, u0)]
         for n in range(1, n_steps + 1):
             level = TimeLevel(self, n * tau)
-            u = records[-1].u
             try:
-                rec = step(level, u, prev) if fct else step(level, u)
+                rec = step(level, records[-1].u, prev)
             except StepFailure as exc:
                 raise StepFailure(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
             records.append(rec)

@@ -167,7 +167,10 @@ class TestStudies:
             grid="fk", levels=(1, 3), scheme="linear_fct", tau=0.05, t_end=0.2,
             out=str(tmp_path / "space.csv"),
         )
-        report, failures = run_space_study(cfg)
+        # tau = 0.05 exceeds the predictor's positivity bound on level 3 only
+        with pytest.warns(UserWarning, match=r"^tau=0.05 exceeds") as caught:
+            report, failures = run_space_study(cfg)
+        assert len(caught) == 1
         assert failures == []
         assert report.levels == [1, 2, 3]
         # errors decrease monotonically with refinement

@@ -17,9 +17,11 @@ built cell by cell, the Zalesak limiter recomputing its bounds from
 matrix, and COLAMD's column order for the upwinded systems that now
 factor in downwind order, SuperLU's default panel size for the
 triangular LU, the L2 and H1 error norms as whole-mesh einsums, the
-manufactured problem's closed forms, and the exact solution's callbacks
+manufactured problem's closed forms, the exact solution's callbacks
 evaluated at every record, which a separable solution's profile kept per
-error workspace replaces.  Every mesh is also tried with its nodes
+error workspace replaces, and the three system matrices of Galerkin, low
+order and the constant-limiter nonlinear scheme, which the one
+fixed-limiter system S_v replaces.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
@@ -53,6 +55,7 @@ from femfct import (
     assemble_stiffness,
     build_friedrichs_keller,
     build_shifted_grid,
+    correction_vector,
     dh_seminorm,
     edge_arrays,
     fct_norm,
@@ -342,7 +345,7 @@ def test_flux_kernels_match_matrix_formulas(mesh, operators):
     dnu = nu[i] - nu[j]
     ref = tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
     flux = linear_fluxes(
-        pairs, m_new, d_new, m_lumped, abar, u_prev, f_prev, tau, bnodes, g_rate
+        pairs, m_new, d_new, m_lumped, abar @ u_prev - f_prev, u_prev, tau, bnodes, g_rate
     )
     np.testing.assert_array_equal(flux.values, ref)
 
@@ -480,7 +483,7 @@ def test_system_lu_matches_scipy_assembly(mesh, spec, scheme):
     ref = splu(sparse.csc_matrix(system))
 
     stepper = TimeStepper(mesh, spec, scheme)
-    new = stepper._factorize(TimeLevel(stepper, 0.0))._lu
+    new = stepper._factorization(TimeLevel(stepper, 0.0))._lu
     np.testing.assert_array_equal(new.perm_c, ref.perm_c)
     assert new.L.nnz + new.U.nnz == ref.L.nnz + ref.U.nnz
 
@@ -508,7 +511,7 @@ def test_reused_column_order_matches_fresh_lu(mesh, spec, scheme, monkeypatch):
 
     monkeypatch.setattr(femfct.stepper, "Factorization", recording)
     stepper = TimeStepper(mesh, spec, scheme)
-    first = stepper._factorize(TimeLevel(stepper, 0.0))
+    first = stepper._factorization(TimeLevel(stepper, 0.0))
     rng = np.random.default_rng(3)
     system = sparse.csc_matrix(systems[0], copy=True)
     system.data *= 1.0 + 0.01 * rng.random(system.nnz)
@@ -532,7 +535,7 @@ def factored_system(stepper, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(femfct.stepper, "Factorization", recording)
-        factor = stepper._factorize(TimeLevel(stepper, 0.0))
+        factor = stepper._factorization(TimeLevel(stepper, 0.0))
     return sparse.csc_matrix(systems[0]), factor
 
 
@@ -581,6 +584,64 @@ def test_downwind_runs_match_colamd_runs(mesh, kind, constant, monkeypatch):
     for new, ref in zip(*runs):
         assert np.abs(new.u - ref.u).max() <= 1e-12 * np.abs(ref.u).max()
         assert new.fp_iters == ref.fp_iters
+
+
+FIXED_LIMITER_SCHEMES = {
+    "galerkin": SchemeKind("galerkin"),
+    "low_order": SchemeKind("low_order"),
+    "constant0.3": SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_LIMITER_SCHEMES))
+def test_fixed_limiter_system_matches_former_formulas(mesh, spec, name, monkeypatch):
+    # S_v = (1-v) M_L + v M + tau (A + (1-v) D) against the three formulas
+    # it replaced: M + tau A, M_L + tau Abar and the four-term sum
+    scheme = FIXED_LIMITER_SCHEMES[name]
+    new, _ = factored_system(TimeStepper(mesh, spec, scheme), monkeypatch)
+    mass, tau = assemble_mass(mesh), spec.tau
+    ml = sparse.diags(lump(mass))
+    a = assemble_stiffness(mesh, spec, 0.0)
+    d = artificial_diffusion(a, mesh.pattern)
+    if name == "galerkin":
+        old = mass + tau * a
+    elif name == "low_order":
+        old = ml + tau * (a + d).tocsr()
+    else:
+        v = scheme.limiter.value
+        old = (1.0 - v) * ml + v * mass + tau * a + (1.0 - v) * tau * d
+    old = sparse.csc_matrix(apply_dirichlet(old, mesh))
+    if name == "constant0.3":
+        assert np.abs((new - old).toarray()).max() <= 1e-15 * np.abs(old.data).max()
+        return
+    # structure and data, sign bits included
+    for part in ("indptr", "indices", "data"):
+        assert getattr(new, part).tobytes() == getattr(old, part).tobytes()
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "variable"])
+@pytest.mark.parametrize("name", list(FIXED_LIMITER_SCHEMES))
+def test_fixed_limiter_records_report_the_applied_raw_flux(mesh, name, constant):
+    # the exact fixed-limiter step solves the FCT equation with the raw
+    # fluxes of its own u: its record carries their sums, and the FCT
+    # equation's interior rows hold to rounding
+    spec, _ = space_study_problem()
+    spec.constant_coefficients = constant
+    stepper = TimeStepper(mesh, spec, FIXED_LIMITER_SCHEMES[name])
+    recs = stepper.run(5)
+    mass, tau = assemble_mass(mesh), spec.tau
+    m_lumped, upper = lump(mass), mesh.pattern.upper
+    interior = ~mesh.boundary_mask
+    for prev, rec in zip(recs, recs[1:]):
+        a = assemble_stiffness(mesh, spec, rec.t)
+        d = artificial_diffusion(a, mesh.pattern)
+        raw = raw_fluxes(mesh.pairs, mass.data[upper], d.data[upper], rec.u, prev.u, tau)
+        fstar = correction_vector(stepper.fixed_alpha, raw)
+        assert bits(rec.flux_abs_sum) == bits(raw.abs_sum())
+        assert bits(rec.correction_sum) == bits(float(fstar.sum()))
+        tau_f = tau * assemble_load(mesh, spec, rec.t)
+        res = m_lumped * rec.u + tau * ((a + d) @ rec.u) - tau_f - m_lumped * prev.u - fstar
+        assert np.abs(res[interior]).max() <= 1e-13 * np.abs(tau_f).max()
 
 
 def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):
@@ -725,8 +786,9 @@ def test_blocked_error_norms_match_whole_mesh_einsums(grid, level, n_triangles):
         assert abs(ws.l2_error(u_h, exact.u, t) - l2) <= 1e-13 * l2
         assert abs(ws.h1_error(u_h, exact.gradient, t) - h1) <= 1e-13 * h1
     # the quadrature points are the same barycentric sums
-    assert np.concatenate([b.qx for b in ws._blocks], axis=1).T.tobytes() == qx.tobytes()
-    assert np.concatenate([b.qy for b in ws._blocks], axis=1).T.tobytes() == qy.tobytes()
+    points = [ws._points(b) for b in ws._blocks]
+    assert np.concatenate([p[0] for p in points], axis=1).T.tobytes() == qx.tobytes()
+    assert np.concatenate([p[1] for p in points], axis=1).T.tobytes() == qy.tobytes()
 
 
 # run_single's four integrated norms (10 steps, tau = 1e-3) as computed

@@ -87,13 +87,6 @@ class TestFactorization:
         rhs = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-15)
 
-    def test_factored_once_keeps_no_order(self):
-        a, rhs = random_dominant_system(5, n=40)
-        fac = Factorization(a, keep_order=False)
-        assert fac.order is None
-        u = fac.solve(rhs)
-        assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
-
     def test_reuses_column_order_of_same_structure(self):
         a, rhs = random_dominant_system(5, n=40)
         first = Factorization(a)

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -68,15 +69,18 @@ class TestLowOrder:
         rng = np.random.default_rng(0)
         spec, _ = space_study_problem()
         stepper = TimeStepper(fk2, spec, SchemeKind("low_order"))
+        level, prev = TimeLevel(stepper, spec.tau), TimeLevel(stepper, 0.0)
         for _ in range(50):
             u_prev = rng.random(fk2.n_nodes)
-            rec = stepper.step_low_order(TimeLevel(stepper, spec.tau), u_prev)
+            rec = stepper.step_low_order(level, u_prev, prev)
             assert rec.u.min() >= -1e-13
 
     def test_zero_in_zero_out(self, fk1):
         spec = constant_data_spec()
         stepper = TimeStepper(fk1, spec, SchemeKind("low_order"))
-        rec = stepper.step_low_order(TimeLevel(stepper, spec.tau), np.zeros(fk1.n_nodes))
+        rec = stepper.step_low_order(
+            TimeLevel(stepper, spec.tau), np.zeros(fk1.n_nodes), TimeLevel(stepper, 0.0)
+        )
         np.testing.assert_array_equal(rec.u, 0.0)
 
 
@@ -286,18 +290,22 @@ class TestVariableCoefficientPath:
             assert ra.u.tobytes() == rb.u.tobytes()
 
 
-    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "variable"])
-    def test_keeps_column_order_only_for_variable_coefficients(self, fk2, constant):
-        # with constant coefficients no second LU reuses the one LU's order
+    @pytest.mark.parametrize("kind", ["low_order", "linear_fct", "nonlinear_fct"])
+    def test_never_holds_two_factorizations(self, fk2, monkeypatch, kind):
+        # the stepper keeps its last LU, and releases it before the next
         spec, _ = space_study_problem()
-        spec.constant_coefficients = constant
-        stepper = TimeStepper(fk2, spec, SchemeKind("linear_fct"))
-        stepper.run(3)
-        factor = stepper._factorization(TimeLevel(stepper, 3 * spec.tau))
-        if constant:
-            assert stepper._lu_order is None and factor.order is None
-        else:
-            assert stepper._lu_order is factor.order is not None
+        spec.constant_coefficients = False
+        alive, factors = [], []
+
+        def recording(matrix, **kwargs):
+            alive.append(sum(ref() is not None for ref in factors))
+            factor = Factorization(matrix, **kwargs)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(femfct.stepper, "Factorization", recording)
+        TimeStepper(fk2, spec, SchemeKind(kind)).run(5)
+        assert alive == [0] * 5
 
 
 class TestStepData:
@@ -446,7 +454,7 @@ class TestPredictorBound:
         stepper = TimeStepper(build_shifted_grid(6), spec, SchemeKind("linear_fct"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stepper.operators(0.0)
+            TimeLevel(stepper, 0.0).ops
 
     @pytest.mark.parametrize("constant", [True, False])
     @pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
@@ -458,6 +466,16 @@ class TestPredictorBound:
         with pytest.warns(UserWarning, match=r"^tau=0.05 exceeds") as caught:
             TimeStepper(build_friedrichs_keller(5), spec, SchemeKind(kind)).run(3)
         assert len(caught) == 1
+
+    @pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
+    def test_fixed_limiter_needs_no_predictor(self, kind):
+        # with a constant limiter on every pair there is no predictor, so
+        # no bound to exceed (the bound is 9.3e-3 on FK level 5)
+        spec, _ = space_study_problem(tau=0.05)
+        scheme = SchemeKind(kind, ConstantLimiter(0.3, zalesak_boundary=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TimeStepper(build_friedrichs_keller(5), spec, scheme).run(3)
 
     def test_bracketing_schemes_do_not_check(self, fk1):
         spec, _ = space_study_problem(tau=0.5)
