@@ -133,14 +133,21 @@ def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 
 
-def apply_dirichlet(matrix, mesh) -> sparse.csr_matrix:
+def dirichlet_positions(matrix, mesh):
+    """The positions, in a CSR matrix's data, of the entries of its boundary
+    rows and of their diagonal entries: they depend on its structure
+    (indptr, indices) only."""
+    row_of_entry = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    rows = np.flatnonzero(mesh.boundary_mask[row_of_entry])
+    return rows, rows[matrix.indices[rows] == row_of_entry[rows]]
+
+
+def apply_dirichlet(matrix, mesh, positions=None) -> sparse.csr_matrix:
     """A copy of the matrix whose boundary rows are identity rows; interior
-    rows and the stored entries are untouched."""
+    rows and the stored entries are untouched.  ``positions`` are the
+    matrix's ``dirichlet_positions``, found here when not given."""
     mat = matrix.tocsr().copy()
-    mask = mesh.boundary_mask
-    row_of_entry = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    mat.data[mask[row_of_entry]] = 0.0
-    diag_pos = np.flatnonzero(mat.indices == row_of_entry)
-    drow = row_of_entry[diag_pos]
-    mat.data[diag_pos[mask[drow]]] = 1.0
+    rows, diag = dirichlet_positions(mat, mesh) if positions is None else positions
+    mat.data[rows] = 0.0
+    mat.data[diag] = 1.0
     return mat

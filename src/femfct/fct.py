@@ -121,10 +121,12 @@ def linear_fluxes(
     return FluxMatrix(pairs.n, i, j, vals)
 
 
-def prelimit(flux: FluxMatrix, ubar: np.ndarray) -> FluxMatrix:
-    """Zero every flux with f_ij (ubar_i - ubar_j) < 0 (both orientations)."""
+def prelimit(flux: FluxMatrix, dubar: np.ndarray) -> FluxMatrix:
+    """Zero every flux with f_ij (ubar_i - ubar_j) < 0 (both orientations),
+    ``dubar`` holding ubar_i - ubar_j per pair of the flux: fixed by the
+    predictor, so gathered once per step for all of its iterations."""
     vals = flux.values.copy()
-    vals[vals * (ubar[flux.i] - ubar[flux.j]) < 0.0] = 0.0
+    vals[vals * dubar < 0.0] = 0.0
     return FluxMatrix(flux.n, flux.i, flux.j, vals)
 
 
@@ -162,15 +164,23 @@ def zalesak(flux: FluxMatrix, bounds, dirichlet) -> LimiterMatrix:
     p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
     p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
 
-    r_plus = np.where(
-        p_plus > 0.0, np.minimum(1.0, q_plus / np.where(p_plus > 0.0, p_plus, 1.0)), 1.0
-    )
-    r_minus = np.where(
-        p_minus < 0.0, np.minimum(1.0, q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
-    )
+    r_plus, r_minus = np.ones(n), np.ones(n)
+    np.divide(q_plus, p_plus, out=r_plus, where=p_plus > 0.0)
+    np.divide(q_minus, p_minus, out=r_minus, where=p_minus < 0.0)
+    np.minimum(r_plus, 1.0, out=r_plus)
+    np.minimum(r_minus, 1.0, out=r_minus)
     r_plus[dirichlet] = 1.0
     r_minus[dirichlet] = 1.0
-    alpha = np.where(f > 0.0, np.minimum(r_plus[i], r_minus[j]), np.minimum(r_minus[i], r_plus[j]))
+    # min{1, 1} = 1: alpha differs from 1 only on the pairs touching a node
+    # whose R^+ or R^- does (NaN included), 51 of 12416 at FK level 5 in
+    # step 20 of the space study
+    alpha = np.ones(f.shape)
+    limits = (r_plus != 1.0) | (r_minus != 1.0)
+    k = np.flatnonzero(limits[i] | limits[j])
+    ik, jk = i[k], j[k]
+    alpha[k] = np.where(
+        f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
+    )
     return LimiterMatrix(n, i, j, alpha)
 
 

@@ -16,7 +16,13 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .assembly import apply_dirichlet, assemble_load, assemble_mass, assemble_stiffness
+from .assembly import (
+    apply_dirichlet,
+    assemble_load,
+    assemble_mass,
+    assemble_stiffness,
+    dirichlet_positions,
+)
 from .fct import (
     FluxMatrix,
     LimiterMatrix,
@@ -165,8 +171,10 @@ class TimeStepper:
         self._check_predictor = value is None
         # the v of S_v: linear_fct solves M_L + tau Abar whatever its limiter
         self._v = 0.0 if value is None or scheme.kind == LINEAR_FCT else value
-        # the last LU and the operators it was built from
+        # the last LU and the operators it was built from, and the structure
+        # of the last system constrained with its dirichlet_positions
         self._lu = self._lu_ops = None
+        self._dirichlet = None
 
     # -- operators ---------------------------------------------------
 
@@ -176,8 +184,10 @@ class TimeStepper:
 
     @cached_property
     def _mass_v(self):
-        # (1-v) M_L + v M; scipy's sum drops the exact zeros, so v = 0 and
-        # v = 1 give M_L's and M's patterns
+        # (1-v) M_L + v M; scipy's sum drops the exact zeros, so v = 0 gives
+        # M_L's pattern, and v = 1 gives M itself, bit for bit
+        if self._v == 1.0:
+            return self.mass
         return (1.0 - self._v) * sparse.diags(self.m_lumped) + self._v * self.mass
 
     def _build_operators(self, t):
@@ -222,9 +232,22 @@ class TimeStepper:
             self._lu = None
             # scipy's sums and apply_dirichlet keep the pattern that dropped
             # the exact zeros of Abar, which the LU's fill depends on
-            system = apply_dirichlet(self._mass_v + self.spec.tau * ops[0], self.mesh)
+            system = self._mass_v + self.spec.tau * ops[0]
+            system = apply_dirichlet(system, self.mesh, self._dirichlet_positions(system))
             self._lu, self._lu_ops = Factorization(system, order=order), ops
         return self._lu
+
+    def _dirichlet_positions(self, system):
+        """The system's dirichlet_positions, found again only when its
+        structure is not that of the last system constrained."""
+        kept = self._dirichlet
+        if kept is None or not (
+            np.array_equal(system.indptr, kept[0]) and np.array_equal(system.indices, kept[1])
+        ):
+            kept = self._dirichlet = (
+                system.indptr, system.indices, dirichlet_positions(system, self.mesh)
+            )
+        return kept[2]
 
     def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
@@ -305,9 +328,10 @@ class TimeStepper:
         ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
         factor = self._factorization(level)
         bounds = zalesak_bounds(self.pairs, ubar, self.m_lumped)
+        dubar = ubar[self.pairs.i] - ubar[self.pairs.j]
 
         def limited_correction(u_cur):
-            flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), ubar)
+            flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), dubar)
             alpha = self._limit(flux, bounds)
             return flux, alpha, correction_vector(alpha, flux)
 

@@ -19,9 +19,12 @@ factor in downwind order, SuperLU's default panel size for the
 triangular LU, the L2 and H1 error norms as whole-mesh einsums, the
 manufactured problem's closed forms, the exact solution's callbacks
 evaluated at every record, which a separable solution's profile kept per
-error workspace replaces, and the three system matrices of Galerkin, low
+error workspace replaces, the three system matrices of Galerkin, low
 order and the constant-limiter nonlinear scheme, which the one
-fixed-limiter system S_v replaces.  Every mesh is also tried with its nodes
+fixed-limiter system S_v replaces, the Zalesak limiter computing alpha on
+every pair, prelimiting that gathers ubar_i - ubar_j on every call, the
+manufactured source evaluating its closed form on every call, and
+``apply_dirichlet`` scanning every row of every system it constrains.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
@@ -34,6 +37,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+import femfct.problems
 import femfct.solver
 import femfct.stepper
 
@@ -385,7 +389,8 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
     bounds = zalesak_bounds(pairs, ubar, m_lumped)
     for _ in range(3):
         u_new = u_prev + 0.1 * rng.standard_normal(mesh.n_nodes)
-        flux = prelimit(raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, 1e-3), ubar)
+        raw = raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, 1e-3)
+        flux = prelimit(raw, ubar[pairs.i] - ubar[pairs.j])
         for dirichlet in (None, bnodes):
             # the reference's None is the kernel's empty index array
             nodes = np.empty(0, dtype=np.intp) if dirichlet is None else dirichlet
@@ -393,6 +398,107 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
                 zalesak(flux, bounds, nodes).values,
                 old_zalesak(flux, ubar, m_lumped, dirichlet=dirichlet),
             )
+
+
+def old_zalesak_where(flux, bounds, dirichlet):
+    """The Zalesak limiter with its ratios and alpha on every pair computed
+    by nested np.where."""
+    n, i, j, f = flux.n, flux.i, flux.j, flux.values
+    q_plus, q_minus = bounds
+    fpos = np.maximum(f, 0.0)
+    fneg = np.minimum(f, 0.0)
+    p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
+    p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
+    r_plus = np.where(
+        p_plus > 0.0, np.minimum(1.0, q_plus / np.where(p_plus > 0.0, p_plus, 1.0)), 1.0
+    )
+    r_minus = np.where(
+        p_minus < 0.0, np.minimum(1.0, q_minus / np.where(p_minus < 0.0, p_minus, 1.0)), 1.0
+    )
+    r_plus[dirichlet] = 1.0
+    r_minus[dirichlet] = 1.0
+    return np.where(f > 0.0, np.minimum(r_plus[i], r_minus[j]), np.minimum(r_minus[i], r_plus[j]))
+
+
+def old_prelimit(flux, ubar):
+    """Prelimiting that gathers ubar_i - ubar_j on every call."""
+    vals = flux.values.copy()
+    vals[vals * (ubar[flux.i] - ubar[flux.j]) < 0.0] = 0.0
+    return vals
+
+
+def limiter_state(mesh, operators, state, seed):
+    """Prelimited fluxes, the predictor ubar and its bounds in which no
+    interior node limits (``none``), every node with a flux limits
+    (``all``), or some do (``mixed``)."""
+    mass, d, _ = operators
+    pairs, m_lumped = mesh.pairs, lump(mass)
+    m_ij, d_ij = mass.data[mesh.pattern.upper], d.data[mesh.pattern.upper]
+    rng = np.random.default_rng(seed)
+    u_prev, ubar = rng.standard_normal(mesh.n_nodes), rng.standard_normal(mesh.n_nodes)
+    if state == "none":
+        # a linear ubar has no local extremum at an interior node
+        ubar = mesh.nodes @ rng.standard_normal(2)
+    elif state == "all":
+        # zero bounds: R^+- is 0 (or -0) wherever P^+- is not
+        ubar = np.full(mesh.n_nodes, 0.5)
+    # the flux's size against the spread of ubar, which sets the bounds
+    size = {"none": 1e-9, "all": 1.0, "mixed": 1e-1}[state]
+    u_prev = size * u_prev
+    u_new = u_prev + size * rng.standard_normal(mesh.n_nodes)
+    raw = raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, 1e-3)
+    flux = prelimit(raw, ubar[pairs.i] - ubar[pairs.j])
+    return raw, flux, ubar, zalesak_bounds(pairs, ubar, m_lumped)
+
+
+@pytest.mark.parametrize("state", ["none", "all", "mixed"])
+def test_zalesak_matches_full_where_bitwise(mesh, operators, state):
+    # alpha computed only on the pairs touching a limiting node, against
+    # alpha on every pair; sign bits included
+    no_nodes = np.empty(0, dtype=np.intp)
+    for seed in range(3):
+        _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
+        every, interior = (
+            zalesak(flux, bounds, dirichlet).values for dirichlet in (no_nodes, mesh.boundary_nodes)
+        )
+        assert every.tobytes() == old_zalesak_where(flux, bounds, no_nodes).tobytes()
+        assert interior.tobytes() == old_zalesak_where(flux, bounds, mesh.boundary_nodes).tobytes()
+        if state == "none":
+            # no interior node limits
+            assert np.all(interior == 1.0)
+        elif state == "all":
+            # every node with a flux limits
+            every = every[flux.values != 0.0]
+            assert np.all(every == 0.0) and np.any(np.signbit(every))
+        else:
+            assert np.any(interior < 1.0) and np.any(interior == 1.0)
+
+
+@pytest.mark.parametrize("state", ["none", "all", "mixed"])
+def test_constant_limiter_overwrites_the_zalesak_values_bitwise(mesh, spec, operators, state):
+    # ConstantLimiter(0.5): its value on the interior pairs, the Zalesak
+    # values of the full np.where on the pairs touching the boundary
+    stepper = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct", ConstantLimiter(0.5)))
+    bmask = mesh.boundary_mask
+    interior = ~(bmask[mesh.pairs.i] | bmask[mesh.pairs.j])
+    for seed in range(3):
+        _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
+        ref = old_zalesak_where(flux, bounds, mesh.boundary_nodes)
+        ref[interior] = 0.5
+        assert stepper._limit(flux, bounds).values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("state", ["none", "all", "mixed"])
+def test_prelimit_of_pair_differences_matches_ubar_gather_bitwise(mesh, operators, state):
+    pairs = mesh.pairs
+    for seed in range(3):
+        raw, flux, ubar, _ = limiter_state(mesh, operators, state, seed)
+        ref = old_prelimit(raw, ubar)
+        assert flux.values.tobytes() == ref.tobytes()
+        assert flux.i is pairs.i and flux.j is pairs.j
+        # some fluxes are cancelled, and some kept
+        assert np.any(ref != 0.0)
+        assert np.any((ref == 0.0) & (raw.values != 0.0)) == (state != "all")
 
 
 def test_pattern_matches_coo_structure(mesh):
@@ -644,6 +750,32 @@ def test_fixed_limiter_records_report_the_applied_raw_flux(mesh, name, constant)
         assert np.abs(res[interior]).max() <= 1e-13 * np.abs(tau_f).max()
 
 
+@pytest.mark.parametrize("name", list(FIXED_LIMITER_SCHEMES) + ["linear_fct"])
+def test_dirichlet_positions_follow_the_structure(mesh, spec, name):
+    # the kept positions of the boundary rows serve every system of the
+    # last structure constrained and are found again for another one; the
+    # constrained system equals apply_dirichlet's own scan bitwise
+    scheme = FIXED_LIMITER_SCHEMES.get(name, SchemeKind("linear_fct"))
+    stepper = TimeStepper(mesh, spec, scheme)
+    system = stepper._mass_v + spec.tau * TimeLevel(stepper, 0.5).ops[0]
+    # new arrays of the same structure, and one entry fewer
+    scaled = system.copy()
+    scaled.data *= 1.5
+    dropped = system.copy()
+    off = dropped.indices != np.repeat(np.arange(mesh.n_nodes), np.diff(dropped.indptr))
+    dropped.data[np.flatnonzero(off)[0]] = 0.0
+    dropped.eliminate_zeros()
+    kept = []
+    for matrix in (system, scaled, dropped, system):
+        kept.append(stepper._dirichlet_positions(matrix))
+        new, ref = apply_dirichlet(matrix, mesh, kept[-1]), apply_dirichlet(matrix, mesh)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    assert kept[1] is kept[0] and kept[2] is not kept[1] and kept[3] is not kept[2]
+    # Galerkin's (1-v) M_L + v M is the mass matrix itself
+    assert (stepper._mass_v is stepper.mass) == (name == "galerkin")
+
+
 def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):
     assert math.isclose(
         max_opposite_angle_sum(mesh), old_max_opposite_angle_sum(mesh), rel_tol=0, abs_tol=1e-14
@@ -865,6 +997,88 @@ def test_problem_callbacks_match_closed_forms(problem, scale, scale_dt):
         adv_reac = 2.0 * old_profile_dx(x, y) + 3.0 * old_profile_dy(x, y) + old_profile(x, y)
         close(spec.f(t, x, y), ds * old_profile(x, y) + s * (-eps * old_profile_lap(x, y) + adv_reac))
     close(spec.u0(x, y), scale(0.0) * old_profile(x, y))
+
+
+def old_load(scale, scale_dt, eps):
+    """The manufactured source evaluating its closed form on every call."""
+
+    def f(t, x, y):
+        xx = x * x
+        px, py = xx * (1.0 - xx), y * (1.0 - y) * (1.0 - 2.0 * y)
+        prof = px * py
+        dx = x * (2.0 - 4.0 * xx) * py
+        dy = px * (1.0 - 6.0 * y + 6.0 * y * y)
+        lap = (2.0 - 12.0 * xx) * py + px * (12.0 * y - 6.0)
+        return scale_dt(t) * prof + scale(t) * (-eps * lap + 2.0 * dx + 3.0 * dy + prof)
+
+    return f
+
+
+SCALES = {
+    "space": (space_study_problem, lambda t: 100.0 * t, lambda t: 100.0),
+    "time": (time_study_problem, lambda t: 1.0 + math.sin(2.0 * math.pi * t),
+             lambda t: 2.0 * math.pi * math.cos(2.0 * math.pi * t)),
+}
+
+
+@pytest.mark.parametrize("problem", list(SCALES))
+def test_kept_load_fields_equal_the_closed_form_bitwise(mesh, problem):
+    # the time study's scale is 0.0 at t = 0.75, and 0.0 * S carries S's sign
+    make, scale, scale_dt = SCALES[problem]
+    eps = 1e-3
+    spec, _ = make(eps=eps)
+    ref = old_load(scale, scale_dt, eps)
+    other = build_grid(ExperimentConfig(grid="fk"), 2).edges
+    x, y = mesh.edges.x, mesh.edges.y
+    for t in (0.0, 0.013, 0.37, 0.75, 1.0):
+        # kept points, other read-only points, writeable points, kept again
+        for px, py in ((x, y), (other.x, other.y), (x.copy(), y.copy()), (x, y)):
+            assert spec.f(t, px, py).tobytes() == ref(t, px, py).tobytes()
+
+
+def test_load_fields_evaluated_once_per_point_set(monkeypatch):
+    # S and L S are evaluated once per read-only point set: once over a
+    # 20-step run, again for another mesh's points, and at writeable
+    # points on every call
+    evaluated = []
+    factors = femfct.problems._factors
+
+    def spy(x, y):
+        evaluated.append(x)
+        return factors(x, y)
+
+    monkeypatch.setattr(femfct.problems, "_factors", spy)
+    spec, _ = space_study_problem()
+    calls = collections.Counter()
+    f = spec.f
+
+    def counted(t, x, y):
+        calls[id(x)] += 1
+        return f(t, x, y)
+
+    spec.f = counted
+    meshes = [build_grid(ExperimentConfig(grid="fk"), 3), build_grid(ExperimentConfig(grid="shifted"), 3)]
+    for k, mesh in enumerate(meshes + meshes[:1]):
+        evaluated.clear()
+        recs = TimeStepper(mesh, spec, SchemeKind("linear_fct")).run(20)
+        # one load per level t = 0, ..., 20 tau, one field evaluation per
+        # mesh; u0 evaluates S at the nodes
+        assert calls[id(mesh.edges.x)] == 21 * (2 if k == 2 else 1)
+        assert sum(x is mesh.edges.x for x in evaluated) == 1
+        assert all(x is mesh.edges.x or x.shape == (mesh.n_nodes,) for x in evaluated)
+        assert recs[-1].u.tobytes() != recs[-2].u.tobytes()
+    # writeable points: evaluated at every call, never kept, so changing
+    # them in place changes f
+    x, y = meshes[0].edges.x.copy(), meshes[0].edges.y.copy()
+    ref = old_load(lambda t: 100.0 * t, lambda t: 100.0, 1e-8)
+    evaluated.clear()
+    for _ in range(2):
+        assert f(0.5, x, y).tobytes() == ref(0.5, x, y).tobytes()
+        x *= 0.5
+    assert len(evaluated) == 2
+    # the kept fields of the last read-only points survived the writeable calls
+    f(0.5, meshes[0].edges.x, meshes[0].edges.y)
+    assert len(evaluated) == 2
 
 
 def bits(value):

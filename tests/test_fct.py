@@ -212,16 +212,17 @@ class TestPrelimit:
     def flux(self, value):
         return FluxMatrix(2, np.array([0]), np.array([1]), np.array([value]))
 
+    # dubar holds ubar_i - ubar_j of the one pair (0, 1)
     def test_diffusive_flux_cancelled(self):
-        out = prelimit(self.flux(1.0), np.array([0.0, 1.0]))
+        out = prelimit(self.flux(1.0), np.array([-1.0]))
         assert out.values[0] == 0.0
 
     def test_antidiffusive_flux_kept(self):
-        out = prelimit(self.flux(1.0), np.array([1.0, 0.0]))
+        out = prelimit(self.flux(1.0), np.array([1.0]))
         assert out.values[0] == 1.0
 
     def test_zero_flux_unchanged(self):
-        out = prelimit(self.flux(0.0), np.array([0.0, 1.0]))
+        out = prelimit(self.flux(0.0), np.array([-1.0]))
         assert out.values[0] == 0.0
 
 
