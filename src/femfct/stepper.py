@@ -184,8 +184,8 @@ class TimeStepper:
 
     @cached_property
     def _mass_v(self):
-        # (1-v) M_L + v M; scipy's sum drops the exact zeros, so v = 0 gives
-        # M_L's pattern, and v = 1 gives M itself, bit for bit
+        # (1-v) M_L + v M, M itself for v = 1; scipy's sum drops the exact
+        # zeros, so v = 0 gives M_L's pattern
         if self._v == 1.0:
             return self.mass
         return (1.0 - self._v) * sparse.diags(self.m_lumped) + self._v * self.mass
