@@ -17,7 +17,6 @@ from .errors import (
     time_integrate,
 )
 from .fct import (
-    FluxMatrix,
     LimiterMatrix,
     MMatrixReport,
     PairGraph,

@@ -61,7 +61,6 @@ class ExperimentConfig:
     t_end: float = 1.0
     study: str = "space"
     out: str = "study.csv"
-    taus: tuple[float, ...] = DEFAULT_TIME_TAUS
     time_level: int = 5
 
     def limiter_obj(self):
@@ -157,7 +156,7 @@ def run_time_study(config: ExperimentConfig):
     scheme = config.scheme_obj()
     rows = []
     failures = []
-    for tau in config.taus:
+    for tau in DEFAULT_TIME_TAUS:
         start = time.perf_counter()
         try:
             spec, exact = problems.time_study_problem(
@@ -206,28 +205,6 @@ def write_space_csv(path, report: err.ErrorReport):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def read_space_csv(path):
-    """Parse a space-study CSV back into (ErrorReport, eoc dict)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != SPACE_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        report = err.ErrorReport()
-        eocs = {k: [] for k in ("eoc_l2l2", "eoc_l2h1", "eoc_l2fct", "eoc_l2dh")}
-        for line in fh:
-            cells = line.strip().split(",")
-            report.levels.append(int(cells[0]))
-            report.hs.append(float(cells[1]))
-            report.err_l2l2.append(float(cells[2]))
-            report.err_l2h1.append(float(cells[3]))
-            report.err_l2fct.append(float(cells[4]))
-            report.err_l2dh.append(float(cells[5]))
-            for name, cell in zip(eocs, cells[6:10]):
-                eocs[name].append(float(cell) if cell else None)
-            report.wall_time_s.append(float(cells[10]))
-    return report, eocs
-
-
 def write_time_csv(path, rows, eocs):
     with open(path, "w") as fh:
         fh.write(",".join(TIME_COLUMNS) + "\n")
@@ -242,6 +219,8 @@ def _parse_levels(text) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     a = int(lo)
     b = int(hi) if hi else a
+    if a < 0:
+        raise argparse.ArgumentTypeError("levels must be nonnegative")
     if b < a:
         raise argparse.ArgumentTypeError("empty level range")
     return a, b

@@ -4,9 +4,9 @@ Artificial diffusion, mass lumping, raw and linearized antidiffusive
 fluxes, prelimiting, the Zalesak limiter, the assembled correction vector,
 and the M-matrix diagnostic for the low-order system matrix.
 
-Flux and limiter matrices are stored once per unordered node pair
-(i < j); the mirrored entries f_ji = -f_ij and alpha_ji = alpha_ij are
-implicit, so antisymmetry and limiter symmetry hold exactly.
+Fluxes, plain (npairs,) arrays, and limiter values are stored once per
+node pair i < j of a mesh's ``PairGraph``; f_ji = -f_ij and alpha_ji =
+alpha_ij are implicit, so antisymmetry and limiter symmetry hold exactly.
 """
 
 from __future__ import annotations
@@ -20,22 +20,8 @@ from .mesh import PairGraph, Pattern
 
 
 @dataclass(frozen=True)
-class FluxMatrix:
-    """Antisymmetric pairwise fluxes on the off-diagonal sparsity pattern."""
-
-    n: int
-    i: np.ndarray  # (npairs,), i < j
-    j: np.ndarray
-    values: np.ndarray  # f_ij; f_ji = -f_ij
-
-    def abs_sum(self) -> float:
-        """Sum of |f_ij| over unordered pairs."""
-        return float(np.abs(self.values).sum())
-
-
-@dataclass(frozen=True)
 class LimiterMatrix:
-    """Symmetric limiter weights alpha_ij in [0, 1] on the flux pattern."""
+    """Symmetric limiter weights alpha_ij in [0, 1] on the pairs i < j."""
 
     n: int
     i: np.ndarray
@@ -43,7 +29,8 @@ class LimiterMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        # written so that NaN fails it too
+        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("limiter values outside [0, 1]")
 
 
@@ -90,21 +77,20 @@ def predictor_half_step(m_lumped, r, u_prev, tau, dirichlet, g_values):
     return ubar
 
 
-def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> FluxMatrix:
-    """Fluxes of the nonlinear scheme:
+def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> np.ndarray:
+    """Fluxes of the nonlinear scheme on the pairs:
     f_ij = m_ij [(du_i - du_j)] + tau d_ij (u_j^n - u_i^n), du = u^n - u^{n-1},
     with the mass and diffusion entries ``m_ij``, ``d_ij`` given per pair.
     """
     i, j = pairs.i, pairs.j
     du = u_new - u_prev
-    vals = m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
-    return FluxMatrix(pairs.n, i, j, vals)
+    return m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
 
 
 def linear_fluxes(
     pairs: PairGraph, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_rate
-) -> FluxMatrix:
-    """Fluxes of the linear scheme built from the explicit rate
+) -> np.ndarray:
+    """Fluxes of the linear scheme on the pairs, built from the explicit rate
     nu = -M_L^-1 r, r being the residual Abar u^{n-1} - f^{n-1}:
     f_ij = tau m_ij (nu_i - nu_j) + tau d_ij [u_j - u_i + tau (nu_j - nu_i)].
 
@@ -117,23 +103,22 @@ def linear_fluxes(
     nu = (-r) / m_lumped
     nu[dirichlet] = g_rate
     dnu = nu[i] - nu[j]
-    vals = tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
-    return FluxMatrix(pairs.n, i, j, vals)
+    return tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
 
 
-def prelimit(flux: FluxMatrix, dubar: np.ndarray) -> FluxMatrix:
-    """Zero every flux with f_ij (ubar_i - ubar_j) < 0 (both orientations),
-    ``dubar`` holding ubar_i - ubar_j per pair of the flux: fixed by the
-    predictor, so gathered once per step for all of its iterations."""
-    vals = flux.values.copy()
-    vals[vals * dubar < 0.0] = 0.0
-    return FluxMatrix(flux.n, flux.i, flux.j, vals)
+def prelimit(f: np.ndarray, dubar: np.ndarray) -> np.ndarray:
+    """The fluxes ``f`` with every f_ij (ubar_i - ubar_j) < 0 set to zero
+    (both orientations), ``dubar`` holding ubar_i - ubar_j per pair: fixed
+    by the predictor, so gathered once per step for all of its iterations."""
+    f = f.copy()
+    f[f * dubar < 0.0] = 0.0
+    return f
 
 
-def zalesak_bounds(pairs, ubar: np.ndarray, m_lumped: np.ndarray):
+def zalesak_bounds(pairs: PairGraph, ubar: np.ndarray, m_lumped: np.ndarray):
     """Bounds Q_i^+- = m_i max/min{0, ubar_j - ubar_i} over the neighbours j
-    of i on the pairs (a PairGraph or a flux on it): fixed by the predictor,
-    so computed once per step for all of its Zalesak limiter calls."""
+    of i on the pairs: fixed by the predictor, so computed once per step
+    for all of its Zalesak limiter calls."""
     i, j = pairs.i, pairs.j
     du = ubar[j] - ubar[i]
     q_plus, q_minus = np.zeros(ubar.size), np.zeros(ubar.size)
@@ -144,8 +129,8 @@ def zalesak_bounds(pairs, ubar: np.ndarray, m_lumped: np.ndarray):
     return m_lumped * q_plus, m_lumped * q_minus
 
 
-def zalesak(flux: FluxMatrix, bounds, dirichlet) -> LimiterMatrix:
-    """Zalesak limiter.
+def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix:
+    """Zalesak limiter of the fluxes ``f`` on the pairs.
 
     Sums P_i^+- of the positive/negative fluxes, the bounds Q_i^+- of
     ``zalesak_bounds``, ratios R_i^+- = min{1, Q_i^+- / P_i^+-} (set to 1
@@ -157,7 +142,7 @@ def zalesak(flux: FluxMatrix, bounds, dirichlet) -> LimiterMatrix:
     them throttle the antidiffusion of interior neighbours destroys the
     convergence order near the boundary.
     """
-    n, i, j, f = flux.n, flux.i, flux.j, flux.values
+    n, i, j = pairs.n, pairs.i, pairs.j
     q_plus, q_minus = bounds
     fpos = np.maximum(f, 0.0)
     fneg = np.minimum(f, 0.0)
@@ -184,10 +169,11 @@ def zalesak(flux: FluxMatrix, bounds, dirichlet) -> LimiterMatrix:
     return LimiterMatrix(n, i, j, alpha)
 
 
-def correction_vector(alpha: LimiterMatrix, flux: FluxMatrix) -> np.ndarray:
-    """Limited correction f*_i = sum_j alpha_ij f_ij; sums to zero."""
-    w = alpha.values * flux.values
-    return np.bincount(flux.i, w, flux.n) - np.bincount(flux.j, w, flux.n)
+def correction_vector(alpha: LimiterMatrix, f: np.ndarray) -> np.ndarray:
+    """Limited correction f*_i = sum_j alpha_ij f_ij of the fluxes ``f`` on
+    alpha's pairs; sums to zero."""
+    w = alpha.values * f
+    return np.bincount(alpha.i, w, alpha.n) - np.bincount(alpha.j, w, alpha.n)
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ class Edges:
 
 @dataclass(frozen=True)
 class PairGraph:
-    """The edges i < j of a mesh as the node pairs of the fluxes and limiter
-    values; every FluxMatrix and LimiterMatrix on it shares its arrays."""
+    """The edges i < j of a mesh as the node pairs of the fluxes, (npairs,)
+    arrays in this order, and of every LimiterMatrix, which shares its arrays."""
 
     n: int
     i: np.ndarray

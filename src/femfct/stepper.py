@@ -24,7 +24,6 @@ from .assembly import (
     dirichlet_positions,
 )
 from .fct import (
-    FluxMatrix,
     LimiterMatrix,
     artificial_diffusion,
     correction_vector,
@@ -92,6 +91,15 @@ class StepRecord:
     residual: float = 0.0
     correction_sum: float = 0.0
     flux_abs_sum: float = 0.0
+
+
+def _fct_record(t, u, alpha, fstar, flux, **fixed_point) -> StepRecord:
+    """The record of a step that applied the correction ``fstar`` of the
+    pair fluxes ``flux`` limited by ``alpha``."""
+    return StepRecord(
+        t, u, alpha=alpha, correction_sum=float(fstar.sum()),
+        flux_abs_sum=float(np.abs(flux).sum()), **fixed_point,
+    )
 
 
 class StepFailure(RuntimeError):
@@ -269,14 +277,12 @@ class TimeStepper:
             return lim.value
         return None
 
-    def _limit(self, flux: FluxMatrix, bounds) -> LimiterMatrix:
-        """Zalesak limiter of the flux, with a constant limiter's value on
-        the interior pairs."""
-        alpha = zalesak(flux, bounds, self._bnodes)
+    def _limit(self, flux, bounds) -> LimiterMatrix:
+        """Zalesak limiter of the fluxes, a constant limiter's value (in [0, 1])
+        written into its fresh values on the interior pairs."""
+        alpha = zalesak(self.pairs, flux, bounds, self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
-            values = alpha.values.copy()
-            values[self._interior_pairs] = self.scheme.limiter.value
-            alpha = LimiterMatrix(alpha.n, alpha.i, alpha.j, values)
+            alpha.values[self._interior_pairs] = self.scheme.limiter.value
         return alpha
 
     # -- single steps ------------------------------------------------
@@ -291,10 +297,7 @@ class TimeStepper:
         u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
         flux = raw_fluxes(self.pairs, self._m_ij, level.ops[1], u, u_prev, tau)
         fstar = correction_vector(self.fixed_alpha, flux)
-        return StepRecord(
-            level.t, u, alpha=self.fixed_alpha, correction_sum=float(fstar.sum()),
-            flux_abs_sum=flux.abs_sum(),
-        )
+        return _fct_record(level.t, u, self.fixed_alpha, fstar, flux)
 
     step_galerkin = step_low_order = step_fixed_limiter
 
@@ -313,9 +316,7 @@ class TimeStepper:
         fstar = correction_vector(alpha, flux)
         rhs = tau * level.f + self.m_lumped * u_prev + fstar
         u = self._factorization(level).solve(self._constrained_rhs(rhs, g))
-        return StepRecord(
-            level.t, u, alpha=alpha, correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum()
-        )
+        return _fct_record(level.t, u, alpha, fstar, flux)
 
     def step_nonlinear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
         if self.fixed_alpha is not None:
@@ -347,10 +348,7 @@ class TimeStepper:
             # einsum, not BLAS: the same sum whatever BLAS's thread count
             residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
             if residual < self.fp_opts.tol:
-                return StepRecord(
-                    t, u, alpha=alpha, fp_iters=it, residual=residual,
-                    correction_sum=float(fstar.sum()), flux_abs_sum=flux.abs_sum(),
-                )
+                return _fct_record(t, u, alpha, fstar, flux, fp_iters=it, residual=residual)
         raise StepFailure(
             f"fixed point did not reach {self.fp_opts.tol:g} within "
             f"{self.fp_opts.max_iter} iterations (residual {residual:g})",

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -9,11 +10,11 @@ import pytest
 import femfct
 from femfct import space_study_problem, time_study_problem
 from femfct.cli import (
+    SPACE_COLUMNS,
     ExperimentConfig,
     build_grid,
     main,
     parse_args,
-    read_space_csv,
     run_space_study,
     write_space_csv,
 )
@@ -125,6 +126,17 @@ class TestConfig:
         with pytest.raises(SystemExit):
             parse_args(["--config", str(path)])
 
+    @pytest.mark.parametrize("levels", ["-1..0", "-1"])
+    def test_negative_levels_are_a_usage_error(self, tmp_path, capsys, levels):
+        path = tmp_path / "study.cfg"
+        path.write_text(f"levels = {levels}\n")
+        for argv in ([f"--levels={levels}"], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--grid", "unstructured", "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert "argument --levels: levels must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestGrids:
     def test_unstructured_sample_loads(self):
@@ -136,6 +148,11 @@ class TestGrids:
         coarse = build_grid(ExperimentConfig(grid="unstructured"), level=0)
         fine = build_grid(ExperimentConfig(grid="unstructured"), level=1)
         assert fine.n_triangles == 4 * coarse.n_triangles
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestCsvRoundTrip:
@@ -154,11 +171,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "study.csv"
         rep = self.report()
         write_space_csv(path, rep)
-        back, eocs = read_space_csv(path)
-        assert back.levels == rep.levels
-        assert back.hs == rep.hs
-        assert back.err_l2l2 == rep.err_l2l2
-        assert back.err_l2dh == rep.err_l2dh
+        rows = read_rows(path)
+        assert list(rows[0]) == SPACE_COLUMNS
+        assert len(rows) == len(rep.levels)
+        assert [int(r["level"]) for r in rows] == rep.levels
+        assert [float(r["h"]) for r in rows] == rep.hs
+        assert [float(r["err_l2l2"]) for r in rows] == rep.err_l2l2
+        assert [float(r["err_l2dh"]) for r in rows] == rep.err_l2dh
 
 
 class TestStudies:
@@ -186,8 +205,7 @@ class TestStudies:
         assert code == 0
         assert out.exists()
         assert "level 2" in capsys.readouterr().out
-        back, _ = read_space_csv(out)
-        assert len(back.levels) == 2
+        assert len(read_rows(out)) == 2
 
     def test_main_time(self, tmp_path, capsys):
         out = tmp_path / "time.csv"
