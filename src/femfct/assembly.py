@@ -133,21 +133,15 @@ def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
 
 
-def dirichlet_positions(matrix, mesh):
-    """The positions, in a CSR matrix's data, of the entries of its boundary
-    rows and of their diagonal entries: they depend on its structure
-    (indptr, indices) only."""
-    row_of_entry = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    rows = np.flatnonzero(mesh.boundary_mask[row_of_entry])
-    return rows, rows[matrix.indices[rows] == row_of_entry[rows]]
-
-
-def apply_dirichlet(matrix, mesh, positions=None) -> sparse.csr_matrix:
+def apply_dirichlet(matrix, mesh) -> sparse.csr_matrix:
     """A copy of the matrix whose boundary rows are identity rows; interior
-    rows and the stored entries are untouched.  ``positions`` are the
-    matrix's ``dirichlet_positions``, found here when not given."""
+    rows and the stored entries are untouched; only the boundary rows are read."""
     mat = matrix.tocsr().copy()
-    rows, diag = dirichlet_positions(mat, mesh) if positions is None else positions
-    mat.data[rows] = 0.0
-    mat.data[diag] = 1.0
+    rows = mesh.boundary_nodes
+    start, count = mat.indptr[rows], mat.indptr[rows + 1] - mat.indptr[rows]
+    # entry k of the boundary rows' concatenation sits at k plus its row's
+    # start less the boundary rows' entries before that row
+    entries = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    mat.data[entries] = 0.0
+    mat.data[entries[mat.indices[entries] == np.repeat(rows, count)]] = 1.0
     return mat

@@ -215,12 +215,16 @@ def write_time_csv(path, rows, eocs):
 # -- argument handling --------------------------------------------------
 
 
+def _level(text) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("levels must be nonnegative")
+    return int(text)
+
+
 def _parse_levels(text) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    a = int(lo)
+    a = _level(lo)
     b = int(hi) if hi else a
-    if a < 0:
-        raise argparse.ArgumentTypeError("levels must be nonnegative")
     if b < a:
         raise argparse.ArgumentTypeError("empty level range")
     return a, b
@@ -269,7 +273,7 @@ def parse_args(argv=None) -> ExperimentConfig:
     parser.add_argument("--tau", type=float)
     parser.add_argument("--t-end", type=float, dest="t_end")
     parser.add_argument("--study", choices=["space", "time"])
-    parser.add_argument("--time-level", type=int, dest="time_level")
+    parser.add_argument("--time-level", type=_level, dest="time_level")
     parser.add_argument("--out")
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)

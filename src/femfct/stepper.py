@@ -21,7 +21,6 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    dirichlet_positions,
 )
 from .fct import (
     LimiterMatrix,
@@ -179,10 +178,8 @@ class TimeStepper:
         self._check_predictor = value is None
         # the v of S_v: linear_fct solves M_L + tau Abar whatever its limiter
         self._v = 0.0 if value is None or scheme.kind == LINEAR_FCT else value
-        # the last LU and the operators it was built from, and the structure
-        # of the last system constrained with its dirichlet_positions
+        # the last LU and the operators it was built from
         self._lu = self._lu_ops = None
-        self._dirichlet = None
 
     # -- operators ---------------------------------------------------
 
@@ -241,21 +238,9 @@ class TimeStepper:
             # scipy's sums and apply_dirichlet keep the pattern that dropped
             # the exact zeros of Abar, which the LU's fill depends on
             system = self._mass_v + self.spec.tau * ops[0]
-            system = apply_dirichlet(system, self.mesh, self._dirichlet_positions(system))
+            system = apply_dirichlet(system, self.mesh)
             self._lu, self._lu_ops = Factorization(system, order=order), ops
         return self._lu
-
-    def _dirichlet_positions(self, system):
-        """The system's dirichlet_positions, found again only when its
-        structure is not that of the last system constrained."""
-        kept = self._dirichlet
-        if kept is None or not (
-            np.array_equal(system.indptr, kept[0]) and np.array_equal(system.indices, kept[1])
-        ):
-            kept = self._dirichlet = (
-                system.indptr, system.indices, dirichlet_positions(system, self.mesh)
-            )
-        return kept[2]
 
     def _constrained_rhs(self, rhs, g):
         rhs = rhs.copy()
@@ -349,6 +334,8 @@ class TimeStepper:
             residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
             if residual < self.fp_opts.tol:
                 return _fct_record(t, u, alpha, fstar, flux, fp_iters=it, residual=residual)
+            if not math.isfinite(residual):
+                raise StepFailure(f"non-finite residual in fixed-point iteration {it}", residual)
         raise StepFailure(
             f"fixed point did not reach {self.fp_opts.tol:g} within "
             f"{self.fp_opts.max_iter} iterations (residual {residual:g})",
@@ -372,6 +359,8 @@ class TimeStepper:
             level = TimeLevel(self, n * tau)
             try:
                 rec = step(level, records[-1].u, prev)
+                if not np.isfinite(rec.u).all():
+                    raise StepFailure("non-finite solution", rec.residual)
             except StepFailure as exc:
                 raise StepFailure(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
             records.append(rec)

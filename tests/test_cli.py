@@ -137,6 +137,16 @@ class TestConfig:
             assert "argument --levels: levels must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_time_level_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "study.cfg"
+        path.write_text("time_level = -1\n")
+        for argv in (["--time-level=-1"], ["--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--study", "time", "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert "argument --time-level: levels must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestGrids:
     def test_unstructured_sample_loads(self):

@@ -752,30 +752,66 @@ def test_fixed_limiter_records_report_the_applied_raw_flux(mesh, name, constant)
         assert np.abs(res[interior]).max() <= 1e-13 * np.abs(tau_f).max()
 
 
+def old_apply_dirichlet(matrix, mesh):
+    """apply_dirichlet scanning every row for the boundary rows' entries."""
+    mat = matrix.tocsr().copy()
+    row_of_entry = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    rows = np.flatnonzero(mesh.boundary_mask[row_of_entry])
+    mat.data[rows] = 0.0
+    mat.data[rows[mat.indices[rows] == row_of_entry[rows]]] = 1.0
+    return mat
+
+
+def assert_dirichlet_matches_full_row_scan(matrix, mesh):
+    # structure and data, sign bits included; the input is left unchanged
+    data = matrix.data.tobytes()
+    new, ref = apply_dirichlet(matrix, mesh), old_apply_dirichlet(matrix, mesh)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    assert matrix.data.tobytes() == data
+    return new
+
+
+def stepper_system(mesh, spec, name):
+    """A stepper of the named scheme and its unconstrained system S_v at t = 0.5."""
+    stepper = TimeStepper(mesh, spec, FIXED_LIMITER_SCHEMES.get(name, SchemeKind("linear_fct")))
+    return stepper, stepper._mass_v + spec.tau * TimeLevel(stepper, 0.5).ops[0]
+
+
 @pytest.mark.parametrize("name", list(FIXED_LIMITER_SCHEMES) + ["linear_fct"])
-def test_dirichlet_positions_follow_the_structure(mesh, spec, name):
-    # the kept positions of the boundary rows serve every system of the
-    # last structure constrained and are found again for another one; the
-    # constrained system equals apply_dirichlet's own scan bitwise
-    scheme = FIXED_LIMITER_SCHEMES.get(name, SchemeKind("linear_fct"))
-    stepper = TimeStepper(mesh, spec, scheme)
-    system = stepper._mass_v + spec.tau * TimeLevel(stepper, 0.5).ops[0]
-    # new arrays of the same structure, and one entry fewer
+def test_apply_dirichlet_matches_full_row_scan(mesh, spec, name):
+    # the system, new data of its structure, and one entry fewer
+    stepper, system = stepper_system(mesh, spec, name)
     scaled = system.copy()
     scaled.data *= 1.5
     dropped = system.copy()
     off = dropped.indices != np.repeat(np.arange(mesh.n_nodes), np.diff(dropped.indptr))
     dropped.data[np.flatnonzero(off)[0]] = 0.0
     dropped.eliminate_zeros()
-    kept = []
-    for matrix in (system, scaled, dropped, system):
-        kept.append(stepper._dirichlet_positions(matrix))
-        new, ref = apply_dirichlet(matrix, mesh, kept[-1]), apply_dirichlet(matrix, mesh)
-        for part in ("indptr", "indices", "data"):
-            assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
-    assert kept[1] is kept[0] and kept[2] is not kept[1] and kept[3] is not kept[2]
+    for matrix in (system, scaled, dropped):
+        assert_dirichlet_matches_full_row_scan(matrix, mesh)
     # Galerkin's (1-v) M_L + v M is the mass matrix itself
     assert (stepper._mass_v is stepper.mass) == (name == "galerkin")
+
+
+def test_apply_dirichlet_edge_cases_match_full_row_scan(mesh, spec):
+    _, system = stepper_system(mesh, spec, "linear_fct")
+    # a boundary row whose diagonal is not stored stays a zero row
+    row = mesh.boundary_nodes[len(mesh.boundary_nodes) // 2]
+    no_diag = system.copy()
+    no_diag[row, row] = 0.0
+    no_diag.eliminate_zeros()
+    assert no_diag.nnz == system.nnz - 1
+    new = assert_dirichlet_matches_full_row_scan(no_diag, mesh)
+    assert not new[row].toarray().any()
+    # every row's entries in reverse column order
+    row_of_entry = np.repeat(np.arange(mesh.n_nodes), np.diff(system.indptr))
+    reverse = np.lexsort((-np.arange(system.nnz), row_of_entry))
+    unsorted = sparse.csr_matrix(
+        (system.data[reverse], system.indices[reverse], system.indptr), shape=system.shape
+    )
+    assert not unsorted.has_sorted_indices
+    assert_dirichlet_matches_full_row_scan(unsorted, mesh)
 
 
 def test_max_opposite_angle_sum_matches_per_edge_loop(mesh):

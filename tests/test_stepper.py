@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 import weakref
 
@@ -183,6 +185,22 @@ class TestRun:
         recs = TimeStepper(fk1, spec, SchemeKind("galerkin")).run(20)
         for rec in recs:
             np.testing.assert_allclose(rec.u, 1.0, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+    def test_non_finite_solution_stops_the_run(self, fk2, study, kind):
+        # a load that turns NaN at t = 0.003 fails step 3, in the first
+        # fixed-point iteration for the nonlinear scheme
+        from femfct import StepFailure
+
+        base, _ = study
+        spec = dataclasses.replace(
+            base, f=lambda t, x, y: base.f(t, x, y) * (math.nan if t > 0.0025 else 1.0)
+        )
+        stepper = TimeStepper(fk2, spec, SchemeKind(kind))
+        with pytest.raises(StepFailure, match=r"^step 3 \(t=0\.003\) failed: non-finite") as exc:
+            stepper.run(5)
+        if kind == "nonlinear_fct":
+            assert "iteration 1" in str(exc.value)
 
 
 class TestLimiters:
