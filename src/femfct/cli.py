@@ -108,14 +108,12 @@ def run_single(mesh, spec, exact, scheme):
         raise ValueError("the limiters are not on the mass pattern's pairs")
 
     series = {"l2": [], "h1": [], "fct": [], "dh": []}
-    # the exact solution at the nodes is scale(t) times this
-    nodal_profile = np.asarray(exact.profile(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     for record in records[1:]:
         t = record.t
         d_ij = TimeLevel(stepper, t).ops[1]
         series["l2"].append(ws.l2_error(record.u, exact, t))
         series["h1"].append(ws.h1_error(record.u, exact, t))
-        e_nodes = exact.scale(t) * nodal_profile - record.u
+        e_nodes = ws.nodal_error(record.u, exact, t)
         dh = err.dh_seminorm(record.alpha, d_ij, e_nodes)
         series["fct"].append(ws.fct_nodal(e_nodes, dh, spec.eps, spec.c0))
         series["dh"].append(dh)
@@ -185,23 +183,13 @@ def _fmt(value) -> str:
 
 
 def write_space_csv(path, report: err.ErrorReport):
-    eocs = report.eocs()
+    # each column's values by its name: the error columns are the report's
+    # fields of the same name
+    cols = dict(level=report.levels, h=report.hs, wall_time_s=report.wall_time_s, **report.eocs())
+    cols.update((name, getattr(report, name)) for name in SPACE_COLUMNS if name.startswith("err_"))
     with open(path, "w") as fh:
         fh.write(",".join(SPACE_COLUMNS) + "\n")
-        for k in range(len(report.levels)):
-            row = [
-                report.levels[k],
-                report.hs[k],
-                report.err_l2l2[k],
-                report.err_l2h1[k],
-                report.err_l2fct[k],
-                report.err_l2dh[k],
-                eocs["eoc_l2l2"][k],
-                eocs["eoc_l2h1"][k],
-                eocs["eoc_l2fct"][k],
-                eocs["eoc_l2dh"][k],
-                report.wall_time_s[k],
-            ]
+        for row in zip(*(cols[name] for name in SPACE_COLUMNS)):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 

@@ -1,9 +1,9 @@
 """Error norms against an exact solution and convergence-order utilities.
 
-Spatial L2 and H1 errors are computed against the exact solution with a
-6-point quadrature rule (degree 4); the FCT norm and the d_h seminorm are
-evaluated on the nodal error vector (interpolant minus discrete solution)
-since d_h is only defined on finite element vectors.
+The L2 and H1 errors use the interpolation split of the error (see
+``ErrorWorkspace``); the FCT norm and the d_h seminorm are evaluated on
+the nodal error alone, since d_h is only defined on finite element
+vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .assembly import assemble_laplacian, assemble_mass
 from .fct import LimiterMatrix
-from .problems import ExactSolution
 
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011, 0.109951743655322
@@ -33,121 +32,51 @@ QUAD4_BARY = np.array(
 QUAD4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
-# triangles per block of the L2 and H1 quadrature: a (6, BLOCK) array of
-# doubles is about 200 KB, so one block's temporaries stay in cache
-BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class _Block:
-    """Quadrature data of one block of b triangles, point-major."""
-
-    tri: np.ndarray  # (3, b) vertex indices
-    gx: np.ndarray  # (3, b) components of the P1 basis gradients
-    gy: np.ndarray
-    area: np.ndarray  # (b,)
-
-
-def _at_points(v):
-    """The (6, b) values at the quadrature points of the P1 field with
-    vertex values ``v`` (3, b)."""
-    b = QUAD4_BARY
-    out = b[:, 0, None] * v[0]
-    out += b[:, 1, None] * v[1]
-    out += b[:, 2, None] * v[2]
-    return out
-
-
-def _vertex_sum(u, g):
-    """sum_a u[a] * g[a] over the three vertices of each triangle."""
-    return u[0] * g[0] + u[1] * g[1] + u[2] * g[2]
-
-
-def _integrate(d):
-    """The 6-point rule's weighted sums (b,) of the values ``d`` (6, b) at
-    each triangle's quadrature points, per unit area."""
-    return _W1 * (d[0] + d[1] + d[2]) + _W2 * (d[3] + d[4] + d[5])
-
-
 class ErrorWorkspace:
-    """Per-mesh cache of quadrature data and the norm matrices.
+    """Per-mesh norm matrices and the constants of the interpolation split.
 
-    The L2 and H1 errors loop over blocks of ``BLOCK`` triangles and add
-    the block sums in block order, with no BLAS call, so the result does
-    not depend on the BLAS thread count.  The exact solution is a
-    callable, evaluated at each block's points on every call, or a
-    separable ``ExactSolution``, whose profile (for ``l2_error``) and
-    profile gradient (for ``h1_error``) are evaluated at each block's
-    points the first time they are passed and kept: each later call
-    only multiplies them by scale(t).  The points themselves are
-    computed when a function needs them, never kept.
+    For an ``ExactSolution`` u = s(t) S, the error of a P1 field u_h is
+    u - u_h = s eta + xi, with eta = S - I_h S fixed per mesh and the nodal
+    error xi = s I_h S - u_h (``nodal_error``).  So
+
+        ||u - u_h||^2 = s^2 (eta, eta) + 2 s c . xi + xi . M xi,
+        |u - u_h|_1^2 = s^2 (grad eta, grad eta) + 2 s g . xi + xi . K xi,
+
+    with c_i = (eta, phi_i) and g_i = (grad eta, grad phi_i), integrated by
+    the 6-point rule (degree 4).  The rule is exact for the xi terms, so
+    this is that rule applied to u - u_h, rearranged.  The constants are
+    computed the first time a profile and gradient are passed and kept
+    until another pair replaces them.  No term cancels the error:
+    ||s eta + xi|| is at least the L2 projection's error, comparable to
+    ||s eta||, unlike the expansion s^2 (S, S) - 2 s (S, phi) . u_h + ...
     """
 
     def __init__(self, mesh):
-        geo = mesh.geometry
-        self._nodes = mesh.nodes
-        self._blocks = []
-        for s in range(0, mesh.n_triangles, BLOCK):
-            tri = np.ascontiguousarray(mesh.triangles[s : s + BLOCK].T)
-            grads = geo.grads[s : s + BLOCK]
-            self._blocks.append(
-                _Block(
-                    tri=tri,
-                    gx=np.ascontiguousarray(grads[..., 0].T),
-                    gy=np.ascontiguousarray(grads[..., 1].T),
-                    area=geo.areas[s : s + BLOCK].copy(),
-                )
-            )
+        self._mesh = mesh
         self.mass = assemble_mass(mesh)
         self.laplacian = assemble_laplacian(mesh)
-        # name -> (function, its values at each block's points)
-        self._kept = {}
+        # (profile, profile_gradient), then S at the nodes, L2 and H1 constants
+        self._kept = (None, None)
 
-    def _points(self, blk):
-        """The (6, b) coordinates (qx, qy) of a block's quadrature points."""
-        return _at_points(self._nodes[blk.tri, 0]), _at_points(self._nodes[blk.tri, 1])
+    def _split(self, exact):
+        key = (exact.profile, exact.profile_gradient)
+        if self._kept[0] != key:
+            self._kept = key, _split_constants(self._mesh, exact)
+        return self._kept[1]
 
-    def _exact(self, exact, name, t):
-        """Per block, the exact values at the quadrature points at time t:
-        exact(t, qx, qy) of a callable, scale(t) times the kept values of
-        an ExactSolution's ``name`` (``profile`` or ``profile_gradient``)."""
-        if not isinstance(exact, ExactSolution):
-            return (exact(t, *self._points(blk)) for blk in self._blocks)
-        fn = getattr(exact, name)
-        kept = self._kept.get(name)
-        if kept is None or kept[0] is not fn:
-            kept = self._kept[name] = (fn, [fn(*self._points(blk)) for blk in self._blocks])
-        s = exact.scale(t)
-        if name == "profile":
-            return (s * v for v in kept[1])
-        return ((s * gx, s * gy) for gx, gy in kept[1])
+    def nodal_error(self, u_h, exact, t):
+        """xi = scale(t) I_h S - u_h for the ExactSolution ``exact``."""
+        return exact.scale(t) * self._split(exact)[0] - u_h
 
     def l2_error(self, u_h, u_exact, t):
-        """L2(Omega) error of the P1 field u_h against u_exact, a callable
-        u_exact(t, x, y) or an ExactSolution."""
-        total = 0.0
-        for blk, ue in zip(self._blocks, self._exact(u_exact, "profile", t)):
-            d = _at_points(u_h[blk.tri])
-            np.subtract(ue, d, out=d)
-            d *= d
-            total += float(np.einsum("m,m->", _integrate(d), blk.area))
-        return math.sqrt(total)
+        """L2 error of the P1 field u_h against the ExactSolution u_exact."""
+        xi = self.nodal_error(u_h, u_exact, t)
+        return _split_norm(self.mass, *self._split(u_exact)[1], u_exact.scale(t), xi)
 
-    def h1_error(self, u_h, u_exact_gradient, t):
-        """H1 seminorm error; u_exact_gradient is a callable returning
-        (du/dx, du/dy) at (t, x, y), or an ExactSolution."""
-        total = 0.0
-        for blk, (gx, gy) in zip(self._blocks, self._exact(u_exact_gradient, "profile_gradient", t)):
-            u = u_h[blk.tri]
-            # (6, b) also when a component is a constant
-            shape = (QUAD4_W.size, blk.area.size)
-            dx = np.subtract(gx, _vertex_sum(u, blk.gx), out=np.empty(shape))
-            dy = np.subtract(gy, _vertex_sum(u, blk.gy), out=np.empty(shape))
-            dx *= dx
-            dy *= dy
-            dx += dy
-            total += float(np.einsum("m,m->", _integrate(dx), blk.area))
-        return math.sqrt(total)
+    def h1_error(self, u_h, u_exact, t):
+        """H1 seminorm error of u_h against the ExactSolution u_exact."""
+        xi = self.nodal_error(u_h, u_exact, t)
+        return _split_norm(self.laplacian, *self._split(u_exact)[2], u_exact.scale(t), xi)
 
     def l2_nodal(self, e):
         return _norm(self.mass, e)
@@ -159,6 +88,42 @@ class ErrorWorkspace:
         """FCT norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
         vector, given its d_h seminorm ``dh``."""
         return _fct(self.h1_nodal(e), self.l2_nodal(e), dh, eps, c0)
+
+
+def _split_constants(mesh, exact):
+    """S at the nodes, ((eta, eta), c) and ((grad eta, grad eta), g).
+
+    One quadrature point of every triangle at a time, so the temporaries
+    are (m,) arrays; every sum is an einsum or a bincount.
+    """
+    tri, geo, n = mesh.triangles.T, mesh.geometry, mesh.n_nodes
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    nodal = np.asarray(exact.profile(x, y), dtype=float)
+    grad_ih = np.einsum("am,mad->dm", nodal[tri], geo.grads)
+    eta2 = grad2 = 0.0
+    # per triangle, (eta, phi_a) and the integral of grad eta
+    c_local, sums = np.zeros(tri.shape), np.zeros(grad_ih.shape)
+    for b, w in zip(QUAD4_BARY, QUAD4_W):
+        qx, qy, ih = (np.einsum("a,am->m", b, v[tri]) for v in (x, y, nodal))
+        wa = w * geo.areas
+        eta = exact.profile(qx, qy) - ih
+        gx, gy = exact.profile_gradient(qx, qy)  # may be plain numbers
+        ex, ey = gx - grad_ih[0], gy - grad_ih[1]
+        eta2 += float(np.einsum("m,m,m->", wa, eta, eta))
+        grad2 += float(np.einsum("m,m->", wa, ex * ex + ey * ey))
+        c_local += np.einsum("a,m,m->am", b, wa, eta)
+        sums[0] += wa * ex
+        sums[1] += wa * ey
+    c = np.bincount(tri.ravel(), c_local.ravel(), n)
+    # grad phi_a is constant per triangle
+    g = np.bincount(tri.ravel(), np.einsum("dm,mad->am", sums, geo.grads).ravel(), n)
+    return nodal, (eta2, c), (grad2, g)
+
+
+def _split_norm(matrix, eta2, c, s, xi):
+    """sqrt(s^2 eta2 + 2 s c . xi + xi . (matrix xi))."""
+    total = s * s * eta2 + float(np.einsum("i,i->", xi, matrix @ xi + (2.0 * s) * c))
+    return math.sqrt(max(total, 0.0))
 
 
 # the quadratic form e . (K e) sums with einsum, not BLAS's dot, whose
@@ -208,13 +173,10 @@ def eoc(errors, hs) -> list:
     errors, hs = list(errors), list(hs)
     if len(errors) != len(hs) or len(errors) < 2:
         raise ValueError("need matching sequences of length >= 2")
-    out = []
-    for k in range(len(errors) - 1):
-        if errors[k] <= 0.0 or errors[k + 1] <= 0.0:
-            out.append(None)
-        else:
-            out.append(math.log(errors[k] / errors[k + 1]) / math.log(hs[k] / hs[k + 1]))
-    return out
+    return [
+        None if a <= 0.0 or b <= 0.0 else math.log(a / b) / math.log(h / k)
+        for a, b, h, k in zip(errors, errors[1:], hs, hs[1:])
+    ]
 
 
 @dataclass
@@ -230,13 +192,8 @@ class ErrorReport:
     wall_time_s: list[float] = field(default_factory=list)
 
     def eocs(self) -> dict[str, list]:
-        cols = {
-            "eoc_l2l2": self.err_l2l2,
-            "eoc_l2h1": self.err_l2h1,
-            "eoc_l2fct": self.err_l2fct,
-            "eoc_l2dh": self.err_l2dh,
-        }
         out = {}
-        for name, col in cols.items():
-            out[name] = [None] + (eoc(col, self.hs) if len(col) >= 2 else [])
+        for name in ("l2l2", "l2h1", "l2fct", "l2dh"):
+            col = getattr(self, f"err_{name}")
+            out[f"eoc_{name}"] = [None] + (eoc(col, self.hs) if len(col) >= 2 else [])
         return out

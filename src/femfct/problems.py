@@ -6,7 +6,7 @@ the source term is derived analytically.  The space-study solution grows
 linearly in time (100 t S), the time-study solution oscillates
 ((1 + sin 2 pi t) S), giving a nontrivial second time derivative.
 Both exact solutions are separable ``ExactSolution``s, so the error norms
-can evaluate S at their quadrature points once per mesh.
+can evaluate S and grad S once per mesh.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ def _profile_gradient(x, y):
 class ExactSolution:
     """Separable exact solution u = scale(t) * S(x, y), for the error norms.
 
-    ``u`` and ``gradient`` evaluate it at (t, x, y).  The error norms may
-    instead evaluate the profile S and its gradient once at fixed points
-    and multiply by scale(t): the same products, so the same bits.
+    ``u`` and ``gradient`` evaluate it at (t, x, y).  The error norms
+    evaluate S and grad S once per mesh instead (``errors.ErrorWorkspace``),
+    so their L2 and H1 errors round differently from pointwise sums.
     """
 
     scale: Callable  # t -> float

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from femfct import (
     ErrorWorkspace,
+    ExactSolution,
     ProblemSpec,
     apply_dirichlet,
     assemble_load,
@@ -201,9 +202,11 @@ class TestSharedGeometry:
         assert mesh.geometry is geo
         assert mesh.areas() is geo.areas
         u_h, x_h = np.zeros(mesh.n_nodes), mesh.nodes[:, 0].copy()
+        xy = ExactSolution(lambda t: 1.0, lambda x, y: x * y, lambda x, y: (y, x))
+        zero = ExactSolution(lambda t: 1.0, lambda x, y: 0.0 * x, lambda x, y: (0.0 * x, 0.0 * y))
         ws = ErrorWorkspace(mesh)
-        l2 = ws.l2_error(u_h, lambda t, x, y: x * y, t=0.0)
-        h1 = ws.h1_error(x_h, lambda t, x, y: (0.0 * x, 0.0 * y), t=0.0)
+        l2 = ws.l2_error(u_h, xy, t=0.0)
+        h1 = ws.h1_error(x_h, zero, t=0.0)
         with pytest.raises(ValueError):
             geo.areas[0] = 1.0  # read-only: no consumer can alter the others' data
         # doubled cached areas double what both assemblies return and the
@@ -213,8 +216,8 @@ class TestSharedGeometry:
         mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas)
         assert abs(assemble_mass(mesh) - 2.0 * mass).max() == 0.0
         np.testing.assert_array_equal(assemble_load(mesh, spec, t=0.0), 2.0 * load)
-        doubled = ErrorWorkspace(mesh).l2_error(u_h, lambda t, x, y: x * y, t=0.0)
+        doubled = ErrorWorkspace(mesh).l2_error(u_h, xy, t=0.0)
         assert doubled**2 == pytest.approx(2.0 * l2**2, rel=1e-15)
         mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas, grads=2.0 * geo.grads)
-        doubled = ErrorWorkspace(mesh).h1_error(x_h, lambda t, x, y: (0.0 * x, 0.0 * y), t=0.0)
+        doubled = ErrorWorkspace(mesh).h1_error(x_h, zero, t=0.0)
         assert doubled**2 == pytest.approx(8.0 * h1**2, rel=1e-15)

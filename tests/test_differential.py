@@ -16,26 +16,27 @@ built cell by cell, the Zalesak limiter recomputing its bounds from
 ``ubar`` on every call, an LU ordering its columns afresh for every
 matrix, and COLAMD's column order for the upwinded systems that now
 factor in downwind order, SuperLU's default panel size for the
-triangular LU, the L2 and H1 error norms as whole-mesh einsums, the
-manufactured problem's closed forms, the exact solution's callbacks
-evaluated at every record, which a separable solution's profile kept per
-error workspace replaces, the three system matrices of Galerkin, low
-order and the constant-limiter nonlinear scheme, which the one
-fixed-limiter system S_v replaces, the Zalesak limiter computing alpha on
-every pair, prelimiting that gathers ubar_i - ubar_j on every call, the
-manufactured source evaluating its closed form on every call, and
-``apply_dirichlet`` scanning every row of every system it constrains.  Every mesh is also tried with its nodes
+triangular LU, the L2 and H1 error norms as whole-mesh einsums of the
+exact solution's callbacks, which the interpolation split's per-mesh
+constants replace, the manufactured problem's closed forms, the three
+system matrices of Galerkin, low order and the constant-limiter
+nonlinear scheme, which the one fixed-limiter system S_v replaces, the
+Zalesak limiter computing alpha on every pair, prelimiting that gathers
+ubar_i - ubar_j on every call, the manufactured source evaluating its
+closed form on every call, and ``apply_dirichlet`` scanning every row of
+every system it constrains.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
 
 import collections
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 import femfct.problems
 import femfct.solver
@@ -76,7 +77,7 @@ from femfct import (
     zalesak_bounds,
 )
 from femfct.cli import ExperimentConfig, build_grid, run_single
-from femfct.errors import BLOCK, QUAD4_BARY, QUAD4_W, ErrorWorkspace
+from femfct.errors import QUAD4_BARY, QUAD4_W, ErrorWorkspace
 from femfct.mesh import _make_mesh
 
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -935,30 +936,52 @@ def old_error_norms(mesh, u_h, exact, t):
     uh_g = np.einsum("ma,mad->md", u_h[mesh.triangles], grads)
     dx, dy = gx - uh_g[:, None, 0], gy - uh_g[:, None, 1]
     h1 = math.sqrt(float(np.einsum("q,mq,m->", QUAD4_W, dx * dx + dy * dy, area)))
-    return l2, h1, qx, qy
+    return l2, h1
 
 
-@pytest.mark.parametrize(
-    "grid, level, n_triangles",
-    # one partial block, two full blocks, a full and a ragged block
-    [("fk", 2, 128), ("fk", 5, 2 * BLOCK), ("shifted", 5, 2 * BLOCK),
-     ("unstructured", 3, BLOCK + 512)],
-)
-def test_blocked_error_norms_match_whole_mesh_einsums(grid, level, n_triangles):
+PROBLEMS = {"space": space_study_problem, "time": time_study_problem}
+
+
+@functools.lru_cache(maxsize=None)
+def split_workspace(grid, level):
+    """One workspace per mesh, so the second problem reuses the constants
+    the first one's profile and gradient computed."""
     mesh = build_grid(ExperimentConfig(grid=grid), level)
-    assert mesh.n_triangles == n_triangles
-    _, exact = space_study_problem()
-    ws = ErrorWorkspace(mesh)
+    return mesh, ErrorWorkspace(mesh)
+
+
+def l2_projection(mesh, exact, t):
+    """The L2 projection of u(t): M p = (u, phi_i) by the 6-point rule."""
+    p = mesh.nodes[mesh.triangles]
+    qx = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 0])
+    qy = np.einsum("qa,ma->mq", QUAD4_BARY, p[..., 1])
+    local = np.einsum("q,qa,mq,m->ma", QUAD4_W, QUAD4_BARY, exact.u(t, qx, qy), mesh.geometry.areas)
+    rhs = np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
+    return spsolve(assemble_mass(mesh).tocsc(), rhs)
+
+
+@pytest.mark.parametrize("u_h_kind", ["random", "interpolant", "projection"])
+@pytest.mark.parametrize("problem", ["space", "time"])
+@pytest.mark.parametrize("grid, level", [("fk", 2), ("fk", 5), ("shifted", 5), ("unstructured", 3)])
+def test_split_error_norms_match_whole_mesh_einsums(grid, level, problem, u_h_kind):
+    # u_h = I_h u makes the nodal error 0, and the L2 projection is the
+    # smallest L2 error, where the split's terms cancel most; the time
+    # study's scale is 0.0 at t = 0.75
+    mesh, ws = split_workspace(grid, level)
+    _, exact = PROBLEMS[problem]()
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     rng = np.random.default_rng(level)
-    for t in (0.0, 0.37, 1.0):
-        u_h = rng.standard_normal(mesh.n_nodes)
-        l2, h1, qx, qy = old_error_norms(mesh, u_h, exact, t)
-        assert abs(ws.l2_error(u_h, exact.u, t) - l2) <= 1e-13 * l2
-        assert abs(ws.h1_error(u_h, exact.gradient, t) - h1) <= 1e-13 * h1
-    # the quadrature points are the same barycentric sums
-    points = [ws._points(b) for b in ws._blocks]
-    assert np.concatenate([p[0] for p in points], axis=1).T.tobytes() == qx.tobytes()
-    assert np.concatenate([p[1] for p in points], axis=1).T.tobytes() == qy.tobytes()
+    for t in (0.0, 0.37, 0.75, 1.0):
+        u_h = {
+            "random": lambda: rng.standard_normal(mesh.n_nodes),
+            "interpolant": lambda: exact.u(t, x, y),
+            "projection": lambda: l2_projection(mesh, exact, t),
+        }[u_h_kind]()
+        l2, h1 = old_error_norms(mesh, u_h, exact, t)
+        assert abs(ws.l2_error(u_h, exact, t) - l2) <= 1e-13 * l2
+        assert abs(ws.h1_error(u_h, exact, t) - h1) <= 1e-13 * h1
+        if u_h_kind == "interpolant":
+            assert not ws.nodal_error(u_h, exact, t).any()
 
 
 # run_single's four integrated norms (10 steps, tau = 1e-3) as computed
@@ -1123,38 +1146,6 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
-@pytest.mark.parametrize(
-    "grid, level, n_triangles",
-    # the differential meshes, then one partial block, two full blocks, and
-    # a full and a ragged block
-    [("fk", 3, 512), ("shifted", 3, 512), ("unstructured", 1, 288), ("fk", 2, 128),
-     ("fk", 5, 2 * BLOCK), ("unstructured", 3, BLOCK + 512)],
-)
-def test_separable_error_norms_equal_the_callbacks_bitwise(grid, level, n_triangles):
-    mesh = build_grid(ExperimentConfig(grid=grid), level)
-    assert mesh.n_triangles == n_triangles
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    ws = ErrorWorkspace(mesh)
-    rng = np.random.default_rng(level)
-    # both problems share the profile, so the second reuses the kept values;
-    # the time study's scale is 0.0 at t = 0.75, and 0.0 * S carries S's sign
-    for problem in (space_study_problem, time_study_problem):
-        _, exact = problem()
-        for t in (0.0, 0.013, 0.37, 0.75, 1.0):
-            u_h = exact.u(t, x, y) + 1e-3 * rng.standard_normal(mesh.n_nodes)
-            assert bits(ws.l2_error(u_h, exact, t)) == bits(ws.l2_error(u_h, exact.u, t))
-            assert bits(ws.h1_error(u_h, exact, t)) == bits(ws.h1_error(u_h, exact.gradient, t))
-            # the exact values themselves, sign bits included
-            kept = list(ws._exact(exact, "profile", t))
-            called = list(ws._exact(exact.u, "profile", t))
-            assert [v.tobytes() for v in kept] == [v.tobytes() for v in called]
-            kept = list(ws._exact(exact, "profile_gradient", t))
-            called = list(ws._exact(exact.gradient, "profile_gradient", t))
-            assert [g.tobytes() for pair in kept for g in pair] == [
-                g.tobytes() for pair in called for g in pair
-            ]
-
-
 # run_single's four integrated norms (10 steps, tau = 1e-3) as computed with
 # the exact solution's callbacks at every record
 RUN_SINGLE_CALLBACK_NORMS = {
@@ -1183,7 +1174,6 @@ RUN_SINGLE_CALLBACK_NORMS = {
         "h1": 0.0020614325131929094, "l2": 5.828383422832718e-05,
     },
 }
-PROBLEMS = {"space": space_study_problem, "time": time_study_problem}
 
 
 @pytest.mark.parametrize(
@@ -1193,13 +1183,16 @@ def test_run_single_norms_equal_the_callback_evaluation(case):
     grid, level, problem, kind = case
     spec, exact = PROBLEMS[problem](tau=1e-3, t_end=1e-2)
     integrated, _ = run_single(build_grid(ExperimentConfig(grid=grid), level), spec, exact, SchemeKind(kind))
-    assert {k: bits(v) for k, v in integrated.items()} == {
-        k: bits(v) for k, v in RUN_SINGLE_CALLBACK_NORMS[case].items()
-    }
+    ref = RUN_SINGLE_CALLBACK_NORMS[case]
+    # the nodal norms are bitwise; the split is another rounding of the
+    # integrated norms' quadrature sums
+    assert {k: bits(integrated[k]) for k in ("fct", "dh")} == {k: bits(ref[k]) for k in ("fct", "dh")}
+    for k in ("l2", "h1"):
+        assert abs(integrated[k] - ref[k]) <= 1e-13 * ref[k]
 
 
-def test_run_single_evaluates_the_profile_once_per_block():
-    mesh = build_grid(ExperimentConfig(grid="unstructured"), 3)  # 2 blocks
+def test_run_single_evaluates_the_profile_once_per_mesh():
+    mesh = build_grid(ExperimentConfig(grid="unstructured"), 3)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -1209,6 +1202,7 @@ def test_run_single_evaluates_the_profile_once_per_block():
 
         return wrapped
 
+    counts = []
     for n_steps in (2, 5):
         spec, exact = space_study_problem(tau=1e-3, t_end=n_steps * 1e-3)
         spy = ExactSolution(
@@ -1216,21 +1210,31 @@ def test_run_single_evaluates_the_profile_once_per_block():
         )
         calls.clear()
         integrated, _ = run_single(mesh, spec, spy, SchemeKind("linear_fct"))
-        # per block once for l2_error and once for h1_error, plus the nodes
-        assert calls == {"profile": 2 + 1, "gradient": 2}
+        counts.append(dict(calls))
         reference, _ = run_single(mesh, spec, exact, SchemeKind("linear_fct"))
         assert {k: bits(v) for k, v in integrated.items()} == {k: bits(v) for k, v in reference.items()}
+    # the profile at the nodes and at each of the 6 quadrature points of
+    # every triangle, the gradient at those points, however many records
+    # there are
+    assert counts == [{"profile": 1 + 6, "gradient": 6}] * 2
 
-    # a workspace keeps one profile: another function replaces the kept values
-    ws, u_h = ErrorWorkspace(mesh), np.zeros(mesh.n_nodes)
+    # a workspace keeps one profile and gradient: another pair replaces
+    # the kept constants, and the norms are those of a fresh workspace
+    u_h = np.zeros(mesh.n_nodes)
+    other = ExactSolution(exact.scale, counted("other", lambda x, y: x * y), exact.profile_gradient)
+
+    def norms(ws, e):
+        return bits(ws.l2_error(u_h, e, 0.5)), bits(ws.h1_error(u_h, e, 0.5))
+
+    expected = {"spy": norms(ErrorWorkspace(mesh), spy), "other": norms(ErrorWorkspace(mesh), other)}
+    ws = ErrorWorkspace(mesh)
     calls.clear()
     for _ in range(3):
-        ws.l2_error(u_h, spy, 0.5)
-    assert calls == {"profile": 2}
-    other = ExactSolution(exact.scale, counted("other", lambda x, y: x * y), exact.profile_gradient)
-    ws.l2_error(u_h, other, 0.5)
-    ws.l2_error(u_h, spy, 0.5)
-    assert calls == {"profile": 4, "other": 2}
+        assert norms(ws, spy) == expected["spy"]
+    assert calls == {"profile": 7, "gradient": 6}
+    assert norms(ws, other) == expected["other"]
+    assert norms(ws, spy) == expected["spy"]
+    assert calls == {"profile": 7 + 7, "gradient": 6 + 6, "other": 7}
 
 
 @pytest.mark.parametrize("grid, level", [("fk", 3), ("shifted", 3), ("unstructured", 1)])

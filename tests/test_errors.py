@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from femfct import (
     ErrorReport,
     ErrorWorkspace,
+    ExactSolution,
     LimiterMatrix,
     build_friedrichs_keller,
     dh_seminorm,
@@ -20,6 +21,11 @@ from femfct import (
 
 def interpolate(mesh, func):
     return func(mesh.nodes[:, 0], mesh.nodes[:, 1])
+
+
+def steady(profile, gradient):
+    """The exact solution u = S with the given profile and gradient."""
+    return ExactSolution(lambda t: 1.0, profile, gradient)
 
 
 def dense_l2_oracle(mesh, u_h, func, n_sub=200):
@@ -50,13 +56,13 @@ def dense_l2_oracle(mesh, u_h, func, n_sub=200):
 class TestL2Error:
     def test_linear_exact(self, fk1):
         u_h = interpolate(fk1, lambda x, y: 2.0 * x - y + 0.5)
-        err = ErrorWorkspace(fk1).l2_error(u_h, lambda t, x, y: 2.0 * x - y + 0.5, t=0.0)
+        exact = steady(lambda x, y: 2.0 * x - y + 0.5, lambda x, y: (2.0, -1.0))
+        err = ErrorWorkspace(fk1).l2_error(u_h, exact, t=0.0)
         assert err < 1e-14
 
     def test_constant_one(self, fk1):
-        err = ErrorWorkspace(fk1).l2_error(
-            np.zeros(fk1.n_nodes), lambda t, x, y: np.ones_like(x), t=0.0
-        )
+        exact = steady(lambda x, y: np.ones_like(x), lambda x, y: (0.0, 0.0))
+        err = ErrorWorkspace(fk1).l2_error(np.zeros(fk1.n_nodes), exact, t=0.0)
         assert err == pytest.approx(1.0, abs=1e-14)
 
     def test_quadratic_matches_dense_oracle(self, tmp_path):
@@ -64,7 +70,8 @@ class TestL2Error:
         path.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
         mesh = load_mesh(path)
         u_h = interpolate(mesh, lambda x, y: x**2)
-        err = ErrorWorkspace(mesh).l2_error(u_h, lambda t, x, y: x**2, t=0.0)
+        exact = steady(lambda x, y: x**2, lambda x, y: (2.0 * x, 0.0))
+        err = ErrorWorkspace(mesh).l2_error(u_h, exact, t=0.0)
         oracle = dense_l2_oracle(mesh, u_h, lambda x, y: x**2)
         assert err == pytest.approx(oracle, abs=1e-6)
 
@@ -72,26 +79,23 @@ class TestL2Error:
 class TestH1Error:
     def test_linear_exact(self, fk1):
         u_h = interpolate(fk1, lambda x, y: 3.0 * x + y)
-        err = ErrorWorkspace(fk1).h1_error(
-            u_h, lambda t, x, y: (np.full_like(x, 3.0), np.ones_like(x)), t=0.0
-        )
+        exact = steady(lambda x, y: 3.0 * x + y, lambda x, y: (np.full_like(x, 3.0), np.ones_like(x)))
+        err = ErrorWorkspace(fk1).h1_error(u_h, exact, t=0.0)
         assert err < 1e-13
 
     def test_zero_field_unit_gradient(self, fk1):
-        err = ErrorWorkspace(fk1).h1_error(
-            np.zeros(fk1.n_nodes),
-            lambda t, x, y: (np.ones_like(x), np.zeros_like(x)),
-            t=0.0,
-        )
+        exact = steady(lambda x, y: x, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+        err = ErrorWorkspace(fk1).h1_error(np.zeros(fk1.n_nodes), exact, t=0.0)
         assert err == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_gradient_components(self, fk1):
         # an exact gradient may return plain numbers
         ws = ErrorWorkspace(fk1)
-        err = ws.h1_error(np.zeros(fk1.n_nodes), lambda t, x, y: (1.0, 0.0), t=0.0)
+        err = ws.h1_error(np.zeros(fk1.n_nodes), steady(lambda x, y: x, lambda x, y: (1.0, 0.0)), t=0.0)
         assert err == pytest.approx(1.0, abs=1e-14)
         u_h = interpolate(fk1, lambda x, y: 3.0 * x + y)
-        assert ws.h1_error(u_h, lambda t, x, y: (3.0, 1.0), t=0.0) < 1e-13
+        exact = steady(lambda x, y: 3.0 * x + y, lambda x, y: (3.0, 1.0))
+        assert ws.h1_error(u_h, exact, t=0.0) < 1e-13
 
     def test_quadratic_oracle(self, fk2):
         # grad(x^2) = (2x, 0); P1 gradient is piecewise constant; the
@@ -99,7 +103,8 @@ class TestH1Error:
         # on each element, e_x = 2x - (x_l + x_r) with zero mean, and
         # int (2x - 2xbar)^2 over a cell pair of width h is h^4/3 per cell
         u_h = interpolate(fk2, lambda x, y: x**2)
-        err = ErrorWorkspace(fk2).h1_error(u_h, lambda t, x, y: (2.0 * x, np.zeros_like(x)), t=0.0)
+        exact = steady(lambda x, y: x**2, lambda x, y: (2.0 * x, np.zeros_like(x)))
+        err = ErrorWorkspace(fk2).h1_error(u_h, exact, t=0.0)
         h = fk2.h
         exact = math.sqrt(h * h / 3.0)
         assert err == pytest.approx(exact, rel=1e-12)
