@@ -1,11 +1,12 @@
 """P1 finite element assembly on triangular meshes.
 
-Assembles the consistent mass matrix, the convection-diffusion-reaction
-stiffness matrix, and the load vector.  Variable coefficients are
-integrated with a 3-point edge-midpoint quadrature rule (exact to degree
-2), its sums written out per element without einsum; all matrices are
-data arrays on the mesh's one sparsity pattern (``mesh.pattern``) and
-share its structure arrays.
+Under the 3-point edge-midpoint rule (exact to degree 2) every term but
+convection is a sum over the edges ij (diffusion too, as sum_j grad phi_j
+= 0): M, K and R have the pair entries m_ij, k_ij (``mesh.edge_mass``,
+``edge_laplacian``) and c(x_ij) m_ij, x_ij the edge midpoint, and the row
+sums of those on the diagonal (K's negated); the load is f_i =
+sum_j 2 m_ij f(x_ij).  All matrices are data arrays on the mesh's one
+sparsity pattern (``mesh.pattern``) and share its structure arrays.
 """
 
 from __future__ import annotations
@@ -15,19 +16,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-
-# 3-point edge-midpoint rule, exact for polynomials of degree 2; point q
-# is the midpoint of edge q = (vertex q, vertex q+1), so the rule's points
-# are the mesh's edge midpoints (mesh.edges.x, .y), shared by the two
-# triangles of an interior edge.  The weights are equal and phi_i is 1/2
-# at the two points _POINTS_OF_VERTEX[i] (the midpoints of the edges
-# meeting vertex i, the nonzero entries of column i of QUAD2_BARY) and 0
-# at the third, so the load and stiffness kernels write the rule's sums
-# out over those points instead of contracting with einsum.
-QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
-_POINTS_OF_VERTEX = ((0, 2), (0, 1), (1, 2))
-
 
 def _zero(t, x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
@@ -62,75 +50,64 @@ class ProblemSpec:
             raise ValueError("c0 must be positive")
 
 
+def _node_sums(mesh, values) -> np.ndarray:
+    """(n,) sums of the per-edge ``values`` over the edges at each node."""
+    i, j, n = mesh.edges.i, mesh.edges.j, mesh.n_nodes
+    return np.bincount(i, values, n) + np.bincount(j, values, n)
+
+
+def _add_edge_form(data, mesh, values, sums) -> sparse.csr_matrix:
+    """The matrix on the mesh pattern of ``data`` plus, in place, the per-edge
+    ``values`` at (i, j) and (j, i) and the node sums of ``sums`` at (i, i)."""
+    pattern = mesh.pattern
+    data[pattern.upper] += values
+    data[pattern.lower] += values
+    data[pattern.diag] += _node_sums(mesh, sums)
+    return pattern.matrix(data)
+
+
+def _per_edge(value, edges) -> np.ndarray:
+    """A coefficient's value at the edge midpoints as an (E,) array."""
+    return np.broadcast_to(np.asarray(value, dtype=float), edges.x.shape)
+
+
 def assemble_mass(mesh) -> sparse.csr_matrix:
-    """Consistent P1 mass matrix (exact element integration)."""
-    area = mesh.geometry.areas
-    ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = area[:, None, None] * ref[None, :, :]
-    return mesh.pattern.assemble(local)
+    """Consistent P1 mass matrix (exact for P1)."""
+    return _add_edge_form(np.zeros(mesh.pattern.indices.size), mesh, mesh.edge_mass, mesh.edge_mass)
 
 
 def assemble_laplacian(mesh) -> sparse.csr_matrix:
     """P1 stiffness matrix of -lap(u), the Gram matrix of the gradients."""
-    geo = mesh.geometry
-    return mesh.pattern.assemble(geo.areas[:, None, None] * geo.gram)
+    k = mesh.edge_laplacian
+    return _add_edge_form(np.zeros(mesh.pattern.indices.size), mesh, k, -k)
 
 
 def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     """Stiffness matrix of diffusion, convection, and reaction at time t."""
     geo, edges = mesh.geometry, mesh.edges
-    area, grads = geo.areas, geo.grads
-    bx, by = spec.b(t, edges.x, edges.y)
-    cval = spec.c(t, edges.x, edges.y)
-    # the coefficients at each triangle's quadrature points, (m, 3)
-    bx, by, cval = (
-        np.broadcast_to(np.asarray(v, dtype=float), edges.x.shape)[edges.of_triangle]
-        for v in (bx, by, cval)
-    )
-
-    local = spec.eps * geo.gram * area[:, None, None]
-    # (b . grad phi_j) phi_i and c phi_i phi_j with the 3-point rule: the
-    # sums over q without their zero terms, scaled by the area and added
-    # to local a row or an entry at a time, so that s is the one (m, 3, 3)
-    # temporary.  They round as the einsums "q,qi,mqj->mij" and
-    # "q,mq,qi,qj->mij" they replace, sign bits included.
-    # s = w (b . grad phi_j) / 2 at point q, (m, q, j)
-    s = bx[..., None] * grads[:, None, :, 0]
-    s += by[..., None] * grads[:, None, :, 1]
-    s *= QUAD2_W[0] * 0.5
-    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
-        row = s[:, qa] + s[:, qb]
-        row *= area[:, None]
-        local[:, i] += row
-    # r = ((w c) / 2) / 2 at point q, (m, q), in the gathered c's buffer
-    r = cval
-    r *= QUAD2_W[0]
-    r *= 0.5
-    r *= 0.5
-    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
-        local[:, i, i] += area * (r[:, qa] + r[:, qb])
-    # phi_i phi_j, i != j, is nonzero only at the midpoint q of edge (i, j)
-    for q in range(3):
-        rq = area * r[:, q]
-        local[:, q, (q + 1) % 3] += rq
-        local[:, (q + 1) % 3, q] += rq
-    return mesh.pattern.assemble(local)
+    bx, by = (_per_edge(v, edges)[edges.of_triangle] for v in spec.b(t, edges.x, edges.y))
+    # (b . grad phi_j, phi_i) per triangle with the 3-point rule, whose
+    # point q is the midpoint of edge q = (vertex q, vertex q+1): phi_i is
+    # 1/2 at the two points q of vertex i (0, 2 / 0, 1 / 1, 2) and 0 at the
+    # third, so with s = w (b . grad phi_j) / 2 at point q, (m, q, j), row i
+    # of the element matrix is |T| times the sum of s over those points
+    s = bx[..., None] * geo.grads[:, None, :, 0]
+    s += by[..., None] * geo.grads[:, None, :, 1]
+    s *= 1.0 / 6.0
+    local = s[:, [0, 0, 1]]
+    local += s[:, [2, 1, 2]]
+    local *= geo.areas[:, None, None]
+    # plus eps K + R, in the convection matrix's data
+    cm = _per_edge(spec.c(t, edges.x, edges.y), edges) * mesh.edge_mass
+    eps_k = spec.eps * mesh.edge_laplacian
+    return _add_edge_form(mesh.pattern.assemble(local), mesh, eps_k + cm, cm - eps_k)
 
 
 def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
     """Load vector f_i = (f(t, .), phi_i) with the 3-point rule, f being
     evaluated once per edge."""
     edges = mesh.edges
-    fval = np.broadcast_to(np.asarray(spec.f(t, edges.x, edges.y), dtype=float), edges.x.shape)
-    # h_q = w f(x_q) / 2 per triangle, (m, 3).  These roundings are those
-    # of the sum over q of w_q f_q phi_i(q), written without a matmul,
-    # whose BLAS kernel may fuse multiply-adds.
-    h = ((fval * QUAD2_W[0]) * 0.5)[edges.of_triangle]
-    local = np.empty_like(h)
-    for i, (qa, qb) in enumerate(_POINTS_OF_VERTEX):
-        np.add(h[:, qa], h[:, qb], out=local[:, i])
-    local *= mesh.geometry.areas[:, None]
-    return np.bincount(mesh.triangles.ravel(), local.ravel(), mesh.n_nodes)
+    return _node_sums(mesh, 2.0 * mesh.edge_mass * _per_edge(spec.f(t, edges.x, edges.y), edges))
 
 
 def apply_dirichlet(matrix, mesh) -> sparse.csr_matrix:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -95,8 +96,10 @@ def build_grid(config: ExperimentConfig, level: int):
 def run_single(mesh, spec, exact, scheme):
     """Run one scheme on one mesh and time-integrate the four error norms
     against the ExactSolution ``exact``."""
+    n_steps = round(spec.t_end / spec.tau)
+    if not math.isclose(n_steps * spec.tau, spec.t_end):
+        raise ValueError(f"t_end={spec.t_end:g} is not a whole number of steps of tau={spec.tau:g}")
     stepper = TimeStepper(mesh, spec, scheme)
-    n_steps = int(round(spec.t_end / spec.tau))
     records = stepper.run(n_steps)
     ws = err.ErrorWorkspace(mesh)
     # the stepper puts every record's limiter on the mesh's pair graph,
@@ -239,7 +242,7 @@ def _config_flags(path, keys) -> list[str]:
             key, _, value = text.partition("=")
             key = key.strip()
             if key not in keys:
-                raise SystemExit(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     return flags
 
@@ -267,8 +270,11 @@ def parse_args(argv=None) -> ExperimentConfig:
     ns = parser.parse_args(argv)
     if ns.config:
         # the file's flags go first, so those of the command line win
-        keys = set(vars(ns)) - {"config"}
-        ns = parser.parse_args(_config_flags(ns.config, keys) + argv)
+        try:
+            flags = _config_flags(ns.config, set(vars(ns)) - {"config"})
+        except (OSError, ValueError) as exc:
+            parser.error(f"argument --config: {exc}")
+        ns = parser.parse_args(flags + argv)
 
     config = ExperimentConfig()
     # every flag but --config names an ExperimentConfig field

@@ -32,14 +32,6 @@ class Geometry:
     areas: np.ndarray
     grads: np.ndarray
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """(m, 3, 3) Gram matrices grad phi_i . grad phi_j, computed on
-        first use; read-only."""
-        gram = np.einsum("mid,mjd->mij", self.grads, self.grads)
-        gram.setflags(write=False)
-        return gram
-
 
 @dataclass(frozen=True)
 class Edges:
@@ -95,10 +87,10 @@ class Pattern:
         n = self.diag.size
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def assemble(self, local: np.ndarray) -> sparse.csr_matrix:
-        """Sum (m, 3, 3) element matrices into a CSR matrix on this
-        pattern; duplicate entries are summed in element order."""
-        return self.matrix(np.bincount(self._positions, local.ravel(), self.indices.size))
+    def assemble(self, local: np.ndarray) -> np.ndarray:
+        """Sum (m, 3, 3) element matrices into the data array of a matrix
+        on this pattern; duplicate entries are summed in element order."""
+        return np.bincount(self._positions, local.ravel(), self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -128,9 +120,10 @@ class TriMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
+    @cached_property
     def boundary_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary_mask)
+        """Indices of the boundary nodes, computed on first use; read-only."""
+        return _read_only(np.flatnonzero(self.boundary_mask))
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -171,6 +164,23 @@ class TriMesh:
             arr.setflags(write=False)
         return Edges(i, j, x, y, of_triangle)
 
+    def _edge_sum(self, values) -> np.ndarray:
+        """(E,) sums of |T| values over each edge's triangles T, from (m, 3) edge values."""
+        edges, weighted = self.edges, self.geometry.areas[:, None] * values
+        return _read_only(np.bincount(edges.of_triangle.ravel(), weighted.ravel(), edges.i.size))
+
+    @cached_property
+    def edge_mass(self) -> np.ndarray:
+        """(E,) m_ij = sum_T |T| / 12 over the triangles T of edge ij, M's pair entries."""
+        return self._edge_sum(np.full((self.n_triangles, 3), 1.0 / 12.0))
+
+    @cached_property
+    def edge_laplacian(self) -> np.ndarray:
+        """(E,) k_ij = sum_T |T| grad phi_i . grad phi_j, the Laplacian's pair entries."""
+        g = self.geometry.grads
+        # edge q of a triangle joins its vertices q and q+1
+        return self._edge_sum(np.einsum("mqd,mqd->mq", g, np.roll(g, -1, axis=1)))
+
     @cached_property
     def pairs(self) -> PairGraph:
         """The edges as the pair graph of the FCT kernels."""
@@ -209,6 +219,11 @@ class TriMesh:
 
     def areas(self) -> np.ndarray:
         return self.geometry.areas
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _boundary_mask(nodes: np.ndarray) -> np.ndarray:

@@ -152,8 +152,8 @@ class TimeStepper:
     otherwise), in the last LU's column order unless the structure (the
     exact zeros of Abar) changed; the upwinded systems factor in downwind
     order (see ``Factorization``).  Every flux and limiter lives on the
-    mesh's pair graph (``pairs``), whose m_ij, d_ij are read from the
-    matrices' data arrays at the pattern's upper positions.
+    mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
+    and the d_ij read from D's data array at the pattern's upper positions.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
@@ -164,7 +164,7 @@ class TimeStepper:
         self.mass = assemble_mass(mesh)
         self.m_lumped = lump(self.mass)
         self.pairs = mesh.pairs
-        self._m_ij = self.mass.data[mesh.pattern.upper]
+        self._m_ij = mesh.edge_mass
         bmask = mesh.boundary_mask
         self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes

@@ -212,12 +212,15 @@ class TestSharedGeometry:
         # doubled cached areas double what both assemblies return and the
         # squared L2 error, and doubled gradients as well quadruple the
         # squared H1 error once more, so none recomputes the geometry from
-        # the coordinates
+        # the coordinates; the cached edge weights derive from the
+        # geometry, so they go with it
+        del mesh.__dict__["edge_mass"], mesh.__dict__["edge_laplacian"]
         mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas)
         assert abs(assemble_mass(mesh) - 2.0 * mass).max() == 0.0
         np.testing.assert_array_equal(assemble_load(mesh, spec, t=0.0), 2.0 * load)
         doubled = ErrorWorkspace(mesh).l2_error(u_h, xy, t=0.0)
         assert doubled**2 == pytest.approx(2.0 * l2**2, rel=1e-15)
+        del mesh.__dict__["edge_laplacian"]
         mesh.__dict__["geometry"] = dataclasses.replace(geo, areas=2.0 * geo.areas, grads=2.0 * geo.grads)
         doubled = ErrorWorkspace(mesh).h1_error(x_h, zero, t=0.0)
         assert doubled**2 == pytest.approx(8.0 * h1**2, rel=1e-15)

@@ -15,6 +15,7 @@ from femfct.cli import (
     build_grid,
     main,
     parse_args,
+    run_single,
     run_space_study,
     write_space_csv,
 )
@@ -110,11 +111,26 @@ class TestConfig:
         assert cfg.levels == (1, 2)
         assert cfg.tau == 0.01
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "study.cfg"
         path.write_text("flux_capacitor = 1\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             parse_args(["--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: femfct")
+        assert "argument --config: unknown config key 'flux_capacitor'" in err
+
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: femfct")
+        assert "argument --config: [Errno 2] No such file or directory" in err
+        assert str(path) in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "line", ["taus = 0.1, 0.05", "levels = 3..1", "tau = abc", "grid = hexagonal"]
@@ -216,6 +232,19 @@ class TestStudies:
         assert out.exists()
         assert "level 2" in capsys.readouterr().out
         assert len(read_rows(out)) == 2
+
+    @pytest.mark.parametrize("tau", ["0.3", "0.6"])
+    def test_end_time_not_a_whole_number_of_steps(self, tmp_path, capsys, tau):
+        # 1 / 0.3 and 1 / 0.6 are not whole numbers of steps
+        spec, exact = space_study_problem(tau=float(tau), t_end=1.0)
+        message = f"t_end=1 is not a whole number of steps of tau={tau}"
+        with pytest.raises(ValueError, match=message):
+            run_single(build_grid(ExperimentConfig(), 1), spec, exact, ExperimentConfig().scheme_obj())
+        out = tmp_path / "space.csv"
+        code = main(["--grid", "fk", "--levels", "1..1", "--tau", tau, "--t-end", "1", "--out", str(out)])
+        assert code == 2
+        assert f"FAILED at 1: ValueError('{message}')" in capsys.readouterr().err
+        assert read_rows(out) == []
 
     def test_main_time(self, tmp_path, capsys):
         out = tmp_path / "time.csv"

@@ -41,6 +41,13 @@ class TestFriedrichsKeller:
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         assert np.all(cross > 0)
 
+    def test_boundary_nodes_cached_and_read_only(self, fk1):
+        nodes = fk1.boundary_nodes
+        assert fk1.boundary_nodes is nodes
+        np.testing.assert_array_equal(nodes, np.flatnonzero(fk1.boundary_mask))
+        with pytest.raises(ValueError):
+            nodes[0] = 1
+
     def test_boundary_detection(self, fk0):
         on_boundary = fk0.boundary_mask
         expected = (
