@@ -1,12 +1,14 @@
 """Print one sha256 digest per run of the time stepper and of
-``cli.run_single``, to check that a refactor leaves every output bitwise
-unchanged.
+``cli.run_single``, and per assembled matrix, to check that a refactor
+leaves every output bitwise unchanged.
 
 Each line names a case (mesh, problem, coefficient path, scheme) and the
 digest of every record's t, u, alpha, fp_iters, residual, correction_sum
 and flux_abs_sum, sign bits included; the ``run_single`` lines digest the
-four integrated error norms instead.  Run it on two source trees and diff
-the outputs:
+four integrated error norms instead, and the ``assembly`` lines the data,
+indptr and indices of the mass, the Laplacian and the stiffness (of the
+space problem and of a variable-coefficient one, at three times).  Run it
+on two source trees and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
 """
@@ -17,7 +19,18 @@ import warnings
 
 import numpy as np
 
-from femfct import ConstantLimiter, SchemeKind, TimeStepper, ZalesakLimiter, cli, problems
+from femfct import (
+    ConstantLimiter,
+    ProblemSpec,
+    SchemeKind,
+    TimeStepper,
+    ZalesakLimiter,
+    assemble_laplacian,
+    assemble_mass,
+    assemble_stiffness,
+    cli,
+    problems,
+)
 from femfct.mesh import build_friedrichs_keller, build_shifted_grid
 
 STEPS = 30
@@ -56,6 +69,28 @@ def digest_records(records) -> str:
     return h.hexdigest()
 
 
+def digest_matrix(matrix) -> str:
+    h = hashlib.sha256()
+    for part in (matrix.data, matrix.indptr, matrix.indices):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def variable_spec():
+    """Coefficients that vary in space and time, so every quadrature point matters."""
+    return ProblemSpec(
+        eps=1e-3,
+        b=lambda t, x, y: (2.0 + np.sin(x + t), 3.0 * y * y),
+        c=lambda t, x, y: 1.0 + x * y,
+        f=lambda t, x, y: np.exp(x - y) * (1.0 + t),
+        u0=lambda x, y: x * y,
+        c0=1.0,
+        t_end=1.0,
+        tau=1e-3,
+        constant_coefficients=False,
+    )
+
+
 def run(label, fn):
     try:
         out = fn()
@@ -74,6 +109,12 @@ def main():
         "time": lambda: problems.time_study_problem(tau=1.0 / STEPS, t_end=1.0),
     }
     for mesh_name, mesh in meshes():
+        run(f"assembly {mesh_name} mass", lambda: digest_matrix(assemble_mass(mesh)))
+        run(f"assembly {mesh_name} laplacian", lambda: digest_matrix(assemble_laplacian(mesh)))
+        for problem, spec in (("space", problem_of["space"]()[0]), ("variable", variable_spec())):
+            for t in (0.0, 0.25, 0.7):
+                label = f"assembly {mesh_name} stiffness {problem} t={t}"
+                run(label, lambda: digest_matrix(assemble_stiffness(mesh, spec, t)))
         for problem, make in problem_of.items():
             for constant in (True, False):
                 for scheme_name, scheme in SCHEMES.items():

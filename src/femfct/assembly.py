@@ -5,8 +5,10 @@ convection is a sum over the edges ij (diffusion too, as sum_j grad phi_j
 = 0): M, K and R have the pair entries m_ij, k_ij (``mesh.edge_mass``,
 ``edge_laplacian``) and c(x_ij) m_ij, x_ij the edge midpoint, and the row
 sums of those on the diagonal (K's negated); the load is f_i =
-sum_j 2 m_ij f(x_ij).  All matrices are data arrays on the mesh's one
-sparsity pattern (``mesh.pattern``) and share its structure arrays.
+sum_j 2 m_ij f(x_ij).  Convection, not symmetric, sums each triangle's
+entries (i, j) and (j, i) of its edges per edge and its diagonal entries
+per node.  All matrices are data arrays on the mesh's one sparsity
+pattern (``mesh.pattern``) and share its structure arrays.
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ class ProblemSpec:
     constant_coefficients: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        for name in ("eps", "tau", "c0", "t_end"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # written so that NaN fails it
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _node_sums(mesh, values) -> np.ndarray:
@@ -56,13 +56,12 @@ def _node_sums(mesh, values) -> np.ndarray:
     return np.bincount(i, values, n) + np.bincount(j, values, n)
 
 
-def _add_edge_form(data, mesh, values, sums) -> sparse.csr_matrix:
-    """The matrix on the mesh pattern of ``data`` plus, in place, the per-edge
-    ``values`` at (i, j) and (j, i) and the node sums of ``sums`` at (i, i)."""
+def _on_pattern(mesh, upper, lower, diag) -> sparse.csr_matrix:
+    """The matrix on the mesh pattern with the per-edge ``upper`` and
+    ``lower`` at (i, j) and (j, i) of each edge i < j and ``diag`` at (i, i)."""
     pattern = mesh.pattern
-    data[pattern.upper] += values
-    data[pattern.lower] += values
-    data[pattern.diag] += _node_sums(mesh, sums)
+    data = np.empty(pattern.indices.size)
+    data[pattern.upper], data[pattern.lower], data[pattern.diag] = upper, lower, diag
     return pattern.matrix(data)
 
 
@@ -73,34 +72,42 @@ def _per_edge(value, edges) -> np.ndarray:
 
 def assemble_mass(mesh) -> sparse.csr_matrix:
     """Consistent P1 mass matrix (exact for P1)."""
-    return _add_edge_form(np.zeros(mesh.pattern.indices.size), mesh, mesh.edge_mass, mesh.edge_mass)
+    m = mesh.edge_mass
+    return _on_pattern(mesh, m, m, _node_sums(mesh, m))
 
 
 def assemble_laplacian(mesh) -> sparse.csr_matrix:
     """P1 stiffness matrix of -lap(u), the Gram matrix of the gradients."""
     k = mesh.edge_laplacian
-    return _add_edge_form(np.zeros(mesh.pattern.indices.size), mesh, k, -k)
+    return _on_pattern(mesh, k, k, _node_sums(mesh, -k))
 
 
 def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     """Stiffness matrix of diffusion, convection, and reaction at time t."""
-    geo, edges = mesh.geometry, mesh.edges
+    geo, edges, tri = mesh.geometry, mesh.edges, mesh.triangles
     bx, by = (_per_edge(v, edges)[edges.of_triangle] for v in spec.b(t, edges.x, edges.y))
     # (b . grad phi_j, phi_i) per triangle with the 3-point rule, whose
     # point q is the midpoint of edge q = (vertex q, vertex q+1): phi_i is
-    # 1/2 at the two points q of vertex i (0, 2 / 0, 1 / 1, 2) and 0 at the
-    # third, so with s = w (b . grad phi_j) / 2 at point q, (m, q, j), row i
-    # of the element matrix is |T| times the sum of s over those points
+    # 1/2 at the points i-1 and i of vertex i and 0 at the third, so with
+    # s = w (b . grad phi_j) / 2 at point q, (m, q, j), entry (i, j) of the
+    # element matrix is |T| (s[i, j] + s[i-1, j])
     s = bx[..., None] * geo.grads[:, None, :, 0]
     s += by[..., None] * geo.grads[:, None, :, 1]
     s *= 1.0 / 6.0
-    local = s[:, [0, 0, 1]]
-    local += s[:, [2, 1, 2]]
-    local *= geo.areas[:, None, None]
-    # plus eps K + R, in the convection matrix's data
+    q, nxt, prv = np.arange(3), np.array([1, 2, 0]), np.array([2, 0, 1])
+    forward = s[:, q, nxt] + s[:, prv, nxt]  # entry (q, q+1) of edge q
+    backward = s[:, nxt, q] + s[:, q, q]  # entry (q+1, q)
+    own = geo.areas[:, None] * (s[:, q, q] + s[:, prv, q])  # entry (q, q)
+    # summed per edge and per node in triangle order, (q, q+1) being the
+    # upper entry where t_q < t_{q+1}, plus eps K + R
+    up = tri < tri[:, nxt]
     cm = _per_edge(spec.c(t, edges.x, edges.y), edges) * mesh.edge_mass
     eps_k = spec.eps * mesh.edge_laplacian
-    return _add_edge_form(mesh.pattern.assemble(local), mesh, eps_k + cm, cm - eps_k)
+    pair = eps_k + cm
+    upper = mesh.edge_sum(np.where(up, forward, backward)) + pair
+    lower = mesh.edge_sum(np.where(up, backward, forward)) + pair
+    diag = np.bincount(tri.ravel(), own.ravel(), mesh.n_nodes) + _node_sums(mesh, cm - eps_k)
+    return _on_pattern(mesh, upper, lower, diag)
 
 
 def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
@@ -111,9 +118,10 @@ def assemble_load(mesh, spec: ProblemSpec, t: float) -> np.ndarray:
 
 
 def apply_dirichlet(matrix, mesh) -> sparse.csr_matrix:
-    """A copy of the matrix whose boundary rows are identity rows; interior
-    rows and the stored entries are untouched; only the boundary rows are read."""
-    mat = matrix.tocsr().copy()
+    """The matrix's CSR form (the matrix itself if CSR) with its boundary
+    rows made identity rows in place; interior rows and the stored entries
+    are untouched; only the boundary rows are read."""
+    mat = matrix.tocsr()
     rows = mesh.boundary_nodes
     start, count = mat.indptr[rows], mat.indptr[rows + 1] - mat.indptr[rows]
     # entry k of the boundary rows' concatenation sits at k plus its row's

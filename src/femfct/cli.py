@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -212,6 +213,14 @@ def _level(text) -> int:
     return int(text)
 
 
+def _positive(text) -> float:
+    value = float(text)
+    # written so that NaN fails it
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
+    return value
+
+
 def _parse_levels(text) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     a = _level(lo)
@@ -260,9 +269,9 @@ def parse_args(argv=None) -> ExperimentConfig:
         "--scheme", choices=[GALERKIN, LOW_ORDER, LINEAR_FCT, NONLINEAR_FCT]
     )
     parser.add_argument("--limiter", type=_check_limiter, help="zalesak or constant:<v>")
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--t-end", type=float, dest="t_end")
+    parser.add_argument("--eps", type=_positive)
+    parser.add_argument("--tau", type=_positive)
+    parser.add_argument("--t-end", type=_positive, dest="t_end")
     parser.add_argument("--study", choices=["space", "time"])
     parser.add_argument("--time-level", type=_level, dest="time_level")
     parser.add_argument("--out")
@@ -281,6 +290,15 @@ def parse_args(argv=None) -> ExperimentConfig:
     for key, value in vars(ns).items():
         if key != "config" and value is not None:
             setattr(config, key, value)
+    # the results are written after the whole study: try the path first
+    existed = os.path.exists(config.out)
+    try:
+        with open(config.out, "a"):
+            pass
+    except OSError as exc:
+        parser.error(f"argument --out: {exc}")
+    if not existed:
+        os.remove(config.out)
     return config
 
 

@@ -8,7 +8,7 @@ nodes are moved to the right by a tenth of the horizontal mesh width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +69,6 @@ class Pattern:
     indptr, indices : int32 CSR structure, shared by every matrix on it
     diag : (n,) position of entry (i, i) in a matrix's data array
     upper, lower : (E,) positions of (i, j) and of (j, i) for edge (i, j)
-    of_element : (m, 3, 3) position of entry (a, b) of each element matrix
     """
 
     indptr: np.ndarray
@@ -77,20 +76,11 @@ class Pattern:
     diag: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    of_element: np.ndarray
-    # of_element flattened into a writeable array, the index of assemble's
-    # bincount: np.bincount copies an index array it may not write to
-    _positions: np.ndarray = field(repr=False, compare=False)
 
     def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
         """The CSR matrix with ``data`` on this pattern's structure arrays."""
         n = self.diag.size
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def assemble(self, local: np.ndarray) -> np.ndarray:
-        """Sum (m, 3, 3) element matrices into the data array of a matrix
-        on this pattern; duplicate entries are summed in element order."""
-        return np.bincount(self._positions, local.ravel(), self.indices.size)
 
 
 @dataclass(frozen=True)
@@ -164,22 +154,23 @@ class TriMesh:
             arr.setflags(write=False)
         return Edges(i, j, x, y, of_triangle)
 
-    def _edge_sum(self, values) -> np.ndarray:
-        """(E,) sums of |T| values over each edge's triangles T, from (m, 3) edge values."""
+    def edge_sum(self, values) -> np.ndarray:
+        """(E,) sums of |T| values over each edge's triangles T, from (m, 3)
+        values, values[m, q] on edge q of triangle m; summed in triangle order."""
         edges, weighted = self.edges, self.geometry.areas[:, None] * values
         return _read_only(np.bincount(edges.of_triangle.ravel(), weighted.ravel(), edges.i.size))
 
     @cached_property
     def edge_mass(self) -> np.ndarray:
         """(E,) m_ij = sum_T |T| / 12 over the triangles T of edge ij, M's pair entries."""
-        return self._edge_sum(np.full((self.n_triangles, 3), 1.0 / 12.0))
+        return self.edge_sum(np.full((self.n_triangles, 3), 1.0 / 12.0))
 
     @cached_property
     def edge_laplacian(self) -> np.ndarray:
         """(E,) k_ij = sum_T |T| grad phi_i . grad phi_j, the Laplacian's pair entries."""
         g = self.geometry.grads
         # edge q of a triangle joins its vertices q and q+1
-        return self._edge_sum(np.einsum("mqd,mqd->mq", g, np.roll(g, -1, axis=1)))
+        return self.edge_sum(np.einsum("mqd,mqd->mq", g, np.roll(g, -1, axis=1)))
 
     @cached_property
     def pairs(self) -> PairGraph:
@@ -206,16 +197,9 @@ class TriMesh:
         lower[by_j] = indptr[j[by_j]] + rank - (np.cumsum(n_lower) - n_lower)[j[by_j]]
         indices = np.empty(indptr[-1], dtype=np.int32)
         indices[diag], indices[upper], indices[lower] = np.arange(n), j, i
-        # entry (a, b) of an element matrix: the diagonal for a == b, else
-        # the edge joining local vertices a and b (edge q joins q and q+1)
-        t = self.triangles
-        edge = self.edges.of_triangle[:, [[0, 0, 2], [0, 1, 1], [2, 1, 2]]]
-        of_element = np.where(t[:, :, None] < t[:, None, :], upper[edge], lower[edge])
-        of_element[:, [0, 1, 2], [0, 1, 2]] = diag[t]
-        positions = of_element.reshape(-1)  # a view that stays writeable
-        for arr in (indptr, indices, diag, upper, lower, of_element):
+        for arr in (indptr, indices, diag, upper, lower):
             arr.setflags(write=False)
-        return Pattern(indptr, indices, diag, upper, lower, of_element, positions)
+        return Pattern(indptr, indices, diag, upper, lower)
 
     def areas(self) -> np.ndarray:
         return self.geometry.areas
@@ -306,6 +290,8 @@ def load_mesh(path) -> TriMesh:
     Format: first non-comment line ``N_nodes N_triangles``, then the node
     coordinates ``x y`` and the 0-based triangle indices ``i j k``.  Lines
     starting with ``#`` are comments.  Clockwise triangles are reoriented.
+    Every node must be in a triangle, and every edge in one triangle or in
+    two on either side of it.
     """
     rows = []
     with open(path) as fh:
@@ -343,9 +329,25 @@ def load_mesh(path) -> TriMesh:
     if tris.size and (tris.min() < 0 or tris.max() >= n_nodes):
         lineno = rows[1 + n_nodes + int(np.argmax(np.any((tris < 0) | (tris >= n_nodes), axis=1)))][0]
         raise MeshError(f"{path}:{lineno}: triangle node index out of range")
+    unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n_nodes) == 0)
+    if unused.size:
+        raise MeshError(f"{path}:{rows[1 + unused[0]][0]}: node {unused[0]} is in no triangle")
     p = nodes[tris]
     diam = float(np.max(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)))
-    return _make_mesh(nodes, tris, 0, diam)
+    mesh = _make_mesh(nodes, tris, 0, diam)
+    # counterclockwise triangles that neither overlap nor share an edge
+    # three ways run through each edge at most once in each direction
+    t = mesh.triangles
+    a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
+    repeated = np.ones(a.size, dtype=bool)
+    repeated[np.unique(a * n_nodes + b, return_index=True)[1]] = False
+    if repeated.any():
+        k = int(np.argmax(repeated))
+        raise MeshError(
+            f"{path}:{rows[1 + n_nodes + k // 3][0]}: edge {a[k]}-{b[k]} is in more than "
+            "two triangles, or in two on the same side of it"
+        )
+    return mesh
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:

@@ -185,11 +185,19 @@ class TestDirichlet:
 
     def test_interior_rows_untouched(self, fk1, benchmark_spec):
         a = assemble_stiffness(fk1, benchmark_spec, t=0.0)
-        a2 = apply_dirichlet(a, fk1)
+        a2 = apply_dirichlet(a.copy(), fk1)
         interior = ~fk1.boundary_mask
         np.testing.assert_array_equal(
             a2.toarray()[interior], a.toarray()[interior]
         )
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("name", ["eps", "tau", "c0", "t_end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_nonpositive_or_nonfinite(self, benchmark_spec, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            dataclasses.replace(benchmark_spec, **{name: value})
 
 
 class TestSharedGeometry:

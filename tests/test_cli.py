@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import femfct
+import femfct.cli
 from femfct import space_study_problem, time_study_problem
 from femfct.cli import (
     SPACE_COLUMNS,
@@ -162,6 +163,37 @@ class TestConfig:
             assert exc.value.code == 2
             assert "argument --time-level: levels must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("flag", ["--eps", "--tau", "--t-end"])
+    def test_nonpositive_or_nonfinite_parameters_are_usage_errors(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([f"{flag}={value}", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value} is not positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("study", ["space", "time"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, study):
+        def must_not_start(config):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(femfct.cli, "run_space_study", must_not_start)
+        monkeypatch.setattr(femfct.cli, "run_time_study", must_not_start)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["--study", study, "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --out: " in err and str(out) in err
+        # trying a writable path leaves no file behind, and an existing one as it was
+        out = tmp_path / "x.csv"
+        assert parse_args(["--out", str(out)]).out == str(out)
+        assert not out.exists()
+        out.write_text("kept\n")
+        parse_args(["--out", str(out)])
+        assert out.read_text() == "kept\n"
 
 
 class TestGrids:

@@ -25,10 +25,12 @@ system matrices of Galerkin, low order and the constant-limiter
 nonlinear scheme, which the one fixed-limiter system S_v replaces, the
 Zalesak limiter computing alpha on every pair, prelimiting that gathers
 ubar_i - ubar_j on every call, the manufactured source evaluating its
-closed form on every call, and ``apply_dirichlet`` scanning every row of
-every system it constrains.  Every mesh is also tried with its nodes
-randomly relabelled, which leaves the CSR column order unsorted before
-assembly.
+closed form on every call, ``apply_dirichlet`` scanning every row of
+every system it constrains, and the convection's (m, 3, 3) element
+matrices scattered through per-element positions in the pattern, which
+its per-edge and per-node sums replace.  Every mesh is also tried with
+its nodes randomly relabelled, which leaves the CSR column order
+unsorted before assembly.
 """
 
 import collections
@@ -287,14 +289,67 @@ def test_load_matches_per_triangle_einsum(mesh, spec, t):
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
 def test_stiffness_matches_per_triangle_evaluation(mesh, spec, t):
-    # the per-triangle element matrices, scattered with the pattern
-    local = old_local_stiffness(mesh, spec, t)
-    pattern = mesh.pattern
-    ref = np.bincount(pattern.of_element.ravel(), local.ravel(), pattern.indices.size)
+    # the per-triangle element matrices, scattered through COO
+    ref = old_sorted_csr(mesh, old_local_stiffness(mesh, spec, t))
     new = assemble_stiffness(mesh, spec, t)
-    np.testing.assert_array_equal(new.indptr, pattern.indptr)
-    np.testing.assert_array_equal(new.indices, pattern.indices)
-    assert_close(new.data, ref)
+    np.testing.assert_array_equal(new.indptr, ref.indptr)
+    np.testing.assert_array_equal(new.indices, ref.indices)
+    assert_close(new.data, ref.data)
+
+
+def old_element_positions(mesh):
+    """(m, 3, 3) position of entry (a, b) of each element matrix in the
+    pattern's data: the diagonal for a == b, else the edge joining local
+    vertices a and b (edge q joins q and q+1)."""
+    pattern, t = mesh.pattern, mesh.triangles
+    edge = mesh.edges.of_triangle[:, [[0, 0, 2], [0, 1, 1], [2, 1, 2]]]
+    positions = np.where(t[:, :, None] < t[:, None, :], pattern.upper[edge], pattern.lower[edge])
+    positions[:, [0, 1, 2], [0, 1, 2]] = pattern.diag[t]
+    return positions
+
+
+def old_element_scatter_stiffness(mesh, spec, t):
+    """The stiffness with convection as (m, 3, 3) element matrices summed
+    through the element positions in element order, plus eps K + R in edge
+    form."""
+    geo, edges, pattern = mesh.geometry, mesh.edges, mesh.pattern
+
+    def per_edge(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), edges.x.shape)
+
+    bx, by = (per_edge(v)[edges.of_triangle] for v in spec.b(t, edges.x, edges.y))
+    s = bx[..., None] * geo.grads[:, None, :, 0]
+    s += by[..., None] * geo.grads[:, None, :, 1]
+    s *= 1.0 / 6.0
+    local = s[:, [0, 0, 1]]
+    local += s[:, [2, 1, 2]]
+    local *= geo.areas[:, None, None]
+    positions = old_element_positions(mesh).ravel()
+    data = np.bincount(positions, local.ravel(), pattern.indices.size)
+    cm = per_edge(spec.c(t, edges.x, edges.y)) * mesh.edge_mass
+    eps_k = spec.eps * mesh.edge_laplacian
+    data[pattern.upper] += eps_k + cm
+    data[pattern.lower] += eps_k + cm
+    sums, n = cm - eps_k, mesh.n_nodes
+    data[pattern.diag] += np.bincount(edges.i, sums, n) + np.bincount(edges.j, sums, n)
+    return pattern.matrix(data)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+@pytest.mark.parametrize("problem", ["variable", "space"])
+def test_stiffness_matches_element_scatter(mesh, spec, problem, t):
+    # structure and data, sign bits included
+    if problem == "space":
+        spec, _ = space_study_problem()
+    new, ref = assemble_stiffness(mesh, spec, t), old_element_scatter_stiffness(mesh, spec, t)
+    for part in ("data", "indptr", "indices"):
+        assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    # the oracle's positions index the (row, col) they stand for
+    pattern, tri = mesh.pattern, mesh.triangles
+    row = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
+    positions, shape = old_element_positions(mesh), (mesh.n_triangles, 3, 3)
+    np.testing.assert_array_equal(row[positions], np.broadcast_to(tri[:, :, None], shape))
+    np.testing.assert_array_equal(pattern.indices[positions], np.broadcast_to(tri[:, None, :], shape))
 
 
 def test_edge_form_identities(mesh, spec):
@@ -536,7 +591,7 @@ def test_prelimit_of_pair_differences_matches_ubar_gather_bitwise(mesh, operator
 
 
 def test_pattern_matches_coo_structure(mesh):
-    pattern, edges, t = mesh.pattern, mesh.edges, mesh.triangles
+    pattern, edges = mesh.pattern, mesh.edges
     ref = old_sorted_csr(mesh, np.ones((mesh.n_triangles, 3, 3)))
     np.testing.assert_array_equal(pattern.indptr, ref.indptr)
     np.testing.assert_array_equal(pattern.indices, ref.indices)
@@ -544,24 +599,14 @@ def test_pattern_matches_coo_structure(mesh):
     row = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
     col = pattern.indices
     # every position indexes the (row, col) it stands for
-    shape = (mesh.n_triangles, 3, 3)
-    np.testing.assert_array_equal(row[pattern.of_element], np.broadcast_to(t[:, :, None], shape))
-    np.testing.assert_array_equal(col[pattern.of_element], np.broadcast_to(t[:, None, :], shape))
     np.testing.assert_array_equal(row[pattern.diag], np.arange(mesh.n_nodes))
     np.testing.assert_array_equal(col[pattern.diag], np.arange(mesh.n_nodes))
     np.testing.assert_array_equal(row[pattern.upper], edges.i)
     np.testing.assert_array_equal(col[pattern.upper], edges.j)
     np.testing.assert_array_equal(row[pattern.lower], edges.j)
     np.testing.assert_array_equal(col[pattern.lower], edges.i)
-    for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.upper,
-                pattern.lower, pattern.of_element):
+    for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.upper, pattern.lower):
         assert not arr.flags.writeable
-    # assemble's bincount index: of_element's memory, flat and writeable,
-    # so that np.bincount does not copy it
-    positions = pattern._positions
-    assert positions.flags.writeable and positions.flags.c_contiguous
-    assert positions.dtype == np.intp and np.shares_memory(positions, pattern.of_element)
-    np.testing.assert_array_equal(positions, pattern.of_element.ravel())
     assert mesh.pattern is pattern
 
 
@@ -795,12 +840,13 @@ def old_apply_dirichlet(matrix, mesh):
 
 
 def assert_dirichlet_matches_full_row_scan(matrix, mesh):
-    # structure and data, sign bits included; the input is left unchanged
-    data = matrix.data.tobytes()
-    new, ref = apply_dirichlet(matrix, mesh), old_apply_dirichlet(matrix, mesh)
+    # structure and data, sign bits included; a CSR input is constrained in
+    # place and returned
+    ref, copy = old_apply_dirichlet(matrix, mesh), matrix.copy()
+    new = apply_dirichlet(copy, mesh)
     for part in ("indptr", "indices", "data"):
         assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
-    assert matrix.data.tobytes() == data
+    assert new is copy
     return new
 
 

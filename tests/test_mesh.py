@@ -122,6 +122,29 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="empty"):
             load_mesh(self.write(tmp_path, "# nothing\n"))
 
+    def test_node_in_no_triangle(self, tmp_path):
+        # node 4, on line 6, is in neither triangle
+        path = self.write(tmp_path, "5 2\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 2\n0 2 3\n")
+        with pytest.raises(MeshError, match=r"mesh\.msh:6: node 4 is in no triangle"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            # triangle 0 1 2 twice, so edge 0-2 is in three triangles; the
+            # repeat's first edge, 0-1, already ran the same way
+            ("4 3\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n0 1 2\n", "8: edge 0-1"),
+            # one triangle twice, its vertices rotated
+            ("3 2\n0 0\n1 0\n0 1\n0 1 2\n1 2 0\n", "6: edge 1-2"),
+            # two triangles on the same side of edge 0-1
+            ("4 2\n0 0\n1 0\n0 1\n0.2 0.2\n0 1 2\n0 1 3\n", "7: edge 0-1"),
+        ],
+        ids=["three-triangles", "duplicate", "overlap"],
+    )
+    def test_edge_in_more_than_two_triangles(self, tmp_path, text, where):
+        with pytest.raises(MeshError, match=rf"mesh\.msh:{where} is in more than two triangles"):
+            load_mesh(self.write(tmp_path, text))
+
     @pytest.mark.parametrize(
         "text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n"], ids=["no-nodes", "no-triangles"]
     )
