@@ -207,14 +207,23 @@ def write_time_csv(path, rows, eocs):
 # -- argument handling --------------------------------------------------
 
 
+def _convert(conv, text, what):
+    """conv(text), a usage error naming the expected type if it fails."""
+    try:
+        return conv(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+
+
 def _level(text) -> int:
-    if int(text) < 0:
+    level = _convert(int, text, "an integer")
+    if level < 0:
         raise argparse.ArgumentTypeError("levels must be nonnegative")
-    return int(text)
+    return level
 
 
 def _positive(text) -> float:
-    value = float(text)
+    value = _convert(float, text, "a number")
     # written so that NaN fails it
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
@@ -224,7 +233,7 @@ def _positive(text) -> float:
 def _parse_levels(text) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     a = _level(lo)
-    b = int(hi) if hi else a
+    b = _convert(int, hi, "an integer") if hi else a
     if b < a:
         raise argparse.ArgumentTypeError("empty level range")
     return a, b

@@ -2,8 +2,9 @@
 
 Schemes: Galerkin (high order), low order (lumped mass plus artificial
 diffusion), linear FEM-FCT (explicitly linearized fluxes, one solve per
-step), and nonlinear FEM-FCT (fixed-point iteration over the limited
-fluxes).
+step), and nonlinear FEM-FCT (Anderson-accelerated fixed-point iteration
+over the limited fluxes, from the start extrapolated from the last two
+solutions).
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .fct import (
     zalesak_bounds,
 )
 from .solver import Factorization
+
+# the number of past iterates Anderson acceleration mixes in the nonlinear
+# FCT step; 0 is plain fixed-point iteration from u^{n-1}
+ANDERSON_DEPTH = 3
 
 GALERKIN = "galerkin"
 LOW_ORDER = "low_order"
@@ -146,7 +151,9 @@ class TimeStepper:
 
     ``run`` builds each time level t = n tau once (a ``TimeLevel``) and
     hands it to the next step as its previous level, so every load,
-    boundary value and operator of the run is computed once.  The one LU
+    boundary value and operator of the run is computed once; each step
+    also gets u^{n-1} and u^{n-2} (None at the first step), which only the
+    nonlinear fixed point reads, for its start.  The one LU
     is refactored only when a level's operators are not those it was
     built from (once per stepper for constant coefficients, once per step
     otherwise), in the last LU's column order unless the structure (the
@@ -272,7 +279,7 @@ class TimeStepper:
 
     # -- single steps ------------------------------------------------
 
-    def step_fixed_limiter(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
+    def step_fixed_limiter(self, level: TimeLevel, u_prev, prev: TimeLevel, u_prev2=None) -> StepRecord:
         """The FCT step with the fixed limiter v on every pair, solved
         exactly: S_v u = tau f + ((1-v) M_L + v M) u_prev.  Its record
         gives the raw fluxes of u and their correction with v, the flux
@@ -286,7 +293,7 @@ class TimeStepper:
 
     step_galerkin = step_low_order = step_fixed_limiter
 
-    def step_linear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
+    def step_linear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel, u_prev2=None) -> StepRecord:
         tau, g = self.spec.tau, level.g
         abar_prev, d_ij = prev.ops
         r = abar_prev @ u_prev - prev.f
@@ -303,7 +310,18 @@ class TimeStepper:
         u = self._factorization(level).solve(self._constrained_rhs(rhs, g))
         return _fct_record(level.t, u, alpha, fstar, flux)
 
-    def step_nonlinear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel) -> StepRecord:
+    def step_nonlinear_fct(self, level: TimeLevel, u_prev, prev: TimeLevel, u_prev2=None) -> StepRecord:
+        """The nonlinear FCT step: Anderson-accelerated fixed-point iteration
+        on G(x) = S^{-1}(tau f + M_L u_prev + f*(x)), f*(x) the limited
+        correction of the raw fluxes of x, from the extrapolated start
+        2 u_prev - u_prev2 (u_prev at the first step), whose Dirichlet rows
+        take g(t).  Each iteration solves once for G(x_k); type II Anderson
+        (Walker & Ni 2011) then mixes G over the last ``ANDERSON_DEPTH``
+        differences, x_{k+1} = G(x_k) - dG gamma with gamma minimising
+        |f_k - dF gamma|, f_k = G(x_k) - x_k.  The step accepts the first
+        iterate x_k, k >= 1, whose residual of the equation is below
+        ``fp_opts.tol``, with its own limiter, correction and fluxes.
+        Depth 0 is plain iteration x_{k+1} = G(x_k) from u_prev."""
         if self.fixed_alpha is not None:
             # a fixed limiter makes the scheme linear: solve it exactly
             return self.step_fixed_limiter(level, u_prev, prev)
@@ -323,10 +341,35 @@ class TimeStepper:
 
         base_rhs = tau * fvec + self.m_lumped * u_prev
 
-        flux, alpha, fstar = limited_correction(u_prev)
+        depth = ANDERSON_DEPTH
+        u = u_prev
+        if depth and u_prev2 is not None:
+            u = 2.0 * u_prev - u_prev2
+            u[self._bnodes] = g
+        # the last depth differences of f_k = G(x_k) - x_k and of G(x_k),
+        # a ring buffer
+        d_f, d_g = np.empty((depth, u.size)), np.empty((depth, u.size))
+        flux, alpha, fstar = limited_correction(u)
         residual = np.inf
         for it in range(1, self.fp_opts.max_iter + 1):
-            u = factor.solve(self._constrained_rhs(base_rhs + fstar, g))
+            g_u = factor.solve(self._constrained_rhs(base_rhs + fstar, g))
+            u_next = g_u
+            if depth:
+                f_u = g_u - u
+                if it > 1:
+                    row, m = (it - 2) % depth, min(it - 1, depth)
+                    np.subtract(f_u, f_last, out=d_f[row])
+                    np.subtract(g_u, g_last, out=d_g[row])
+                    # einsum, not BLAS: the same sums whatever BLAS's
+                    # thread count
+                    gram = np.einsum("ki,li->kl", d_f[:m], d_f[:m])
+                    rhs = np.einsum("ki,i->k", d_f[:m], f_u)
+                    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+                        raise StepFailure(f"non-finite iterate in fixed-point iteration {it}", residual)
+                    gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+                    u_next = g_u - np.einsum("k,ki->i", gamma, d_g[:m])
+                f_last, g_last = f_u, g_u
+            u = u_next
             flux, alpha, fstar = limited_correction(u)
             res_vec = self.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
             res_vec[self._bnodes] = u[self._bnodes] - g
@@ -358,7 +401,8 @@ class TimeStepper:
         for n in range(1, n_steps + 1):
             level = TimeLevel(self, n * tau)
             try:
-                rec = step(level, records[-1].u, prev)
+                u_prev2 = records[-2].u if n > 1 else None
+                rec = step(level, records[-1].u, prev, u_prev2)
                 if not np.isfinite(rec.u).all():
                     raise StepFailure("non-finite solution", rec.residual)
             except StepFailure as exc:

@@ -174,6 +174,21 @@ class TestConfig:
         assert f"argument {flag}: {value} is not positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, what",
+        [("--eps", "abc", "a number"), ("--tau", "1e-3x", "a number"),
+         ("--t-end", "", "a number"), ("--levels", "x", "an integer"),
+         ("--levels", "1..2.5", "an integer"), ("--time-level", "x", "an integer")],
+    )
+    def test_non_numeric_parameters_name_the_expected_type(self, tmp_path, capsys, flag, value, what):
+        with pytest.raises(SystemExit) as exc:
+            main([f"{flag}={value}", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value.rpartition('..')[2]!r} is not {what}" in err
+        assert "invalid" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("study", ["space", "time"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, study):
         def must_not_start(config):
@@ -290,18 +305,20 @@ class TestStudies:
         assert "tau=" in text
 
 
-# 5 linear_fct steps, the four integrated norms and each step's nodal
+# 5 steps of a scheme, the four integrated norms and each step's nodal
 # norms on shifted level 6 (16641 nodes, above the size from which
-# OpenBLAS threads its dot product)
+# OpenBLAS threads its dot product); for nonlinear_fct also each step's
+# iteration count and residual, which the Anderson history's sums decide
 BLAS_THREADS_SCRIPT = """
-import hashlib
+import hashlib, sys
 from femfct import SchemeKind, build_shifted_grid, space_study_problem
 from femfct.cli import run_single
 from femfct.errors import ErrorWorkspace
 mesh = build_shifted_grid(6)
 spec, exact = space_study_problem(tau=1e-3, t_end=5e-3)
-integrated, records = run_single(mesh, spec, exact, SchemeKind("linear_fct"))
+integrated, records = run_single(mesh, spec, exact, SchemeKind(sys.argv[1]))
 print(hashlib.sha256(b"".join(r.u.tobytes() for r in records)).hexdigest())
+print([(r.fp_iters, float(r.residual).hex()) for r in records])
 print(sorted((k, float(v).hex()) for k, v in integrated.items()))
 ws = ErrorWorkspace(mesh)
 for r in records:
@@ -310,13 +327,14 @@ for r in records:
 """
 
 
-def test_results_do_not_depend_on_blas_threads():
+@pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
+def test_results_do_not_depend_on_blas_threads(kind):
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = str(Path(femfct.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env, capture_output=True,
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT, kind], env=env, capture_output=True,
             text=True, check=True, timeout=300,
         )
         outputs.append(done.stdout)

@@ -145,6 +145,12 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match=rf"mesh\.msh:{where} is in more than two triangles"):
             load_mesh(self.write(tmp_path, text))
 
+    def test_degenerate_triangle_reports_line(self, tmp_path):
+        # the first triangle, on line 6, has three collinear nodes
+        path = self.write(tmp_path, "4 2\n0 0\n1 0\n2 0\n0 1\n0 1 2\n0 2 3\n")
+        with pytest.raises(MeshError, match=r"mesh\.msh:6: triangle 0 is degenerate \(zero area\)"):
+            load_mesh(path)
+
     @pytest.mark.parametrize(
         "text", ["0 0\n", "3 0\n0 0\n1 0\n0 1\n"], ids=["no-nodes", "no-triangles"]
     )

@@ -166,6 +166,47 @@ class TestNonlinearFct:
             stepper.run(1)
 
 
+    @staticmethod
+    def nan_on_third_call(fn):
+        calls = []
+
+        def patched(*args):
+            calls.append(None)
+            out = fn(*args)
+            return out * math.nan if len(calls) == 3 else out
+
+        return patched
+
+    def test_non_finite_correction_names_the_iteration(self, fk2, study, monkeypatch):
+        # the third correction is that of the second iterate, the first
+        # mixed from the Anderson history: its residual stops the step
+        # before the history's least-squares solve sees it
+        from femfct import StepFailure
+
+        spec, _ = study
+        monkeypatch.setattr(
+            femfct.stepper, "correction_vector", self.nan_on_third_call(femfct.stepper.correction_vector)
+        )
+        stepper = TimeStepper(fk2, spec, SchemeKind("nonlinear_fct"))
+        with pytest.raises(StepFailure, match=r"^step 1 \(t=0\.001\) failed: non-finite residual "
+                           r"in fixed-point iteration 2$"):
+            stepper.run(1)
+
+    def test_non_finite_solve_names_the_iteration(self, fk2, study, monkeypatch):
+        # a non-finite G(x_3) is caught before the least-squares solve of
+        # the third iteration
+        from femfct import StepFailure
+
+        spec, _ = study
+        monkeypatch.setattr(
+            femfct.solver.Factorization, "solve", self.nan_on_third_call(femfct.solver.Factorization.solve)
+        )
+        stepper = TimeStepper(fk2, spec, SchemeKind("nonlinear_fct"))
+        with pytest.raises(StepFailure, match=r"^step 1 \(t=0\.001\) failed: non-finite iterate "
+                           r"in fixed-point iteration 3$"):
+            stepper.run(1)
+
+
 class TestRun:
     def test_zero_steps(self, fk1, study):
         spec, _ = study
