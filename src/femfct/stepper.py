@@ -363,9 +363,11 @@ class TimeStepper:
                     # einsum, not BLAS: the same sums whatever BLAS's
                     # thread count
                     gram = np.einsum("ki,li->kl", d_f[:m], d_f[:m])
-                    rhs = np.einsum("ki,i->k", d_f[:m], f_u)
-                    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+                    # a non-finite G(x_k) shows in the Gram matrix, on
+                    # which lstsq would raise LinAlgError
+                    if not np.isfinite(gram).all():
                         raise StepFailure(f"non-finite iterate in fixed-point iteration {it}", residual)
+                    rhs = np.einsum("ki,i->k", d_f[:m], f_u)
                     gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
                     u_next = g_u - np.einsum("k,ki->i", gamma, d_g[:m])
                 f_last, g_last = f_u, g_u
@@ -400,8 +402,8 @@ class TimeStepper:
         records = [StepRecord(0.0, u0)]
         for n in range(1, n_steps + 1):
             level = TimeLevel(self, n * tau)
+            u_prev2 = records[-2].u if n > 1 else None
             try:
-                u_prev2 = records[-2].u if n > 1 else None
                 rec = step(level, records[-1].u, prev, u_prev2)
                 if not np.isfinite(rec.u).all():
                     raise StepFailure("non-finite solution", rec.residual)
