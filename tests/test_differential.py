@@ -30,9 +30,9 @@ every system it constrains, and the convection's (m, 3, 3) element
 matrices scattered through per-element positions in the pattern, which
 its per-edge and per-node sums replace, and the nonlinear FCT step's plain
 fixed-point iteration from u^{n-1}, which Anderson acceleration from an
-extrapolated start replaces (depth 0 must still be it, bitwise).  Every mesh is also tried with
-its nodes randomly relabelled, which leaves the CSR column order
-unsorted before assembly.
+extrapolated start replaces (depth 0 must still be it, bitwise).  Every
+mesh is also tried with its nodes randomly relabelled, which leaves the
+CSR column order unsorted before assembly.
 """
 
 import collections

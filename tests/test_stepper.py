@@ -165,7 +165,6 @@ class TestNonlinearFct:
         with pytest.raises(StepFailure):
             stepper.run(1)
 
-
     @staticmethod
     def nan_on_third_call(fn):
         calls = []
@@ -193,8 +192,8 @@ class TestNonlinearFct:
             stepper.run(1)
 
     def test_non_finite_solve_names_the_iteration(self, fk2, study, monkeypatch):
-        # a non-finite G(x_3) is caught before the least-squares solve of
-        # the third iteration
+        # the third solve gives a non-finite G(x_2), caught before the
+        # least-squares solve of the third iteration
         from femfct import StepFailure
 
         spec, _ = study
