@@ -220,28 +220,27 @@ def _boundary_mask(nodes: np.ndarray) -> np.ndarray:
     )
 
 
-def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray, name="triangle {}".format) -> np.ndarray:
-    """Flip triangles with negative signed area; reject degenerate ones,
-    naming the first by ``name(index)``."""
+def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Flip triangles with negative signed area; reject degenerate ones."""
     p = nodes[triangles]
     v1 = p[:, 1] - p[:, 0]
     v2 = p[:, 2] - p[:, 0]
     area2 = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
     if np.any(area2 == 0.0):
         bad = int(np.flatnonzero(area2 == 0.0)[0])
-        raise MeshError(f"{name(bad)} is degenerate (zero area)")
+        raise MeshError(f"triangle {bad} is degenerate (zero area)")
     triangles = triangles.copy()
     flip = area2 < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return triangles
 
 
-def _make_mesh(nodes, triangles, level, h, name="triangle {}".format) -> TriMesh:
+def _make_mesh(nodes, triangles, level, h) -> TriMesh:
     nodes = np.ascontiguousarray(nodes, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
         raise MeshError("triangle node index out of range")
-    triangles = _orient_ccw(nodes, triangles, name)
+    triangles = _orient_ccw(nodes, triangles)
     return TriMesh(nodes, triangles, _boundary_mask(nodes), level, h)
 
 
@@ -334,10 +333,13 @@ def load_mesh(path) -> TriMesh:
     if unused.size:
         raise MeshError(f"{path}:{rows[1 + unused[0]][0]}: node {unused[0]} is in no triangle")
     p = nodes[tris]
+    v1, v2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    flat = np.flatnonzero(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0] == 0.0)
+    if flat.size:
+        k = int(flat[0])
+        raise MeshError(f"{path}:{rows[1 + n_nodes + k][0]}: triangle {k} is degenerate (zero area)")
     diam = float(np.max(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)))
-    mesh = _make_mesh(
-        nodes, tris, 0, diam, lambda k: f"{path}:{rows[1 + n_nodes + k][0]}: triangle {k}"
-    )
+    mesh = _make_mesh(nodes, tris, 0, diam)
     # counterclockwise triangles that neither overlap nor share an edge
     # three ways run through each edge at most once in each direction
     t = mesh.triangles

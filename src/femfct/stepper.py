@@ -38,7 +38,7 @@ from .fct import (
 from .solver import Factorization
 
 # the number of past iterates Anderson acceleration mixes in the nonlinear
-# FCT step; 0 is plain fixed-point iteration from u^{n-1}
+# FCT step
 ANDERSON_DEPTH = 3
 
 GALERKIN = "galerkin"
@@ -320,8 +320,7 @@ class TimeStepper:
         differences, x_{k+1} = G(x_k) - dG gamma with gamma minimising
         |f_k - dF gamma|, f_k = G(x_k) - x_k.  The step accepts the first
         iterate x_k, k >= 1, whose residual of the equation is below
-        ``fp_opts.tol``, with its own limiter, correction and fluxes.
-        Depth 0 is plain iteration x_{k+1} = G(x_k) from u_prev."""
+        ``fp_opts.tol``, with its own limiter, correction and fluxes."""
         if self.fixed_alpha is not None:
             # a fixed limiter makes the scheme linear: solve it exactly
             return self.step_fixed_limiter(level, u_prev, prev)
@@ -341,37 +340,34 @@ class TimeStepper:
 
         base_rhs = tau * fvec + self.m_lumped * u_prev
 
-        depth = ANDERSON_DEPTH
         u = u_prev
-        if depth and u_prev2 is not None:
+        if u_prev2 is not None:
             u = 2.0 * u_prev - u_prev2
             u[self._bnodes] = g
-        # the last depth differences of f_k = G(x_k) - x_k and of G(x_k),
-        # a ring buffer
-        d_f, d_g = np.empty((depth, u.size)), np.empty((depth, u.size))
+        # the last ANDERSON_DEPTH differences of f_k = G(x_k) - x_k and of
+        # G(x_k), a ring buffer
+        d_f, d_g = np.empty((2, ANDERSON_DEPTH, u.size))
         flux, alpha, fstar = limited_correction(u)
         residual = np.inf
         for it in range(1, self.fp_opts.max_iter + 1):
             g_u = factor.solve(self._constrained_rhs(base_rhs + fstar, g))
-            u_next = g_u
-            if depth:
-                f_u = g_u - u
-                if it > 1:
-                    row, m = (it - 2) % depth, min(it - 1, depth)
-                    np.subtract(f_u, f_last, out=d_f[row])
-                    np.subtract(g_u, g_last, out=d_g[row])
-                    # einsum, not BLAS: the same sums whatever BLAS's
-                    # thread count
-                    gram = np.einsum("ki,li->kl", d_f[:m], d_f[:m])
-                    # a non-finite G(x_k) shows in the Gram matrix, on
-                    # which lstsq would raise LinAlgError
-                    if not np.isfinite(gram).all():
-                        raise StepFailure(f"non-finite iterate in fixed-point iteration {it}", residual)
-                    rhs = np.einsum("ki,i->k", d_f[:m], f_u)
-                    gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-                    u_next = g_u - np.einsum("k,ki->i", gamma, d_g[:m])
-                f_last, g_last = f_u, g_u
-            u = u_next
+            f_u = g_u - u
+            u = g_u
+            if it > 1:
+                row, m = (it - 2) % ANDERSON_DEPTH, min(it - 1, ANDERSON_DEPTH)
+                np.subtract(f_u, f_last, out=d_f[row])
+                np.subtract(g_u, g_last, out=d_g[row])
+                # einsum, not BLAS: the same sums whatever BLAS's thread
+                # count
+                gram = np.einsum("ki,li->kl", d_f[:m], d_f[:m])
+                # a non-finite G(x_k) shows in the Gram matrix, on which
+                # lstsq would raise LinAlgError
+                if not np.isfinite(gram).all():
+                    raise StepFailure(f"non-finite iterate in fixed-point iteration {it}", residual)
+                rhs = np.einsum("ki,i->k", d_f[:m], f_u)
+                gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+                u = g_u - np.einsum("k,ki->i", gamma, d_g[:m])
+            f_last, g_last = f_u, g_u
             flux, alpha, fstar = limited_correction(u)
             res_vec = self.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
             res_vec[self._bnodes] = u[self._bnodes] - g
@@ -390,7 +386,12 @@ class TimeStepper:
     # -- time loop ---------------------------------------------------
 
     def run(self, n_steps: int) -> list[StepRecord]:
-        """Advance n_steps of length tau from the nodal interpolant of u0."""
+        """Advance n_steps of length tau from the nodal interpolant of u0.
+
+        Every step is called as step(level, u^{n-1}, previous level,
+        u^{n-2}), u^{n-2} None at the first step; only
+        ``step_nonlinear_fct`` reads u^{n-2}, the others accept it so that
+        every scheme is called alike."""
         tau = self.spec.tau
         if n_steps * tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")

@@ -30,9 +30,9 @@ every system it constrains, and the convection's (m, 3, 3) element
 matrices scattered through per-element positions in the pattern, which
 its per-edge and per-node sums replace, and the nonlinear FCT step's plain
 fixed-point iteration from u^{n-1}, which Anderson acceleration from an
-extrapolated start replaces (depth 0 must still be it, bitwise).  Every
-mesh is also tried with its nodes randomly relabelled, which leaves the
-CSR column order unsorted before assembly.
+extrapolated start replaces.  Every mesh is also tried with its nodes
+randomly relabelled, which leaves the CSR column order unsorted before
+assembly.
 """
 
 import collections
@@ -1064,6 +1064,38 @@ def test_split_error_norms_match_whole_mesh_einsums(grid, level, problem, u_h_ki
             assert not ws.nodal_error(u_h, exact, t).any()
 
 
+def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
+    """The nonlinear FCT step as plain fixed-point iteration from u_prev,
+    u_{k+1} = S^{-1}(tau f + M_L u_prev + f*(u_k)), which Anderson
+    acceleration from the extrapolated start replaced."""
+    tau, g, bnodes = stepper.spec.tau, level.g, stepper._bnodes
+    abar, d_ij = level.ops
+    r = prev.ops[0] @ u_prev - prev.f
+    ubar = femfct.stepper.predictor_half_step(stepper.m_lumped, r, u_prev, tau, bnodes, g)
+    factor = stepper._factorization(level)
+    bounds = zalesak_bounds(stepper.pairs, ubar, stepper.m_lumped)
+    dubar = ubar[stepper.pairs.i] - ubar[stepper.pairs.j]
+
+    def limited_correction(u_cur):
+        flux = prelimit(raw_fluxes(stepper.pairs, stepper._m_ij, d_ij, u_cur, u_prev, tau), dubar)
+        alpha = stepper._limit(flux, bounds)
+        return flux, alpha, correction_vector(alpha, flux)
+
+    base_rhs = tau * level.f + stepper.m_lumped * u_prev
+    flux, alpha, fstar = limited_correction(u_prev)
+    for it in range(1, stepper.fp_opts.max_iter + 1):
+        u = factor.solve(stepper._constrained_rhs(base_rhs + fstar, g))
+        flux, alpha, fstar = limited_correction(u)
+        res_vec = stepper.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
+        res_vec[bnodes] = u[bnodes] - g
+        residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
+        if residual < stepper.fp_opts.tol:
+            return femfct.stepper._fct_record(
+                level.t, u, alpha, fstar, flux, fp_iters=it, residual=residual
+            )
+    raise AssertionError("the former fixed point did not converge")
+
+
 # run_single's four integrated norms (10 steps, tau = 1e-3) as computed
 # with the whole-mesh error norms and the former problem callbacks
 RUN_SINGLE_NORMS = {
@@ -1086,7 +1118,7 @@ RUN_SINGLE_NORMS = {
 def test_run_single_norms_match_former_evaluation(case, monkeypatch):
     grid, level, kind = case
     # the references were recorded with plain fixed-point iteration
-    monkeypatch.setattr(femfct.stepper, "ANDERSON_DEPTH", 0)
+    monkeypatch.setattr(TimeStepper, "step_nonlinear_fct", old_step_nonlinear_fct)
     spec, exact = space_study_problem(tau=1e-3, t_end=1e-2)
     integrated, _ = run_single(build_grid(ExperimentConfig(grid=grid), level), spec, exact, SchemeKind(kind))
     for name, ref in RUN_SINGLE_NORMS[case].items():
@@ -1264,7 +1296,7 @@ RUN_SINGLE_CALLBACK_NORMS = {
 def test_run_single_norms_equal_the_callback_evaluation(case, monkeypatch):
     grid, level, problem, kind = case
     # the references were recorded with plain fixed-point iteration
-    monkeypatch.setattr(femfct.stepper, "ANDERSON_DEPTH", 0)
+    monkeypatch.setattr(TimeStepper, "step_nonlinear_fct", old_step_nonlinear_fct)
     spec, exact = PROBLEMS[problem](tau=1e-3, t_end=1e-2)
     integrated, _ = run_single(build_grid(ExperimentConfig(grid=grid), level), spec, exact, SchemeKind(kind))
     ref = RUN_SINGLE_CALLBACK_NORMS[case]
@@ -1335,56 +1367,6 @@ def test_fct_norm_equals_the_workspace_formula_bitwise(grid, level):
         assert bits(fct_norm(mesh, e, alpha, d_ij, eps, c0)) == bits(ref)
 
 
-def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
-    """The nonlinear FCT step as plain fixed-point iteration from u_prev,
-    u_{k+1} = S^{-1}(tau f + M_L u_prev + f*(u_k)), which Anderson
-    acceleration from the extrapolated start replaced."""
-    tau, g, bnodes = stepper.spec.tau, level.g, stepper._bnodes
-    abar, d_ij = level.ops
-    r = prev.ops[0] @ u_prev - prev.f
-    ubar = femfct.stepper.predictor_half_step(stepper.m_lumped, r, u_prev, tau, bnodes, g)
-    factor = stepper._factorization(level)
-    bounds = zalesak_bounds(stepper.pairs, ubar, stepper.m_lumped)
-    dubar = ubar[stepper.pairs.i] - ubar[stepper.pairs.j]
-
-    def limited_correction(u_cur):
-        flux = prelimit(raw_fluxes(stepper.pairs, stepper._m_ij, d_ij, u_cur, u_prev, tau), dubar)
-        alpha = stepper._limit(flux, bounds)
-        return flux, alpha, correction_vector(alpha, flux)
-
-    base_rhs = tau * level.f + stepper.m_lumped * u_prev
-    flux, alpha, fstar = limited_correction(u_prev)
-    for it in range(1, stepper.fp_opts.max_iter + 1):
-        u = factor.solve(stepper._constrained_rhs(base_rhs + fstar, g))
-        flux, alpha, fstar = limited_correction(u)
-        res_vec = stepper.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
-        res_vec[bnodes] = u[bnodes] - g
-        residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
-        if residual < stepper.fp_opts.tol:
-            return femfct.stepper._fct_record(
-                level.t, u, alpha, fstar, flux, fp_iters=it, residual=residual
-            )
-    raise AssertionError("the former fixed point did not converge")
-
-
-@pytest.mark.parametrize("problem", ["variable", "space"])
-def test_depth_zero_is_the_former_plain_iteration_bitwise(mesh, spec, problem, monkeypatch):
-    if problem == "space":
-        spec, _ = space_study_problem()
-    monkeypatch.setattr(femfct.stepper, "ANDERSON_DEPTH", 0)
-    new = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct")).run(10)
-    former = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct"))
-    former.step_nonlinear_fct = functools.partial(old_step_nonlinear_fct, former)
-    old = former.run(10)
-    for a, b in zip(new[1:], old[1:]):
-        assert a.u.tobytes() == b.u.tobytes()
-        assert a.fp_iters == b.fp_iters
-        assert bits(a.residual) == bits(b.residual)
-        assert a.alpha.values.tobytes() == b.alpha.values.tobytes()
-        assert bits(a.correction_sum) == bits(b.correction_sum)
-        assert bits(a.flux_abs_sum) == bits(b.flux_abs_sum)
-
-
 @pytest.mark.parametrize("grid", ["fk", "shifted"])
 def test_accelerated_answer_is_no_farther_from_the_fixed_point(grid, monkeypatch):
     # after 20 steps of the space problem on level 3, the accelerated u is
@@ -1393,13 +1375,14 @@ def test_accelerated_answer_is_no_farther_from_the_fixed_point(grid, monkeypatch
     mesh = build_grid(ExperimentConfig(grid=grid), 3)
     spec, _ = space_study_problem()
 
-    def final_u(depth, tol):
+    def final_u(plain, tol):
         with monkeypatch.context() as patch:
-            patch.setattr(femfct.stepper, "ANDERSON_DEPTH", depth)
+            if plain:
+                patch.setattr(TimeStepper, "step_nonlinear_fct", old_step_nonlinear_fct)
             stepper = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct"), FixedPointOptions(tol=tol))
             return stepper.run(20)[-1].u
 
-    ref = final_u(0, 1e-12)
-    accelerated = np.abs(final_u(femfct.stepper.ANDERSON_DEPTH, 1e-9) - ref).max()
-    plain = np.abs(final_u(0, 1e-9) - ref).max()
+    ref = final_u(True, 1e-12)
+    accelerated = np.abs(final_u(False, 1e-9) - ref).max()
+    plain = np.abs(final_u(True, 1e-9) - ref).max()
     assert accelerated <= plain
