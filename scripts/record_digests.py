@@ -4,11 +4,14 @@ leaves every output bitwise unchanged.
 
 Each line names a case (mesh, problem, coefficient path, scheme) and the
 digest of every record's t, u, alpha, fp_iters, residual, correction_sum
-and flux_abs_sum, sign bits included; the ``run_single`` lines digest the
-four integrated error norms instead, and the ``assembly`` lines the data,
-indptr and indices of the mass, the Laplacian and the stiffness (of the
-space problem and of a variable-coefficient one, at three times).  Run it
-on two source trees and diff the outputs:
+and flux_abs_sum, sign bits included.  The problems are the space and
+time studies', on both coefficient paths, and one whose velocity and
+reaction vary in space and time, so that its operators change every
+step.  The ``run_single`` lines digest the four integrated error norms
+instead, and the ``assembly`` lines the data, indptr and indices of the
+mass, the Laplacian and the stiffness (of the space problem and of the
+variable-coefficient one, at three times).  Run it on two source trees
+and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
 """
@@ -122,6 +125,9 @@ def main():
                     spec.constant_coefficients = constant
                     label = f"records {mesh_name} {problem} constant={constant} {scheme_name}"
                     run(label, lambda: digest_records(TimeStepper(mesh, spec, scheme).run(STEPS)))
+        for scheme_name, scheme in SCHEMES.items():
+            label = f"records {mesh_name} variable constant=False {scheme_name}"
+            run(label, lambda: digest_records(TimeStepper(mesh, variable_spec(), scheme).run(STEPS)))
         for scheme_name, scheme in SCHEMES.items():
             spec, exact = problem_of["space"]()
 

@@ -89,15 +89,20 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     # (b . grad phi_j, phi_i) per triangle with the 3-point rule, whose
     # point q is the midpoint of edge q = (vertex q, vertex q+1): phi_i is
     # 1/2 at the points i-1 and i of vertex i and 0 at the third, so with
-    # s = w (b . grad phi_j) / 2 at point q, (m, q, j), entry (i, j) of the
-    # element matrix is |T| (s[i, j] + s[i-1, j])
-    s = bx[..., None] * geo.grads[:, None, :, 0]
-    s += by[..., None] * geo.grads[:, None, :, 1]
-    s *= 1.0 / 6.0
-    q, nxt, prv = np.arange(3), np.array([1, 2, 0]), np.array([2, 0, 1])
-    forward = s[:, q, nxt] + s[:, prv, nxt]  # entry (q, q+1) of edge q
-    backward = s[:, nxt, q] + s[:, q, q]  # entry (q+1, q)
-    own = geo.areas[:, None] * (s[:, q, q] + s[:, prv, q])  # entry (q, q)
+    # B_i = b_{i-1} + b_i, the velocity summed over the points of vertex i,
+    # entry (i, j) of the element matrix is |T| (B_i . grad phi_j) / 6 (for
+    # a constant b, B_i = 2b exactly: bitwise the two points' terms summed)
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    bx, by = bx + bx[:, prv], by + by[:, prv]
+    gx, gy = geo.grads[..., 0], geo.grads[..., 1]
+    # the entries (q, q+1) and (q+1, q) of edge q and (q, q) of vertex q
+    forward, backward, own = bx * gx[:, nxt], bx[:, nxt] * gx, bx * gx
+    forward += by * gy[:, nxt]
+    backward += by[:, nxt] * gy
+    own += by * gy
+    for entries in (forward, backward, own):
+        entries *= 1.0 / 6.0
+    own *= geo.areas[:, None]
     # summed per edge and per node in triangle order, (q, q+1) being the
     # upper entry where t_q < t_{q+1}, plus eps K + R
     up = tri < tri[:, nxt]

@@ -54,8 +54,9 @@ def artificial_diffusion(a_mat: sparse.csr_matrix, pattern: Pattern) -> sparse.c
     data = np.zeros(a_mat.data.shape)
     data[pattern.upper] = -np.maximum(np.maximum(a_up, a_low), 0.0)
     data[pattern.lower] = -np.maximum(np.maximum(a_low, a_up), 0.0)
-    # the diagonal: minus the off-diagonal CSR row sums
-    data[pattern.diag] = -np.asarray(pattern.matrix(data).sum(axis=1)).ravel()
+    # the diagonal: minus the off-diagonal row sums, summed in CSR order
+    # (every row stores its diagonal, so no row is empty)
+    data[pattern.diag] = -np.add.reduceat(data, pattern.indptr[:-1])
     return pattern.matrix(data)
 
 
@@ -144,8 +145,7 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     """
     n, i, j = pairs.n, pairs.i, pairs.j
     q_plus, q_minus = bounds
-    fpos = np.maximum(f, 0.0)
-    fneg = np.minimum(f, 0.0)
+    fpos, fneg = np.maximum(f, 0.0), np.minimum(f, 0.0)
     p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
     p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
 
@@ -154,8 +154,7 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     np.divide(q_minus, p_minus, out=r_minus, where=p_minus < 0.0)
     np.minimum(r_plus, 1.0, out=r_plus)
     np.minimum(r_minus, 1.0, out=r_minus)
-    r_plus[dirichlet] = 1.0
-    r_minus[dirichlet] = 1.0
+    r_plus[dirichlet] = r_minus[dirichlet] = 1.0
     # min{1, 1} = 1: alpha differs from 1 only on the pairs touching a node
     # whose R^+ or R^- does (NaN included), 51 of 12416 at FK level 5 in
     # step 20 of the space study

@@ -26,11 +26,13 @@ nonlinear scheme, which the one fixed-limiter system S_v replaces, the
 Zalesak limiter computing alpha on every pair, prelimiting that gathers
 ubar_i - ubar_j on every call, the manufactured source evaluating its
 closed form on every call, ``apply_dirichlet`` scanning every row of
-every system it constrains, and the convection's (m, 3, 3) element
-matrices scattered through per-element positions in the pattern, which
-its per-edge and per-node sums replace, and the nonlinear FCT step's plain
-fixed-point iteration from u^{n-1}, which Anderson acceleration from an
-extrapolated start replaces.  Every mesh is also tried with its nodes
+every system it constrains, the convection's (m, 3, 3) element matrices
+scattered through per-element positions in the pattern, which its
+per-edge and per-node sums replace, the convection's entries summed over
+the two quadrature points of each vertex, s[q, j] + s[q-1, j], which the
+velocity summed over those points first, B_q = b_q + b_{q-1}, replaces,
+and the nonlinear FCT step's plain fixed-point iteration from u^{n-1},
+which Anderson acceleration from an extrapolated start replaces.  Every mesh is also tried with its nodes
 randomly relabelled, which leaves the CSR column order unsorted before
 assembly.
 """
@@ -312,20 +314,21 @@ def old_element_positions(mesh):
 
 
 def old_element_scatter_stiffness(mesh, spec, t):
-    """The stiffness with convection as (m, 3, 3) element matrices summed
-    through the element positions in element order, plus eps K + R in edge
-    form."""
+    """The stiffness with convection as (m, 3, 3) element matrices
+    |T| (B_a . grad phi_j) / 6 summed through the element positions in
+    element order, plus eps K + R in edge form."""
     geo, edges, pattern = mesh.geometry, mesh.edges, mesh.pattern
 
     def per_edge(value):
         return np.broadcast_to(np.asarray(value, dtype=float), edges.x.shape)
 
     bx, by = (per_edge(v)[edges.of_triangle] for v in spec.b(t, edges.x, edges.y))
-    s = bx[..., None] * geo.grads[:, None, :, 0]
-    s += by[..., None] * geo.grads[:, None, :, 1]
-    s *= 1.0 / 6.0
-    local = s[:, [0, 0, 1]]
-    local += s[:, [2, 1, 2]]
+    # row a: B_a = b_a + b_{a-1}, the velocity summed over the two points of
+    # vertex a, dotted with each grad phi_j
+    bx, by = bx + bx[:, [2, 0, 1]], by + by[:, [2, 0, 1]]
+    local = bx[..., None] * geo.grads[:, None, :, 0]
+    local += by[..., None] * geo.grads[:, None, :, 1]
+    local *= 1.0 / 6.0
     local *= geo.areas[:, None, None]
     positions = old_element_positions(mesh).ravel()
     data = np.bincount(positions, local.ravel(), pattern.indices.size)
@@ -353,6 +356,135 @@ def test_stiffness_matches_element_scatter(mesh, spec, problem, t):
     positions, shape = old_element_positions(mesh), (mesh.n_triangles, 3, 3)
     np.testing.assert_array_equal(row[positions], np.broadcast_to(tri[:, :, None], shape))
     np.testing.assert_array_equal(pattern.indices[positions], np.broadcast_to(tri[:, None, :], shape))
+
+
+def old_point_sum_stiffness(mesh, spec, t):
+    """The stiffness with convection from s = (b . grad phi_j) / 6 at each
+    of a triangle's three points, (m, 3, 3), its entries summed over the
+    two points of each vertex, plus eps K + R in edge form."""
+    geo, edges, tri, pattern = mesh.geometry, mesh.edges, mesh.triangles, mesh.pattern
+
+    def per_edge(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), edges.x.shape)
+
+    bx, by = (per_edge(v)[edges.of_triangle] for v in spec.b(t, edges.x, edges.y))
+    s = bx[..., None] * geo.grads[:, None, :, 0]
+    s += by[..., None] * geo.grads[:, None, :, 1]
+    s *= 1.0 / 6.0
+    q, nxt, prv = np.arange(3), np.array([1, 2, 0]), np.array([2, 0, 1])
+    forward = s[:, q, nxt] + s[:, prv, nxt]
+    backward = s[:, nxt, q] + s[:, q, q]
+    own = geo.areas[:, None] * (s[:, q, q] + s[:, prv, q])
+    up = tri < tri[:, nxt]
+    cm = per_edge(spec.c(t, edges.x, edges.y)) * mesh.edge_mass
+    eps_k = spec.eps * mesh.edge_laplacian
+    data = np.empty(pattern.indices.size)
+    data[pattern.upper] = mesh.edge_sum(np.where(up, forward, backward)) + (eps_k + cm)
+    data[pattern.lower] = mesh.edge_sum(np.where(up, backward, forward)) + (eps_k + cm)
+    sums, n = cm - eps_k, mesh.n_nodes
+    node_sums = np.bincount(edges.i, sums, n) + np.bincount(edges.j, sums, n)
+    data[pattern.diag] = np.bincount(tri.ravel(), own.ravel(), n) + node_sums
+    return pattern.matrix(data)
+
+
+def second_constant_spec():
+    """A constant velocity and reaction other than the space problem's."""
+    return ProblemSpec(
+        eps=1e-3,
+        b=lambda t, x, y: (-1.7, 0.4),
+        c=lambda t, x, y: 0.5,
+        f=lambda t, x, y: 1.0 + x * y,
+        u0=lambda x, y: x * y,
+        c0=0.5,
+        t_end=1.0,
+        tau=1e-3,
+    )
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+def test_stiffness_matches_point_sums(mesh, spec, t):
+    # a constant velocity sums to B_q = 2b exactly, so the per-vertex sums
+    # give the point sums' entries, sign bits included
+    for constant in (space_study_problem()[0], second_constant_spec()):
+        new, ref = assemble_stiffness(mesh, constant, t), old_point_sum_stiffness(mesh, constant, t)
+        for part in ("data", "indptr", "indices"):
+            assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    # a variable one moves the entries by rounding
+    new, ref = assemble_stiffness(mesh, spec, t), old_point_sum_stiffness(mesh, spec, t)
+    for part in ("indptr", "indices"):
+        assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    assert np.abs(new.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def swirl_spec():
+    """A swirling, nearly pure convection: a_ij and a_ji nearly tie on
+    some edges, where the two kernels' rounding can differ in sign."""
+    return ProblemSpec(
+        eps=1e-8,
+        b=lambda t, x, y: (np.cos(3.0 * x * y + t), np.sin(2.0 * x - y)),
+        c=lambda t, x, y: 0.0,
+        f=lambda t, x, y: 1.0 + x * y,
+        u0=lambda x, y: x * y,
+        c0=1.0,
+        t_end=1.0,
+        tau=1e-3,
+        constant_coefficients=False,
+    )
+
+
+def upwinded_system(mesh, spec, t, stiffness, monkeypatch):
+    """Abar at t and the Dirichlet-constrained M_L + tau Abar that linear
+    FCT factors, built by the stepper from ``stiffness``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(femfct.stepper, "assemble_stiffness", stiffness)
+        stepper = TimeStepper(mesh, spec, SchemeKind("linear_fct"))
+        abar = TimeLevel(stepper, t).ops[0]
+    return abar, apply_dirichlet(stepper._mass_v + spec.tau * abar, mesh)
+
+
+UPWIND_MESHES = [(grid, level, seed) for grid, level in
+                 [("fk", 3), ("shifted", 3), ("unstructured", 1), ("fk", 5), ("shifted", 5)]
+                 for seed in (0, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def upwind_mesh(grid, level, seed):
+    return relabel(build_grid(ExperimentConfig(grid=grid), level), seed)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+@pytest.mark.parametrize("grid, level, seed", UPWIND_MESHES)
+def test_per_vertex_sums_keep_the_upwind_zeros_and_downwind_order(grid, level, seed, spec, t, monkeypatch):
+    # the rounding of a variable velocity leaves Abar's exact upwind zeros
+    # where the point sums had them, and with them the LU's column order
+    mesh = upwind_mesh(grid, level, seed)
+    (new, new_system), (ref, ref_system) = (
+        upwinded_system(mesh, spec, t, kernel, monkeypatch)
+        for kernel in (assemble_stiffness, old_point_sum_stiffness)
+    )
+    for part in ("indptr", "indices"):
+        assert getattr(new, part).tobytes() == getattr(ref, part).tobytes()
+    # None for both where diffusion leaves a cycle
+    new_order, ref_order = (
+        femfct.solver._downwind_order(sparse.csc_matrix(system)) for system in (new_system, ref_system)
+    )
+    np.testing.assert_array_equal(new_order, ref_order)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
+@pytest.mark.parametrize("grid, level, seed", UPWIND_MESHES)
+def test_swirling_velocity_moves_abar_by_rounding_only(grid, level, seed, t, monkeypatch):
+    # where a_ij and a_ji nearly tie, rounding can drop an upwind entry one
+    # kernel kept (FK and shifted L3 at t = 0 and 0.7, shifted L5 at 0.7);
+    # a dropped entry compares as zero.  The scale is Abar's largest entry,
+    # about 4 max|a_ij|: a diagonal entry sums its row's d_ij, each of them
+    # off by a_ij's rounding
+    mesh, spec = upwind_mesh(grid, level, seed), swirl_spec()
+    new, ref = (
+        upwinded_system(mesh, spec, t, kernel, monkeypatch)[0]
+        for kernel in (assemble_stiffness, old_point_sum_stiffness)
+    )
+    assert abs(new - ref).max() <= 1e-15 * abs(ref).max()
 
 
 def test_edge_form_identities(mesh, spec):
