@@ -97,10 +97,8 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     gx, gy = geo.grads[..., 0], geo.grads[..., 1]
     # the entries (q, q+1) and (q+1, q) of edge q and (q, q) of vertex q
     forward, backward, own = bx * gx[:, nxt], bx[:, nxt] * gx, bx * gx
-    forward += by * gy[:, nxt]
-    backward += by[:, nxt] * gy
-    own += by * gy
-    for entries in (forward, backward, own):
+    for entries, y_part in ((forward, by * gy[:, nxt]), (backward, by[:, nxt] * gy), (own, by * gy)):
+        entries += y_part
         entries *= 1.0 / 6.0
     own *= geo.areas[:, None]
     # summed per edge and per node in triangle order, (q, q+1) being the

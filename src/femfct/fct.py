@@ -145,7 +145,8 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     """
     n, i, j = pairs.n, pairs.i, pairs.j
     q_plus, q_minus = bounds
-    fpos, fneg = np.maximum(f, 0.0), np.minimum(f, 0.0)
+    fpos = np.maximum(f, 0.0)
+    fneg = np.minimum(f, 0.0)
     p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
     p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
 

@@ -324,7 +324,8 @@ class TimeStepper:
         if self.fixed_alpha is not None:
             # a fixed limiter makes the scheme linear: solve it exactly
             return self.step_fixed_limiter(level, u_prev, prev)
-        tau, t, g, fvec = self.spec.tau, level.t, level.g, level.f
+        tau = self.spec.tau
+        t, g, fvec = level.t, level.g, level.f
         abar, d_ij = level.ops
         r = prev.ops[0] @ u_prev - prev.f
         ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
