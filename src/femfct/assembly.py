@@ -90,8 +90,9 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     # point q is the midpoint of edge q = (vertex q, vertex q+1): phi_i is
     # 1/2 at the points i-1 and i of vertex i and 0 at the third, so with
     # B_i = b_{i-1} + b_i, the velocity summed over the points of vertex i,
-    # entry (i, j) of the element matrix is |T| (B_i . grad phi_j) / 6 (for
-    # a constant b, B_i = 2b exactly: bitwise the two points' terms summed)
+    # entry (i, j) of the element matrix is |T| (B_i . grad phi_j) / 6; the
+    # 1/6 comes after the dot product, so that for a constant b (B_i = 2b
+    # exactly) each entry rounds as the sum of the two points' terms
     nxt, prv = [1, 2, 0], [2, 0, 1]
     bx, by = bx + bx[:, prv], by + by[:, prv]
     gx, gy = geo.grads[..., 0], geo.grads[..., 1]
