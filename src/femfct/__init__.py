@@ -13,7 +13,6 @@ from .errors import (
     ErrorWorkspace,
     dh_seminorm,
     eoc,
-    fct_norm,
     time_integrate,
 )
 from .fct import (

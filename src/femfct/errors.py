@@ -87,7 +87,7 @@ class ErrorWorkspace:
     def fct_nodal(self, e, dh, eps, c0):
         """FCT norm sqrt(eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)) of a nodal
         vector, given its d_h seminorm ``dh``."""
-        return _fct(self.h1_nodal(e), self.l2_nodal(e), dh, eps, c0)
+        return math.sqrt(eps * self.h1_nodal(e) ** 2 + c0 * self.l2_nodal(e) ** 2 + dh * dh)
 
 
 def _split_constants(mesh, exact):
@@ -132,10 +132,6 @@ def _norm(matrix, e):
     return math.sqrt(max(float(np.einsum("i,i->", e, matrix @ e)), 0.0))
 
 
-def _fct(h1, l2, dh, eps, c0):
-    return math.sqrt(eps * h1**2 + c0 * l2**2 + dh * dh)
-
-
 def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     """Square root of the stabilization form
     d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2, the
@@ -148,15 +144,6 @@ def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
         raise ValueError(f"d_ij has shape {d_ij.shape}, the limiter {alpha.values.shape}")
     de = e_nodes[alpha.j] - e_nodes[alpha.i]
     return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
-
-
-def fct_norm(mesh, e_nodes, alpha, d_ij, eps, c0) -> float:
-    """FCT norm of a nodal vector (``ErrorWorkspace.fct_nodal``), with the
-    d_h term weighted by the step's limiter; ``d_ij`` as for
-    ``dh_seminorm``."""
-    dh = dh_seminorm(alpha, d_ij, e_nodes)
-    h1, l2 = _norm(assemble_laplacian(mesh), e_nodes), _norm(assemble_mass(mesh), e_nodes)
-    return _fct(h1, l2, dh, eps, c0)
 
 
 def time_integrate(values, tau) -> float:

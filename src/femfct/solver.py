@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 
@@ -19,27 +20,27 @@ def _downwind_order(csc):
     """A topological order of the graph with an edge j -> i for every
     stored nonzero a_ij, i != j, or None if that graph has a cycle.
 
-    Kahn's peeling by level sets: each level holds the nodes whose
-    upwind nodes all lie in earlier levels (within a level, in label
-    order).  In this order the matrix is lower triangular.
+    The graph is acyclic exactly when each of its strongly connected
+    components is one node, and scipy numbers the components sinks
+    first, so decreasing labels are a topological order.  In this order
+    the matrix is lower triangular.  scipy does not document its label
+    order, so every edge is checked to run to a lower label (a failed
+    check gives None: COLAMD, only slower).
     """
     n = csc.shape[0]
-    # the entries of column j are the edges out of j
-    tail = np.repeat(np.arange(n), np.diff(csc.indptr))
-    edge = (csc.indices != tail) & (csc.data != 0.0)
-    head = csc.indices[edge]
-    start = np.concatenate(([0], np.cumsum(np.bincount(tail[edge], minlength=n))))
-    waiting = np.bincount(head, minlength=n)
-    levels = [np.flatnonzero(waiting == 0)]
-    while levels[-1].size:
-        level = levels[-1]
-        count = start[level + 1] - start[level]
-        out = np.repeat(start[level] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-        heads, drops = np.unique(head[out], return_counts=True)
-        waiting[heads] -= drops
-        levels.append(heads[waiting[heads] == 0])
-    order = np.concatenate(levels)
-    return order if order.size == n else None
+    # read as CSR, a copy of the CSC arrays is A^T, whose row j lists the
+    # heads of j's edges; apply_dirichlet keeps stored zeros, which scipy
+    # would count as edges, and a self-loop merges no components
+    graph = sparse.csr_matrix((csc.data, csc.indices, csc.indptr), shape=(n, n), copy=True)
+    graph.eliminate_zeros()
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    # the label of each edge's tail, which must not be below its head's
+    tail = np.repeat(labels, np.diff(graph.indptr))
+    if count < n or np.any(tail < labels[graph.indices]):
+        return None
+    order = np.empty(n, dtype=np.intp)
+    order[n - 1 - labels] = np.arange(n)
+    return order
 
 
 class Factorization:
@@ -53,11 +54,9 @@ class Factorization:
     takes COLAMD's column order.
 
     ``order`` is an earlier factorization's ``order``: the CSC structure
-    ``(indptr, indices)`` it factored, the column order ``cols`` it used
-    (``argsort(perm_c)`` for COLAMD) and whether ``cols`` is a downwind
-    order.  A matrix of that structure is factored as ``A[:, cols]`` in
-    natural order, with the row pivots, fill and solves of a fresh
-    factorization; any other matrix is ordered afresh.
+    ``(indptr, indices)`` it factored and its downwind order ``cols``, or
+    None after COLAMD.  A matrix of that structure is factored in that
+    order; any other matrix is ordered afresh.
     """
 
     def __init__(self, matrix, order=None):
@@ -68,10 +67,9 @@ class Factorization:
             and np.array_equal(indptr, order[0])
             and np.array_equal(indices, order[1])
         ):
-            cols, downwind = order[2], order[3]
+            cols = order[2]
         else:
             cols = _downwind_order(csc)
-            downwind = cols is not None
         if cols is not None:
             # rebinding frees the unpermuted values before SuperLU runs
             csc = csc[:, cols]
@@ -80,16 +78,13 @@ class Factorization:
                 csc,
                 permc_spec="COLAMD" if cols is None else "NATURAL",
                 # one-column panels halve the time of the fill-free
-                # triangular LU and give the same factors; they would
-                # change the rounding of an LU in a reused COLAMD order
-                panel_size=1 if downwind else None,
+                # triangular LU and give the same factors
+                panel_size=None if cols is None else 1,
             )
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
         self._cols = cols
-        self.order = (
-            indptr, indices, np.argsort(self._lu.perm_c) if cols is None else cols, downwind
-        )
+        self.order = None if cols is None else (indptr, indices, cols)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(np.asarray(rhs, dtype=float))

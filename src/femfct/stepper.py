@@ -35,7 +35,7 @@ from .fct import (
     zalesak,
     zalesak_bounds,
 )
-from .solver import Factorization
+from .solver import Factorization, SolverError
 
 # the number of past iterates Anderson acceleration mixes in the nonlinear
 # FCT step
@@ -156,9 +156,9 @@ class TimeStepper:
     nonlinear fixed point reads, for its start.  The one LU
     is refactored only when a level's operators are not those it was
     built from (once per stepper for constant coefficients, once per step
-    otherwise), in the last LU's column order unless the structure (the
-    exact zeros of Abar) changed; the upwinded systems factor in downwind
-    order (see ``Factorization``).  Every flux and limiter lives on the
+    otherwise); the upwinded systems factor in downwind order, which the
+    next LU reuses unless the structure (the exact zeros of Abar) changed
+    (see ``Factorization``).  Every flux and limiter lives on the
     mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
     and the d_ij read from D's data array at the pattern's upper positions.
     """
@@ -391,7 +391,8 @@ class TimeStepper:
         Every step is called as step(level, u^{n-1}, previous level,
         u^{n-2}), u^{n-2} None at the first step; only
         ``step_nonlinear_fct`` reads u^{n-2}, the others accept it so that
-        every scheme is called alike."""
+        every scheme is called alike.  A step's StepFailure or SolverError
+        is raised again, same type, as "step n (t=...) failed: ..."."""
         tau = self.spec.tau
         if n_steps * tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
@@ -408,8 +409,8 @@ class TimeStepper:
                 rec = step(level, records[-1].u, prev, u_prev2)
                 if not np.isfinite(rec.u).all():
                     raise StepFailure("non-finite solution", rec.residual)
-            except StepFailure as exc:
-                raise StepFailure(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
+            except (StepFailure, SolverError) as exc:
+                raise type(exc)(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
             records.append(rec)
             prev = level
         return records

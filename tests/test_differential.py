@@ -15,9 +15,8 @@ a transpose and ``setdiag``, the red refinement numbering its midpoints
 through a dict, the M-matrix check reading the entries through COO, the
 Delaunay angle sums collected per edge in a dict, the lattice grids
 built cell by cell, the Zalesak limiter recomputing its bounds from
-``ubar`` on every call, an LU ordering its columns afresh for every
-matrix, and COLAMD's column order for the upwinded systems that now
-factor in downwind order, SuperLU's default panel size for the
+``ubar`` on every call, COLAMD's column order for the upwinded systems
+that now factor in downwind order, SuperLU's default panel size for the
 triangular LU, the L2 and H1 error norms as whole-mesh einsums of the
 exact solution's callbacks, which the interpolation split's per-mesh
 constants replace, the manufactured problem's closed forms, the three
@@ -72,7 +71,6 @@ from femfct import (
     correction_vector,
     dh_seminorm,
     edge_arrays,
-    fct_norm,
     linear_fluxes,
     lump,
     m_matrix_check,
@@ -816,42 +814,6 @@ def test_system_lu_matches_scipy_assembly(mesh, spec, scheme):
     assert new.L.nnz + new.U.nnz == ref.L.nnz + ref.U.nnz
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        SchemeKind("galerkin"),
-        SchemeKind("low_order"),
-        SchemeKind("linear_fct"),
-        SchemeKind("nonlinear_fct"),
-        SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)),
-    ],
-    ids=["galerkin", "low_order", "linear_fct", "nonlinear_fct", "nonlinear_fct-constant0.3"],
-)
-def test_reused_column_order_matches_fresh_lu(mesh, spec, scheme, monkeypatch):
-    # a matrix of the stepper's system's structure, factored in the column
-    # order of the stepper's LU, pivots, fills and solves as a fresh
-    # COLAMD factorization of it
-    systems = []
-
-    def recording(matrix, **kwargs):
-        systems.append(matrix)
-        return Factorization(matrix, **kwargs)
-
-    monkeypatch.setattr(femfct.stepper, "Factorization", recording)
-    stepper = TimeStepper(mesh, spec, scheme)
-    first = stepper._factorization(TimeLevel(stepper, 0.0))
-    rng = np.random.default_rng(3)
-    system = sparse.csc_matrix(systems[0], copy=True)
-    system.data *= 1.0 + 0.01 * rng.random(system.nnz)
-    reused, fresh = Factorization(system, order=first.order), splu(system)
-    assert reused.order[2] is first.order[2]
-    np.testing.assert_array_equal(reused._lu.perm_r, fresh.perm_r)
-    assert reused._lu.L.nnz + reused._lu.U.nnz == fresh.L.nnz + fresh.U.nnz
-    for _ in range(3):
-        rhs = rng.standard_normal(mesh.n_nodes)
-        assert reused.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
-
-
 def factored_system(stepper, monkeypatch):
     """The constrained system matrix the stepper factors at t = 0, as CSC,
     and its Factorization."""
@@ -900,7 +862,7 @@ def test_downwind_solves_match_colamd(mesh, monkeypatch):
 @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
 def test_downwind_runs_match_colamd_runs(mesh, kind, constant, monkeypatch):
     # 20 steps of the paper's problem against the same run with every
-    # LU in COLAMD's column order (reused across steps as before)
+    # LU in COLAMD's column order
     runs = []
     for downwind in (True, False):
         spec, _ = space_study_problem()
@@ -1490,21 +1452,6 @@ def test_run_single_evaluates_the_profile_once_per_mesh():
     assert norms(ws, other) == expected["other"]
     assert norms(ws, spy) == expected["spy"]
     assert calls == {"profile": 7 + 7, "gradient": 6 + 6, "other": 7}
-
-
-@pytest.mark.parametrize("grid, level", [("fk", 3), ("shifted", 3), ("unstructured", 1)])
-def test_fct_norm_equals_the_workspace_formula_bitwise(grid, level):
-    # fct_norm assembles only the two norm matrices, no error workspace
-    mesh = build_grid(ExperimentConfig(grid=grid), level)
-    ws, rng = ErrorWorkspace(mesh), np.random.default_rng(level)
-    pairs = mesh.pairs
-    for _ in range(5):
-        e = rng.standard_normal(mesh.n_nodes)
-        alpha = LimiterMatrix(mesh.n_nodes, pairs.i, pairs.j, rng.random(pairs.i.size))
-        d_ij = -rng.random(pairs.i.size)
-        eps, c0 = rng.random() + 0.1, rng.random() + 0.1
-        ref = ws.fct_nodal(e, dh_seminorm(alpha, d_ij, e), eps, c0)
-        assert bits(fct_norm(mesh, e, alpha, d_ij, eps, c0)) == bits(ref)
 
 
 @pytest.mark.parametrize("grid", ["fk", "shifted"])

@@ -13,7 +13,6 @@ from femfct import (
     build_friedrichs_keller,
     dh_seminorm,
     eoc,
-    fct_norm,
     load_mesh,
     time_integrate,
 )
@@ -166,10 +165,9 @@ class TestFctNorm:
     def test_zero_error(self, fk1):
         i, j = np.triu_indices(2, k=1)
         alpha = LimiterMatrix(2, i, j, np.ones(1))
-        assert (
-            fct_norm(fk1, np.zeros(fk1.n_nodes), alpha, np.array([-1.0]), eps=1.0, c0=1.0)
-            == 0.0
-        )
+        e = np.zeros(fk1.n_nodes)
+        dh = dh_seminorm(alpha, np.array([-1.0]), e)
+        assert ErrorWorkspace(fk1).fct_nodal(e, dh, eps=1.0, c0=1.0) == 0.0
 
     def test_alpha_one_reduces_to_energy_norm(self, fk1):
         rng = np.random.default_rng(1)
@@ -177,19 +175,15 @@ class TestFctNorm:
         i, j = np.triu_indices(fk1.n_nodes, k=1)
         # alpha = 1 on an arbitrary pattern: d_h term drops out
         alpha = LimiterMatrix(fk1.n_nodes, i[:3], j[:3], np.ones(3))
-        full = fct_norm(fk1, e, alpha, np.full(3, -1.0), eps=2.0, c0=3.0)
-        import femfct.errors as err_mod
-
-        ws = err_mod.ErrorWorkspace(fk1)
+        ws = ErrorWorkspace(fk1)
+        full = ws.fct_nodal(e, dh_seminorm(alpha, np.full(3, -1.0), e), eps=2.0, c0=3.0)
         expected = math.sqrt(2.0 * ws.h1_nodal(e) ** 2 + 3.0 * ws.l2_nodal(e) ** 2)
         assert full == pytest.approx(expected, rel=1e-13)
 
     def test_decomposition_identity_random(self):
         # ||e||_fct^2 = eps |e|_1^2 + c0 ||e||_0^2 + d_h(e, e)
-        import femfct.errors as err_mod
-
         mesh = build_friedrichs_keller(1)
-        ws = err_mod.ErrorWorkspace(mesh)
+        ws = ErrorWorkspace(mesh)
         rng = np.random.default_rng(42)
         i, j = np.triu_indices(mesh.n_nodes, k=1)
         keep = rng.random(i.size) < 0.1
@@ -200,7 +194,7 @@ class TestFctNorm:
             alpha = LimiterMatrix(mesh.n_nodes, i, j, a_vals)
             d_off = -rng.random(i.size)
             eps, c0 = rng.random() + 0.1, rng.random() + 0.1
-            total = fct_norm(mesh, e, alpha, d_off, eps=eps, c0=c0) ** 2
+            total = ws.fct_nodal(e, dh_seminorm(alpha, d_off, e), eps=eps, c0=c0) ** 2
             parts = (
                 eps * ws.h1_nodal(e) ** 2
                 + c0 * ws.l2_nodal(e) ** 2

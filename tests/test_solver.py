@@ -15,6 +15,32 @@ def random_dominant_system(seed, n=20):
     return sparse.csr_matrix(a), rhs
 
 
+def random_acyclic_system(seed, n=40):
+    """A diagonally dominant matrix whose graph (an edge j -> i for every
+    a_ij != 0, i != j) is a random DAG on randomly labelled nodes; also
+    the topological order ``rank`` it was drawn in."""
+    rng = np.random.default_rng(seed)
+    a = np.tril(rng.standard_normal((n, n)), k=-1)
+    a[np.abs(a) < 0.8] = 0.0
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    # node rank[k] is the k-th in topological order
+    rank = rng.permutation(n)
+    relabelled = np.empty_like(a)
+    relabelled[np.ix_(rank, rank)] = a
+    return sparse.csr_matrix(relabelled), rng.standard_normal(n), rank
+
+
+def assert_downwind(matrix, order):
+    """order is a permutation in which every edge j -> i runs forward."""
+    n = matrix.shape[0]
+    np.testing.assert_array_equal(np.sort(order), np.arange(n))
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    coo = sparse.coo_matrix(matrix)
+    edge = (coo.row != coo.col) & (coo.data != 0.0)
+    assert np.all(position[coo.col[edge]] < position[coo.row[edge]])
+
+
 class TestDirect:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0])
@@ -83,15 +109,15 @@ class TestFactorization:
         specs = self.spy_on_orderings(monkeypatch)
         fac = Factorization(a)
         assert specs == ["COLAMD"]
-        np.testing.assert_array_equal(fac.order[2], np.argsort(fac._lu.perm_c))
+        assert fac.order is None
         rhs = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-15)
 
     def test_reuses_column_order_of_same_structure(self):
-        a, rhs = random_dominant_system(5, n=40)
+        a, rhs, _ = random_acyclic_system(5)
         first = Factorization(a)
         cols = first.order[2]
-        np.testing.assert_array_equal(np.sort(cols), np.arange(40))
+        assert_downwind(a, cols)
         # new values on the same structure: factored in the same order
         b = a.copy()
         b.data *= 1.5
@@ -101,13 +127,17 @@ class TestFactorization:
         assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
     def test_orders_columns_afresh_for_other_structure(self):
-        a, rhs = random_dominant_system(5, n=40)
+        a, rhs, rank = random_acyclic_system(5)
         first = Factorization(a)
+        # a new edge from the first node in topological order to the last
+        # keeps the graph acyclic
         b = a.tolil()
-        b[0, 39] = b[39, 0] = 0.25
+        b[rank[-1], rank[0]] = -0.25
         b = b.tocsr()
+        assert b.nnz == a.nnz + 1
         second = Factorization(b, order=first.order)
         assert second.order[2] is not first.order[2]
+        assert_downwind(b, second.order[2])
         np.testing.assert_array_equal(second.order[1], b.tocsc().indices)
         u = second.solve(rhs)
         assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
@@ -126,8 +156,50 @@ class TestFactorization:
         Factorization(acyclic * 2.0, order=downwind.order)
         a, _ = random_dominant_system(5, n=40)
         colamd = Factorization(a)
-        assert colamd.order[3] is False
+        assert colamd.order is None
         Factorization(a * 2.0, order=colamd.order)
         # the triangular LU, fresh and reused, takes one-column panels; a
-        # COLAMD order, fresh and reused, SuperLU's default
+        # COLAMD order, which is never reused, SuperLU's default
         assert panels == [1, 1, None, None]
+
+
+class TestDownwindOrder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dag_orders_every_edge_forward(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        # a random lower-triangular pattern, some diagonals not stored
+        # (no self-loop), under a random labelling
+        lower = np.tril(rng.random((n, n)) < rng.uniform(0.01, 0.3), k=-1)
+        loops = rng.random(n) < 0.5
+        rank = rng.permutation(n)
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[np.ix_(rank, rank)] = lower | np.diag(loops)
+        a = sparse.csc_matrix(np.where(pattern, rng.uniform(0.5, 1.5, (n, n)), 0.0))
+        assert_downwind(a, femfct.solver._downwind_order(a))
+
+    def test_cycle_gives_none(self):
+        # 0 -> 1 -> 2 -> 3 -> 1
+        rows, cols = [0, 1, 2, 3, 1], [0, 0, 1, 2, 3]
+        a = sparse.csc_matrix(([1.0] * 5, (rows, cols)), shape=(4, 4))
+        assert femfct.solver._downwind_order(a) is None
+
+    def test_stored_zero_is_no_edge(self):
+        # 0 -> 1 and a stored zero a_01, which would close a cycle
+        a = sparse.csc_matrix(np.array([[2.0, 1.0], [-1.0, 2.0]]))
+        a.data[a.data == 1.0] = 0.0
+        data, indices = a.data.copy(), a.indices.copy()
+        np.testing.assert_array_equal(femfct.solver._downwind_order(a), [0, 1])
+        # the matrix keeps its stored zero
+        assert a.nnz == 4
+        np.testing.assert_array_equal(a.data, data)
+        np.testing.assert_array_equal(a.indices, indices)
+
+    def test_labels_that_are_not_topological_give_none(self, monkeypatch):
+        # 0 -> 1 -> 2, labelled sources first, the reverse of scipy's order
+        a = sparse.csc_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        np.testing.assert_array_equal(femfct.solver._downwind_order(a), [0, 1, 2])
+        monkeypatch.setattr(
+            femfct.solver, "connected_components", lambda graph, **kwargs: (3, np.arange(3))
+        )
+        assert femfct.solver._downwind_order(a) is None

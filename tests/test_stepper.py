@@ -242,6 +242,28 @@ class TestRun:
         if kind == "nonlinear_fct":
             assert "iteration 1" in str(exc.value)
 
+    def test_failed_lu_names_its_step(self, fk2, study, monkeypatch):
+        # variable coefficients factor once per step; the third LU fails
+        from femfct import SolverError
+
+        spec = dataclasses.replace(study[0], constant_coefficients=False)
+        builds = []
+
+        def failing_factorization(matrix, **kwargs):
+            builds.append(matrix)
+            if len(builds) == 3:
+                raise SolverError("LU factorization failed: singular", 0.5)
+            return Factorization(matrix, **kwargs)
+
+        monkeypatch.setattr(femfct.stepper, "Factorization", failing_factorization)
+        stepper = TimeStepper(fk2, spec, SchemeKind("linear_fct"))
+        with pytest.raises(
+            SolverError, match=r"^step 3 \(t=0\.003\) failed: LU factorization failed: singular$"
+        ) as exc:
+            stepper.run(5)
+        assert exc.value.residual == 0.5
+        assert len(builds) == 3
+
 
 class TestLimiters:
     def test_zalesak_alpha_bounds(self, fk2, study):
