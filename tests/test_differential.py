@@ -830,6 +830,44 @@ def factored_system(stepper, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "scheme",
+    [
+        SchemeKind("galerkin"),
+        SchemeKind("low_order"),
+        SchemeKind("linear_fct"),
+        SchemeKind("nonlinear_fct"),
+        SchemeKind("nonlinear_fct", ConstantLimiter(0.3, zalesak_boundary=False)),
+    ],
+    ids=["galerkin", "low_order", "linear_fct", "nonlinear_fct", "nonlinear_fct-constant0.3"],
+)
+def test_reused_column_order_matches_fresh_lu(mesh, scheme, monkeypatch):
+    # a matrix of the structure of the paper's system, factored in the order
+    # the stepper's LU hands on, pivots, fills and solves bitwise as a
+    # fresh Factorization of it; the consistent mass's two-way entries
+    # leave cycles, so Galerkin and the constant limiter hand on no order
+    spec, _ = space_study_problem()
+    system, first = factored_system(TimeStepper(mesh, spec, scheme), monkeypatch)
+    upwinded = scheme.kind != "galerkin" and not isinstance(scheme.limiter, ConstantLimiter)
+    assert (first.order is not None) == upwinded
+    rng = np.random.default_rng(3)
+    system = sparse.csc_matrix(system, copy=True)
+    system.data *= 1.0 + 0.01 * rng.random(system.nnz)
+    reused, fresh = Factorization(system, order=first.order), Factorization(system)
+    if upwinded:
+        assert reused.order[2] is first.order[2]
+        assert fresh.order[2] is not first.order[2]
+        np.testing.assert_array_equal(fresh.order[2], first.order[2])
+    else:
+        assert reused.order is None and fresh.order is None
+    np.testing.assert_array_equal(reused._lu.perm_r, fresh._lu.perm_r)
+    np.testing.assert_array_equal(reused._lu.perm_c, fresh._lu.perm_c)
+    assert reused._lu.L.nnz + reused._lu.U.nnz == fresh._lu.L.nnz + fresh._lu.U.nnz
+    for _ in range(3):
+        rhs = rng.standard_normal(mesh.n_nodes)
+        assert reused.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+
+
+@pytest.mark.parametrize(
     "grid, level, seed",
     [("fk", 5, 0), ("fk", 5, 3), ("shifted", 5, 0), ("unstructured", 2, 0)],
 )
