@@ -118,16 +118,12 @@ def prelimit(f: np.ndarray, dubar: np.ndarray) -> np.ndarray:
 
 def zalesak_bounds(pairs: PairGraph, ubar: np.ndarray, m_lumped: np.ndarray):
     """Bounds Q_i^+- = m_i max/min{0, ubar_j - ubar_i} over the neighbours j
-    of i on the pairs: fixed by the predictor, so computed once per step
-    for all of its Zalesak limiter calls."""
-    i, j = pairs.i, pairs.j
-    du = ubar[j] - ubar[i]
-    q_plus, q_minus = np.zeros(ubar.size), np.zeros(ubar.size)
-    np.maximum.at(q_plus, i, du)
-    np.maximum.at(q_plus, j, -du)
-    np.minimum.at(q_minus, i, du)
-    np.minimum.at(q_minus, j, -du)
-    return m_lumped * q_plus, m_lumped * q_minus
+    of i on the pairs, fixed by the predictor, so computed once per step for
+    all of its Zalesak limiter calls.  They are the max/min of ubar over the
+    closed neighbourhoods ``pairs.neighbours`` minus ubar_i (the same values:
+    x - ubar_i rounds monotonically in x); zero bounds are +0.0."""
+    near = ubar[pairs.neighbours]
+    return m_lumped * (near.max(axis=0) - ubar), m_lumped * (near.min(axis=0) - ubar)
 
 
 def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix:

@@ -60,6 +60,20 @@ class PairGraph:
     i: np.ndarray
     j: np.ndarray
 
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """(k, n) closed neighbourhoods, built on first use; read-only.
+        Column i lists the neighbours of node i on the pairs, padded with
+        i itself up to k = the largest degree + 1 rows."""
+        src = np.concatenate((self.i, self.j))
+        order = np.argsort(src, kind="stable")
+        degree = np.bincount(src, minlength=self.n)
+        src = src[order]
+        rank = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
+        table = np.tile(np.arange(self.n), (degree.max(initial=0) + 1, 1))
+        table[rank, src] = np.concatenate((self.j, self.i))[order]
+        return _read_only(table)
+
 
 @dataclass(frozen=True)
 class Pattern:

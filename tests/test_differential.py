@@ -15,7 +15,9 @@ a transpose and ``setdiag``, the red refinement numbering its midpoints
 through a dict, the M-matrix check reading the entries through COO, the
 Delaunay angle sums collected per edge in a dict, the lattice grids
 built cell by cell, the Zalesak limiter recomputing its bounds from
-``ubar`` on every call, COLAMD's column order for the upwinded systems
+``ubar`` on every call, the bounds scattered over the pairs by four
+``ufunc.at`` calls, which one gather through the pair graph's neighbour
+table replaces, COLAMD's column order for the upwinded systems
 that now factor in downwind order, SuperLU's default panel size for the
 triangular LU, the L2 and H1 error norms as whole-mesh einsums of the
 exact solution's callbacks, which the interpolation split's per-mesh
@@ -626,6 +628,72 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
                 zalesak(pairs, flux, bounds, nodes).values,
                 old_zalesak(pairs, flux, ubar, m_lumped, dirichlet=dirichlet),
             )
+
+
+def old_ufunc_at_zalesak_bounds(pairs, ubar, m_lumped):
+    """The bounds scattered over the pairs by four ufunc.at calls."""
+    i, j = pairs.i, pairs.j
+    du = ubar[j] - ubar[i]
+    q_plus, q_minus = np.zeros(ubar.size), np.zeros(ubar.size)
+    np.maximum.at(q_plus, i, du)
+    np.maximum.at(q_plus, j, -du)
+    np.minimum.at(q_minus, i, du)
+    np.minimum.at(q_minus, j, -du)
+    return m_lumped * q_plus, m_lumped * q_minus
+
+
+def run_predictor(mesh, monkeypatch):
+    """The stepper and the predictor ubar of the fifth linear FCT step of
+    the space problem on the mesh."""
+    seen = []
+
+    def recording(pairs, ubar, m_lumped):
+        seen.append(ubar)
+        return zalesak_bounds(pairs, ubar, m_lumped)
+
+    monkeypatch.setattr(femfct.stepper, "zalesak_bounds", recording)
+    spec, _ = space_study_problem(tau=1e-3, t_end=1e-2)
+    stepper = TimeStepper(mesh, spec, SchemeKind("linear_fct"))
+    stepper.run(5)
+    return stepper, seen[-1]
+
+
+@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
+def test_neighbour_table_bounds_match_ufunc_at(mesh, kind, monkeypatch):
+    # equal values, NaN where the scatters give NaN; zero signs may differ,
+    # but not where they would reach alpha or the correction
+    stepper, ubar = run_predictor(mesh, monkeypatch)
+    pairs, m_lumped, bnodes = mesh.pairs, stepper.m_lumped, mesh.boundary_nodes
+    rng = np.random.default_rng(4)
+    ubar = {
+        "predictor": lambda: ubar,
+        "random": lambda: rng.standard_normal(mesh.n_nodes),
+        # a 0.02 grid: many equal neighbours, zeros of both signs
+        "ties": lambda: np.round(0.1 * rng.standard_normal(mesh.n_nodes) * 50) / 50,
+        "nan": lambda: np.where(np.arange(mesh.n_nodes) == 7, np.nan, rng.standard_normal(mesh.n_nodes)),
+    }[kind]()
+    bounds = zalesak_bounds(pairs, ubar, m_lumped)
+    with np.errstate(invalid="ignore"):
+        ref = old_ufunc_at_zalesak_bounds(pairs, ubar, m_lumped)
+    flipped = []
+    for q, q_ref in zip(bounds, ref):
+        np.testing.assert_array_equal(q, q_ref)
+        assert not np.signbit(q[q == 0.0]).any()
+        flipped.extend(np.flatnonzero((q == 0.0) & np.signbit(q_ref)))
+    interior_flips = np.setdiff1d(flipped, bnodes).size
+    if kind == "predictor":
+        # only where zalesak resets R+- to 1
+        assert flipped and interior_flips == 0
+    elif kind == "ties":
+        assert interior_flips > 0
+    if kind == "nan":
+        return
+    size = 0.3 * m_lumped.mean() * np.ptp(ubar)
+    flux = prelimit(size * rng.standard_normal(pairs.i.size), ubar[pairs.i] - ubar[pairs.j])
+    alpha, alpha_ref = (zalesak(pairs, flux, q, bnodes) for q in (bounds, ref))
+    assert np.any(alpha.values < 1.0)
+    assert np.array_equal(alpha.values, alpha_ref.values)
+    assert correction_vector(alpha, flux).tobytes() == correction_vector(alpha_ref, flux).tobytes()
 
 
 def old_zalesak_where(pairs, f, bounds, dirichlet):

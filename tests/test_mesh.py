@@ -5,6 +5,8 @@ import pytest
 
 from femfct import (
     MeshError,
+    PairGraph,
+    TriMesh,
     build_friedrichs_keller,
     build_shifted_grid,
     edge_arrays,
@@ -12,6 +14,7 @@ from femfct import (
     max_opposite_angle_sum,
     refine_uniform,
 )
+from femfct.cli import ExperimentConfig, build_grid
 
 
 def triangle_signature(mesh):
@@ -197,3 +200,40 @@ class TestEdges:
     def test_fk0_count(self, fk0):
         # Euler: V - E + F = 2 with the outer face -> E = 9 + 9 - 2 = 16
         assert edge_arrays(fk0)[0].size == 16
+
+
+def relabel(mesh, seed):
+    """The same mesh with its nodes renumbered by a seeded permutation."""
+    new_of_old = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    old_of_new = np.argsort(new_of_old)
+    return TriMesh(
+        mesh.nodes[old_of_new], new_of_old[mesh.triangles], mesh.boundary_mask[old_of_new],
+        mesh.level, mesh.h,
+    )
+
+
+class TestNeighbours:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("grid, level", [("fk", 3), ("shifted", 3), ("unstructured", 1)])
+    def test_columns_are_closed_neighbourhoods(self, grid, level, seed):
+        pairs = relabel(build_grid(ExperimentConfig(grid=grid), level), seed).pairs
+        closed = [{node} for node in range(pairs.n)]
+        for a, b in zip(pairs.i.tolist(), pairs.j.tolist()):
+            closed[a].add(b)
+            closed[b].add(a)
+        degree = np.bincount(np.concatenate((pairs.i, pairs.j)), minlength=pairs.n)
+        table = pairs.neighbours
+        assert pairs.neighbours is table
+        assert table.shape == (degree.max() + 1, pairs.n)
+        assert [set(column) for column in table.T.tolist()] == closed
+        # every neighbour once, the rest of the column padded with the node
+        np.testing.assert_array_equal((table != np.arange(pairs.n)).sum(axis=0), degree)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_one_pair(self):
+        np.testing.assert_array_equal(PairGraph(2, [0], [1]).neighbours, [[1, 0], [0, 1]])
+
+    def test_no_pairs(self):
+        none = np.empty(0, dtype=np.intp)
+        np.testing.assert_array_equal(PairGraph(4, none, none).neighbours, [np.arange(4)])
