@@ -44,7 +44,6 @@ from .problems import ExactSolution, space_study_problem, time_study_problem
 from .solver import Factorization, SolverError, solve
 from .stepper import (
     ConstantLimiter,
-    FixedPointOptions,
     SchemeKind,
     StepFailure,
     StepRecord,

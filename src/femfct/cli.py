@@ -154,10 +154,13 @@ def run_space_study(config: ExperimentConfig):
 
 def run_time_study(config: ExperimentConfig):
     """Temporal convergence study: tau halved on a fixed fine grid."""
-    mesh = build_grid(config, config.time_level)
     scheme = config.scheme_obj()
     rows = []
     failures = []
+    try:
+        mesh = build_grid(config, config.time_level)
+    except Exception as exc:  # recorded like a failed tau; no tau can run
+        return rows, [None], [(f"level {config.time_level}", repr(exc))]
     for tau in DEFAULT_TIME_TAUS:
         start = time.perf_counter()
         try:
@@ -299,6 +302,14 @@ def parse_args(argv=None) -> ExperimentConfig:
     for key, value in vars(ns).items():
         if key != "config" and value is not None:
             setattr(config, key, value)
+    if config.mesh_file is not None:
+        if config.grid != "unstructured":
+            parser.error("argument --mesh-file: only the unstructured grid reads a mesh file")
+        try:
+            with open(config.mesh_file):
+                pass
+        except OSError as exc:
+            parser.error(f"argument --mesh-file: {exc}")
     # the results are written after the whole study: try the path first
     existed = os.path.exists(config.out)
     try:

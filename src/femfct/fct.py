@@ -52,8 +52,8 @@ def artificial_diffusion(a_mat: sparse.csr_matrix, pattern: Pattern) -> sparse.c
         raise ValueError("the matrix is not on the mesh pattern")
     a_up, a_low = a_mat.data[pattern.upper], a_mat.data[pattern.lower]
     data = np.zeros(a_mat.data.shape)
-    data[pattern.upper] = -np.maximum(np.maximum(a_up, a_low), 0.0)
-    data[pattern.lower] = -np.maximum(np.maximum(a_low, a_up), 0.0)
+    # one value per pair for both mirror entries, so D is symmetric exactly
+    data[pattern.upper] = data[pattern.lower] = -np.maximum(np.maximum(a_up, a_low), 0.0)
     # the diagonal: minus the off-diagonal row sums, summed in CSR order
     # (every row stores its diagonal, so no row is empty)
     data[pattern.diag] = -np.add.reduceat(data, pattern.indptr[:-1])

@@ -40,6 +40,10 @@ from .solver import Factorization, SolverError
 # the number of past iterates Anderson acceleration mixes in the nonlinear
 # FCT step
 ANDERSON_DEPTH = 3
+# its fixed point stops at the first residual below FP_TOL and fails after
+# FP_MAX_ITER iterations; the step reads both when it runs
+FP_TOL = 1e-9
+FP_MAX_ITER = 100
 
 GALERKIN = "galerkin"
 LOW_ORDER = "low_order"
@@ -78,12 +82,6 @@ class SchemeKind:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-
-
-@dataclass
-class FixedPointOptions:
-    tol: float = 1e-9
-    max_iter: int = 100
 
 
 @dataclass
@@ -163,11 +161,10 @@ class TimeStepper:
     and the d_ij read from D's data array at the pattern's upper positions.
     """
 
-    def __init__(self, mesh, spec, scheme: SchemeKind, fp_opts: FixedPointOptions | None = None):
+    def __init__(self, mesh, spec, scheme: SchemeKind):
         self.mesh = mesh
         self.spec = spec
         self.scheme = scheme
-        self.fp_opts = fp_opts or FixedPointOptions()
         self.mass = assemble_mass(mesh)
         self.m_lumped = lump(self.mass)
         self.pairs = mesh.pairs
@@ -250,7 +247,7 @@ class TimeStepper:
         return self._lu
 
     def _constrained_rhs(self, rhs, g):
-        rhs = rhs.copy()
+        # in place: every caller hands over a fresh array it keeps no use for
         rhs[self._bnodes] = g
         return rhs
 
@@ -320,7 +317,8 @@ class TimeStepper:
         differences, x_{k+1} = G(x_k) - dG gamma with gamma minimising
         |f_k - dF gamma|, f_k = G(x_k) - x_k.  The step accepts the first
         iterate x_k, k >= 1, whose residual of the equation is below
-        ``fp_opts.tol``, with its own limiter, correction and fluxes."""
+        ``FP_TOL``, with its own limiter, correction and fluxes, and raises
+        StepFailure after ``FP_MAX_ITER`` iterations."""
         if self.fixed_alpha is not None:
             # a fixed limiter makes the scheme linear: solve it exactly
             return self.step_fixed_limiter(level, u_prev, prev)
@@ -349,7 +347,7 @@ class TimeStepper:
         d_f, d_g = np.empty((2, ANDERSON_DEPTH, u.size))
         flux, alpha, fstar = limited_correction(u)
         residual = np.inf
-        for it in range(1, self.fp_opts.max_iter + 1):
+        for it in range(1, FP_MAX_ITER + 1):
             g_u = factor.solve(self._constrained_rhs(base_rhs + fstar, g))
             f_u = g_u - u
             u = g_u
@@ -373,13 +371,13 @@ class TimeStepper:
             res_vec[self._bnodes] = u[self._bnodes] - g
             # einsum, not BLAS: the same sum whatever BLAS's thread count
             residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
-            if residual < self.fp_opts.tol:
+            if residual < FP_TOL:
                 return _fct_record(t, u, alpha, fstar, flux, fp_iters=it, residual=residual)
             if not math.isfinite(residual):
                 raise StepFailure(f"non-finite residual in fixed-point iteration {it}", residual)
         raise StepFailure(
-            f"fixed point did not reach {self.fp_opts.tol:g} within "
-            f"{self.fp_opts.max_iter} iterations (residual {residual:g})",
+            f"fixed point did not reach FP_TOL={FP_TOL:g} within "
+            f"FP_MAX_ITER={FP_MAX_ITER} iterations (residual {residual:g})",
             residual,
         )
 

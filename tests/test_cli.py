@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import os
 import subprocess
 import sys
@@ -189,13 +190,17 @@ class TestConfig:
         assert "invalid" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("study", ["space", "time"])
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, study):
+    @pytest.fixture
+    def no_study(self, monkeypatch):
+        """A usage error must stop the run before either study starts."""
         def must_not_start(config):
             raise AssertionError("the study started")
 
         monkeypatch.setattr(femfct.cli, "run_space_study", must_not_start)
         monkeypatch.setattr(femfct.cli, "run_time_study", must_not_start)
+
+    @pytest.mark.parametrize("study", ["space", "time"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, no_study, study):
         for out in (tmp_path / "missing" / "x.csv", tmp_path):
             with pytest.raises(SystemExit) as exc:
                 main(["--study", study, "--out", str(out)])
@@ -210,12 +215,55 @@ class TestConfig:
         parse_args(["--out", str(out)])
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("study", ["space", "time"])
+    def test_mesh_file_needs_the_unstructured_grid(self, tmp_path, capsys, no_study, study):
+        mesh = tmp_path / "square.msh"
+        mesh.write_text("an existing file\n")
+        path = tmp_path / "study.cfg"
+        path.write_text(f"mesh_file = {mesh}\n")
+        out = tmp_path / "x.csv"
+        for argv in ([f"--mesh-file={mesh}"], ["--config", str(path)]):
+            for grid in ([], ["--grid", "fk"], ["--grid", "shifted"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + grid + ["--study", study, "--out", str(out)])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert err.startswith("usage: femfct")
+                assert "argument --mesh-file: only the unstructured grid reads a mesh file" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["space", "time"])
+    def test_unreadable_mesh_file_is_a_usage_error(self, tmp_path, capsys, no_study, study):
+        out = tmp_path / "x.csv"
+        for mesh in (tmp_path / "missing.msh", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                main(["--study", study, "--grid", "unstructured", "--mesh-file", str(mesh),
+                      "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: femfct")
+            assert "argument --mesh-file: [Errno " in err and f"'{mesh}'" in err
+        assert not out.exists()
+
 
 class TestGrids:
     def test_unstructured_sample_loads(self):
         mesh = build_grid(ExperimentConfig(grid="unstructured"), level=0)
         assert mesh.n_nodes > 0
         assert mesh.areas().sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_packaged_mesh_is_the_default(self, tmp_path):
+        config = parse_args(["--grid", "unstructured", "--out", str(tmp_path / "x.csv")])
+        assert config.mesh_file is None
+        ref = importlib.resources.files("femfct.data") / "unit_square_unstructured.msh"
+        copy = tmp_path / "copy.msh"
+        copy.write_bytes(ref.read_bytes())
+        own = parse_args(["--grid", "unstructured", "--mesh-file", str(copy),
+                          "--out", str(tmp_path / "x.csv")])
+        assert own.mesh_file == str(copy)
+        default, loaded = build_grid(config, 1), build_grid(own, 1)
+        assert np.array_equal(default.nodes, loaded.nodes)
+        assert np.array_equal(default.triangles, loaded.triangles)
 
     def test_unstructured_refinement(self):
         coarse = build_grid(ExperimentConfig(grid="unstructured"), level=0)
@@ -291,6 +339,21 @@ class TestStudies:
         code = main(["--grid", "fk", "--levels", "1..1", "--tau", tau, "--t-end", "1", "--out", str(out)])
         assert code == 2
         assert f"FAILED at 1: ValueError('{message}')" in capsys.readouterr().err
+        assert read_rows(out) == []
+
+    @pytest.mark.parametrize("study", ["space", "time"])
+    def test_grid_that_cannot_be_built_is_a_failure(self, tmp_path, capsys, study):
+        mesh = tmp_path / "bad.msh"
+        mesh.write_text("not a mesh\n")
+        out = tmp_path / "x.csv"
+        code = main(["--study", study, "--grid", "unstructured", "--mesh-file", str(mesh),
+                     "--levels", "0..1", "--time-level", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        where = ["level 0"] if study == "time" else ["0", "1"]
+        assert err.splitlines() == [
+            f"FAILED at {w}: MeshError('{mesh}:1: expected 2 header fields')" for w in where
+        ]
         assert read_rows(out) == []
 
     def test_main_time(self, tmp_path, capsys):

@@ -55,7 +55,6 @@ from femfct import (
     ConstantLimiter,
     ExactSolution,
     Factorization,
-    FixedPointOptions,
     LimiterMatrix,
     ProblemSpec,
     SchemeKind,
@@ -1291,13 +1290,13 @@ def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
 
     base_rhs = tau * level.f + stepper.m_lumped * u_prev
     flux, alpha, fstar = limited_correction(u_prev)
-    for it in range(1, stepper.fp_opts.max_iter + 1):
+    for it in range(1, femfct.stepper.FP_MAX_ITER + 1):
         u = factor.solve(stepper._constrained_rhs(base_rhs + fstar, g))
         flux, alpha, fstar = limited_correction(u)
         res_vec = stepper.m_lumped * u + tau * (abar @ u) - base_rhs - fstar
         res_vec[bnodes] = u[bnodes] - g
         residual = math.sqrt(float(np.einsum("i,i->", res_vec, res_vec)))
-        if residual < stepper.fp_opts.tol:
+        if residual < femfct.stepper.FP_TOL:
             return femfct.stepper._fct_record(
                 level.t, u, alpha, fstar, flux, fp_iters=it, residual=residual
             )
@@ -1570,9 +1569,10 @@ def test_accelerated_answer_is_no_farther_from_the_fixed_point(grid, monkeypatch
 
     def final_u(plain, tol):
         with monkeypatch.context() as patch:
+            patch.setattr(femfct.stepper, "FP_TOL", tol)
             if plain:
                 patch.setattr(TimeStepper, "step_nonlinear_fct", old_step_nonlinear_fct)
-            stepper = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct"), FixedPointOptions(tol=tol))
+            stepper = TimeStepper(mesh, spec, SchemeKind("nonlinear_fct"))
             return stepper.run(20)[-1].u
 
     ref = final_u(True, 1e-12)

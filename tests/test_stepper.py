@@ -11,7 +11,6 @@ import femfct.stepper
 from femfct import (
     Factorization,
     ConstantLimiter,
-    FixedPointOptions,
     ProblemSpec,
     SchemeKind,
     TimeLevel,
@@ -154,16 +153,30 @@ class TestNonlinearFct:
         for rec in recs[1:]:
             assert abs(rec.correction_sum) <= 1e-12 * max(rec.flux_abs_sum, 1.0)
 
-    def test_iteration_cap_raises(self, fk2, study):
+    def test_iteration_cap_raises(self, fk2, study, monkeypatch):
         from femfct import StepFailure
 
         spec, _ = study
-        stepper = TimeStepper(
-            fk2, spec, SchemeKind("nonlinear_fct"),
-            fp_opts=FixedPointOptions(tol=1e-9, max_iter=1),
-        )
+        monkeypatch.setattr(femfct.stepper, "FP_MAX_ITER", 1)
+        stepper = TimeStepper(fk2, spec, SchemeKind("nonlinear_fct"))
         with pytest.raises(StepFailure):
             stepper.run(1)
+
+    def test_cap_failure_names_the_constants_read_at_call_time(self, fk2, study, monkeypatch):
+        # patched after the stepper is built: the step reads both when it runs
+        from femfct import StepFailure
+
+        spec, _ = study
+        stepper = TimeStepper(fk2, spec, SchemeKind("nonlinear_fct"))
+        monkeypatch.setattr(femfct.stepper, "FP_TOL", 1e-300)
+        monkeypatch.setattr(femfct.stepper, "FP_MAX_ITER", 3)
+        with pytest.raises(StepFailure) as exc:
+            stepper.run(1)
+        assert str(exc.value).startswith(
+            "step 1 (t=0.001) failed: fixed point did not reach FP_TOL=1e-300 "
+            "within FP_MAX_ITER=3 iterations (residual "
+        )
+        assert 0.0 < exc.value.residual < math.inf
 
     @staticmethod
     def nan_on_third_call(fn):
