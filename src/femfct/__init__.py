@@ -41,7 +41,7 @@ from .mesh import (
     refine_uniform,
 )
 from .problems import ExactSolution, space_study_problem, time_study_problem
-from .solver import Factorization, SolverError, solve
+from .solver import Factorization, SolverError
 from .stepper import (
     ConstantLimiter,
     SchemeKind,

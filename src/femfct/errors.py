@@ -135,15 +135,19 @@ def _norm(matrix, e):
 def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     """Square root of the stabilization form
     d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2, the
-    diffusion entries ``d_ij`` given on the limiter's pairs.
+    diffusion entries ``d_ij`` given on the limiter's pairs.  The sum runs
+    over the pairs with alpha_ij != 1 alone, the only ones with a term that
+    is not zero (a Zalesak limiter leaves alpha_ij = 1 on all but a few), so
+    it is 0.0 exactly when alpha = 1 everywhere.
 
     Raises ValueError unless ``d_ij`` has one value per pair.
     """
     d_ij = np.asarray(d_ij)
     if d_ij.shape != alpha.values.shape:
         raise ValueError(f"d_ij has shape {d_ij.shape}, the limiter {alpha.values.shape}")
-    de = e_nodes[alpha.j] - e_nodes[alpha.i]
-    return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
+    k = np.flatnonzero(alpha.values != 1.0)
+    de = e_nodes[alpha.j[k]] - e_nodes[alpha.i[k]]
+    return math.sqrt(float(np.sum((1.0 - alpha.values[k]) * np.abs(d_ij[k]) * de * de)))
 
 
 def time_integrate(values, tau) -> float:

@@ -84,8 +84,16 @@ def raw_fluxes(pairs: PairGraph, m_ij, d_ij, u_new, u_prev, tau) -> np.ndarray:
     with the mass and diffusion entries ``m_ij``, ``d_ij`` given per pair.
     """
     i, j = pairs.i, pairs.j
+    # in place, each element rounded as in the formula above
     du = u_new - u_prev
-    return m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
+    flux, tmp = du[i], du[j]
+    flux -= tmp
+    flux *= m_ij
+    diff = u_new[j]
+    diff -= u_new[i]
+    diff *= np.multiply(d_ij, tau, out=tmp)
+    flux += diff
+    return flux
 
 
 def linear_fluxes(
@@ -101,10 +109,21 @@ def linear_fluxes(
     fluxes of boundary-adjacent pairs.
     """
     i, j = pairs.i, pairs.j
-    nu = (-r) / m_lumped
+    # in place, each element rounded as in the formula above
+    nu = np.negative(r)
+    nu /= m_lumped
     nu[dirichlet] = g_rate
-    dnu = nu[i] - nu[j]
-    return tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
+    dnu = nu[i]
+    dnu -= nu[j]
+    flux = np.multiply(m_ij, tau)
+    flux *= dnu
+    dnu *= tau
+    diff = u_prev[j]
+    diff -= u_prev[i]
+    diff -= dnu
+    diff *= np.multiply(d_ij, tau, out=dnu)
+    flux += diff
+    return flux
 
 
 def prelimit(f: np.ndarray, dubar: np.ndarray) -> np.ndarray:
@@ -153,11 +172,12 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     np.minimum(r_minus, 1.0, out=r_minus)
     r_plus[dirichlet] = r_minus[dirichlet] = 1.0
     # min{1, 1} = 1: alpha differs from 1 only on the pairs touching a node
-    # whose R^+ or R^- does (NaN included), 51 of 12416 at FK level 5 in
-    # step 20 of the space study
+    # whose R^+ or R^- does (NaN included), 54 of 12416 at FK level 5 in
+    # step 20 of the space study; they are read from those nodes' columns
+    # of the pair table (a pair between two of them twice, with one value)
     alpha = np.ones(f.shape)
-    limits = (r_plus != 1.0) | (r_minus != 1.0)
-    k = np.flatnonzero(limits[i] | limits[j])
+    k = pairs.incident[:, np.flatnonzero((r_plus != 1.0) | (r_minus != 1.0))].ravel()
+    k = k[k >= 0]
     ik, jk = i[k], j[k]
     alpha[k] = np.where(
         f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])

@@ -60,19 +60,35 @@ class PairGraph:
     i: np.ndarray
     j: np.ndarray
 
-    @cached_property
+    @property
     def neighbours(self) -> np.ndarray:
         """(k, n) closed neighbourhoods, built on first use; read-only.
         Column i lists the neighbours of node i on the pairs, padded with
         i itself up to k = the largest degree + 1 rows."""
+        return self._by_node[0]
+
+    @property
+    def incident(self) -> np.ndarray:
+        """(k, n) int32 pair ids at each node, built on first use; read-only.
+        Column i lists the pairs with an end at node i, padded with -1 up to
+        k = the largest degree rows; the pair in row r joins i to
+        ``neighbours[r, i]``."""
+        return self._by_node[1]
+
+    @cached_property
+    def _by_node(self):
+        # both tables from one stable sort of the pair ends by node
         src = np.concatenate((self.i, self.j))
         order = np.argsort(src, kind="stable")
         degree = np.bincount(src, minlength=self.n)
         src = src[order]
         rank = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
-        table = np.tile(np.arange(self.n), (degree.max(initial=0) + 1, 1))
-        table[rank, src] = np.concatenate((self.j, self.i))[order]
-        return _read_only(table)
+        k = degree.max(initial=0)
+        near = np.tile(np.arange(self.n), (k + 1, 1))
+        near[rank, src] = np.concatenate((self.j, self.i))[order]
+        incident = np.full((k, self.n), -1, dtype=np.int32)
+        incident[rank, src] = np.tile(np.arange(len(self.i)), 2)[order]
+        return _read_only(near), _read_only(incident)
 
 
 @dataclass(frozen=True)

@@ -94,15 +94,3 @@ class Factorization:
         x = np.empty_like(y)
         x[self._cols] = y
         return x
-
-
-def solve(matrix, rhs) -> np.ndarray:
-    """Solve matrix @ u = rhs by sparse LU (backward stable); raises
-    SolverError on a failed factorization or a non-finite solution."""
-    rhs = np.asarray(rhs, dtype=float)
-    mat = sparse.csr_matrix(matrix)
-    u = Factorization(mat).solve(rhs)
-    if not np.all(np.isfinite(u)):
-        res = np.linalg.norm(mat @ u - rhs)
-        raise SolverError("direct solve produced non-finite values (singular matrix?)", res)
-    return u

@@ -32,8 +32,12 @@ scattered through per-element positions in the pattern, which its
 per-edge and per-node sums replace, the convection's entries summed over
 the two quadrature points of each vertex, s[q, j] + s[q-1, j], which the
 velocity summed over those points first, B_q = b_q + b_{q-1}, replaces,
-and the nonlinear FCT step's plain fixed-point iteration from u^{n-1},
-which Anderson acceleration from an extrapolated start replaces.  Every
+the nonlinear FCT step's plain fixed-point iteration from u^{n-1},
+which Anderson acceleration from an extrapolated start replaces, the
+Zalesak limiter selecting its pairs by ``limits[i] | limits[j]`` over
+every pair, which the limiting nodes' columns of the pair table replace,
+the flux kernels making a fresh array per operation, and the d_h
+seminorm summed over every pair instead of the pairs with alpha != 1.  Every
 mesh is also tried with its nodes randomly relabelled, which leaves the
 CSR column order unsorted before assembly.
 """
@@ -1579,3 +1583,204 @@ def test_accelerated_answer_is_no_farther_from_the_fixed_point(grid, monkeypatch
     accelerated = np.abs(final_u(False, 1e-9) - ref).max()
     plain = np.abs(final_u(True, 1e-9) - ref).max()
     assert accelerated <= plain
+
+
+# -- the limited pairs alone: pair selection from the pair table, the d_h
+# seminorm over alpha != 1, and the flux kernels in place
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("fk", 3, 0), ("fk", 3, 3), ("shifted", 3, 0), ("shifted", 3, 3),
+            ("unstructured", 1, 0), ("unstructured", 1, 3)],
+    ids=lambda p: f"{p[0]}{p[1]}-seed{p[2]}",
+)
+def pair_mesh(request):
+    grid, level, seed = request.param
+    return relabel(build_grid(ExperimentConfig(grid=grid), level), seed)
+
+
+def old_zalesak_limits(pairs, f, bounds, dirichlet):
+    """The Zalesak limiter's values, alpha evaluated on the pairs selected
+    by ``limits[i] | limits[j]`` over every pair, which the columns of the
+    limiting nodes in ``pairs.incident`` replace."""
+    n, i, j = pairs.n, pairs.i, pairs.j
+    q_plus, q_minus = bounds
+    fpos = np.maximum(f, 0.0)
+    fneg = np.minimum(f, 0.0)
+    p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
+    p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
+    r_plus, r_minus = np.ones(n), np.ones(n)
+    np.divide(q_plus, p_plus, out=r_plus, where=p_plus > 0.0)
+    np.divide(q_minus, p_minus, out=r_minus, where=p_minus < 0.0)
+    np.minimum(r_plus, 1.0, out=r_plus)
+    np.minimum(r_minus, 1.0, out=r_minus)
+    r_plus[dirichlet] = r_minus[dirichlet] = 1.0
+    alpha = np.ones(f.shape)
+    limits = (r_plus != 1.0) | (r_minus != 1.0)
+    k = np.flatnonzero(limits[i] | limits[j])
+    ik, jk = i[k], j[k]
+    alpha[k] = np.where(
+        f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
+    )
+    return alpha
+
+
+def old_raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, tau):
+    """The raw fluxes with a fresh array per operation."""
+    i, j = pairs.i, pairs.j
+    du = u_new - u_prev
+    return m_ij * (du[i] - du[j]) + tau * d_ij * (u_new[j] - u_new[i])
+
+
+def old_linear_fluxes(pairs, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_rate):
+    """The linearized fluxes with a fresh array per operation."""
+    i, j = pairs.i, pairs.j
+    nu = (-r) / m_lumped
+    nu[dirichlet] = g_rate
+    dnu = nu[i] - nu[j]
+    return tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
+
+
+def old_dh_seminorm(alpha, d_ij, e_nodes):
+    """The d_h seminorm summed over every pair."""
+    de = e_nodes[alpha.j] - e_nodes[alpha.i]
+    return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
+
+
+def recorded_calls(mesh, monkeypatch):
+    """The arguments of the last linear_fluxes and zalesak calls of five
+    linear FCT steps, and of the last raw_fluxes call of three nonlinear
+    FCT steps, of the space problem on the mesh."""
+    seen = {}
+    for name in ("linear_fluxes", "raw_fluxes", "zalesak"):
+        def recording(*args, _name=name, _fn=getattr(femfct.stepper, name)):
+            seen[_name] = args
+            return _fn(*args)
+
+        monkeypatch.setattr(femfct.stepper, name, recording)
+    spec, _ = space_study_problem(tau=1e-3, t_end=1e-2)
+    TimeStepper(mesh, spec, SchemeKind("linear_fct")).run(5)
+    TimeStepper(mesh, spec, SchemeKind("nonlinear_fct")).run(3)
+    monkeypatch.undo()
+    return seen
+
+
+def perturbed(values, kind, rng):
+    """The recorded values (``predictor``), random ones of their size, the
+    same on a coarse grid with many ties and signed zeros, or random with a
+    NaN at entry 7."""
+    size = np.abs(values).max() + 1e-300
+    if kind == "predictor":
+        return values.copy()
+    out = size * rng.standard_normal(values.shape)
+    if kind == "ties":
+        out = size * np.round(out / size * 4) / 4 * np.where(rng.random(values.shape) < 0.5, -1.0, 1.0)
+    elif kind == "nan":
+        out[7] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
+def test_flux_kernels_in_place_match_allocating_formulas_bitwise(pair_mesh, kind, monkeypatch):
+    seen = recorded_calls(pair_mesh, monkeypatch)
+    rng = np.random.default_rng(6)
+    pairs, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_rate = seen["linear_fluxes"]
+    r, u_prev = perturbed(r, kind, rng), perturbed(u_prev, kind, rng)
+    args = (pairs, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_rate)
+    inputs = r.tobytes(), u_prev.tobytes()
+    flux = linear_fluxes(*args)
+    assert flux.tobytes() == old_linear_fluxes(*args).tobytes()
+    assert (r.tobytes(), u_prev.tobytes()) == inputs
+    assert np.isnan(flux).any() == (kind == "nan")
+
+    pairs, m_ij, d_ij, u_new, u_prev, tau = seen["raw_fluxes"]
+    u_new, u_prev = perturbed(u_new, kind, rng), perturbed(u_prev, kind, rng)
+    args = (pairs, m_ij, d_ij, u_new, u_prev, tau)
+    inputs = u_new.tobytes(), u_prev.tobytes()
+    flux = raw_fluxes(*args)
+    assert flux.tobytes() == old_raw_fluxes(*args).tobytes()
+    assert (u_new.tobytes(), u_prev.tobytes()) == inputs
+    if kind == "ties":
+        assert np.any(flux == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
+def test_pair_table_selection_matches_every_pair_scan_bitwise(pair_mesh, kind, monkeypatch):
+    # sign bits included; with the range check off, NaN alpha on the same
+    # pairs, which the check rejects in both
+    seen = recorded_calls(pair_mesh, monkeypatch)
+    pairs, flux, bounds, dirichlet = seen["zalesak"]
+    rng = np.random.default_rng(7)
+    flux = perturbed(flux, kind, rng)
+    if kind == "ties":
+        # equal bounds and zero bounds of either sign
+        bounds = tuple(np.round(q / np.abs(q).max() * 2) / 2 * np.abs(q).max() for q in bounds)
+    elif kind == "nan":
+        # a NaN flux alone leaves R at 1 (no P compares > 0); NaN bounds
+        # at every tenth node give NaN ratios
+        bounds = tuple(np.where(np.arange(q.size) % 10 == 0, np.nan, q) for q in bounds)
+    ref = old_zalesak_limits(pairs, flux, bounds, dirichlet)
+    if kind == "nan":
+        assert np.isnan(ref).any()
+        with pytest.raises(ValueError, match="outside"):
+            zalesak(pairs, flux, bounds, dirichlet)
+        monkeypatch.setattr(femfct.fct, "LimiterMatrix", lambda n, i, j, values: values)
+        assert zalesak(pairs, flux, bounds, dirichlet).tobytes() == ref.tobytes()
+        return
+    alpha = zalesak(pairs, flux, bounds, dirichlet)
+    assert alpha.values.tobytes() == ref.tobytes()
+    assert np.any(ref < 1.0) and np.any(ref == 1.0)
+    if kind == "predictor":
+        # a few limited pairs, as in a real step
+        assert np.count_nonzero(ref != 1.0) < 0.2 * ref.size
+
+
+@pytest.mark.parametrize("scheme", ["linear_fct", "nonlinear_fct", "constant"])
+def test_dh_seminorm_over_limited_pairs_matches_every_pair_sum(pair_mesh, scheme):
+    schemes = {
+        "linear_fct": SchemeKind("linear_fct"),
+        "nonlinear_fct": SchemeKind("nonlinear_fct"),
+        "constant": SchemeKind("linear_fct", ConstantLimiter(0.5)),
+    }
+    spec, exact = space_study_problem(tau=1e-3, t_end=1e-2)
+    stepper = TimeStepper(pair_mesh, spec, schemes[scheme])
+    d_ij = stepper._constant_operators[1]
+    ws = ErrorWorkspace(pair_mesh)
+    rng = np.random.default_rng(8)
+    limited = 0
+    for rec in stepper.run(10)[1:]:
+        alpha = rec.alpha
+        for e in (ws.nodal_error(rec.u, exact, rec.t), rng.standard_normal(pair_mesh.n_nodes)):
+            dh, ref = dh_seminorm(alpha, d_ij, e), old_dh_seminorm(alpha, d_ij, e)
+            assert_close(dh, ref)
+            if scheme == "constant":
+                continue
+            # a node on no limited pair is not read
+            on_limited = np.zeros(pair_mesh.n_nodes, dtype=bool)
+            on_limited[alpha.i[alpha.values != 1.0]] = on_limited[alpha.j[alpha.values != 1.0]] = True
+            e[np.flatnonzero(~on_limited)[0]] = np.nan
+            assert bits(dh_seminorm(alpha, d_ij, e)) == bits(dh)
+        limited = max(limited, np.count_nonzero(alpha.values != 1.0))
+    assert 0 < limited < alpha.values.size
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "low_order", "constant"])
+def test_dh_seminorm_of_fixed_limiters(pair_mesh, kind):
+    # alpha = 1 everywhere: exactly zero, from no pair; a fixed limiter
+    # below 1 on every pair: every pair, in the full sum's order
+    schemes = {
+        "galerkin": SchemeKind("galerkin"),
+        "low_order": SchemeKind("low_order"),
+        "constant": SchemeKind("linear_fct", ConstantLimiter(0.5, zalesak_boundary=False)),
+    }
+    spec, _ = space_study_problem(tau=1e-3, t_end=1e-2)
+    stepper = TimeStepper(pair_mesh, spec, schemes[kind])
+    alpha, d_ij = stepper.fixed_alpha, stepper._constant_operators[1]
+    e = np.random.default_rng(9).standard_normal(pair_mesh.n_nodes)
+    dh = dh_seminorm(alpha, d_ij, e)
+    if kind == "galerkin":
+        assert dh == 0.0 and not np.signbit(dh)
+    else:
+        assert dh > 0.0
+        assert bits(dh) == bits(old_dh_seminorm(alpha, d_ij, e))

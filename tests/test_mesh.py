@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from femfct import (
+    ConstantLimiter,
     MeshError,
     PairGraph,
+    SchemeKind,
+    TimeStepper,
     TriMesh,
     build_friedrichs_keller,
     build_shifted_grid,
@@ -13,6 +16,7 @@ from femfct import (
     load_mesh,
     max_opposite_angle_sum,
     refine_uniform,
+    space_study_problem,
 )
 from femfct.cli import ExperimentConfig, build_grid
 
@@ -237,3 +241,53 @@ class TestNeighbours:
     def test_no_pairs(self):
         none = np.empty(0, dtype=np.intp)
         np.testing.assert_array_equal(PairGraph(4, none, none).neighbours, [np.arange(4)])
+
+
+class TestIncident:
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    @pytest.mark.parametrize("grid, level", [("fk", 3), ("shifted", 3), ("unstructured", 1)])
+    def test_columns_list_the_pairs_at_each_node(self, grid, level, seed):
+        pairs = relabel(build_grid(ExperimentConfig(grid=grid), level), seed).pairs
+        at = [set() for _ in range(pairs.n)]
+        for p, (a, b) in enumerate(zip(pairs.i.tolist(), pairs.j.tolist())):
+            at[a].add(p)
+            at[b].add(p)
+        degree = np.bincount(np.concatenate((pairs.i, pairs.j)), minlength=pairs.n)
+        table = pairs.incident
+        assert pairs.incident is table
+        assert table.shape == (degree.max(), pairs.n)
+        assert table.dtype == np.int32
+        assert [set(column) - {-1} for column in table.T.tolist()] == at
+        # every pair at the node once, the rest of the column -1
+        np.testing.assert_array_equal((table >= 0).sum(axis=0), degree)
+        assert np.all(table[np.arange(table.shape[0])[:, None] >= degree] == -1)
+        # the pair in row r joins the node to its neighbour in row r
+        rows, nodes = np.nonzero(table >= 0)
+        ids, other = table[rows, nodes], pairs.neighbours[rows, nodes]
+        np.testing.assert_array_equal(np.minimum(nodes, other), pairs.i[ids])
+        np.testing.assert_array_equal(np.maximum(nodes, other), pairs.j[ids])
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_one_pair(self):
+        np.testing.assert_array_equal(PairGraph(2, [0], [1]).incident, [[0, 0]])
+
+    def test_no_pairs(self):
+        none = np.empty(0, dtype=np.intp)
+        assert PairGraph(4, none, none).incident.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [SchemeKind("galerkin"), SchemeKind("linear_fct"), SchemeKind("nonlinear_fct"),
+         SchemeKind("linear_fct", ConstantLimiter(0.5))],
+        ids=["galerkin", "linear_fct", "nonlinear_fct", "constant"],
+    )
+    def test_built_on_first_use_not_in_set_up(self, scheme):
+        # per-mesh tables are built by the first limiter call, not by the
+        # stepper's set-up
+        mesh = build_friedrichs_keller(2)
+        spec, _ = space_study_problem(tau=1e-3, t_end=1e-2)
+        stepper = TimeStepper(mesh, spec, scheme)
+        assert "_by_node" not in mesh.pairs.__dict__
+        stepper.run(1)
+        assert ("_by_node" in mesh.pairs.__dict__) == (scheme.kind != "galerkin")

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 import femfct.solver
-from femfct import Factorization, SolverError, solve
+from femfct import Factorization, SolverError
 
 
 def random_dominant_system(seed, n=20):
@@ -42,25 +42,26 @@ def assert_downwind(matrix, order):
 
 
 class TestDirect:
+    # one solve of a fresh factorization
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(
-            solve(sparse.identity(3, format="csr"), rhs), rhs
+            Factorization(sparse.identity(3, format="csr")).solve(rhs), rhs
         )
 
     def test_diagonal(self):
         a = sparse.diags([2.0, 4.0]).tocsr()
-        np.testing.assert_allclose(solve(a, np.array([2.0, 8.0])), [1.0, 2.0])
+        np.testing.assert_allclose(Factorization(a).solve(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_random_dominant_residual(self):
         a, rhs = random_dominant_system(11)
-        u = solve(a, rhs)
+        u = Factorization(a).solve(rhs)
         assert np.linalg.norm(a @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
     def test_singular_matrix_raises(self):
         a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError):
-            solve(a, np.array([1.0, 2.0]))
+            Factorization(a).solve(np.array([1.0, 2.0]))
 
 
 class TestFactorization:
