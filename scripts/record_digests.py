@@ -3,14 +3,15 @@
 leaves every output bitwise unchanged.
 
 Each line names a case (mesh, problem, coefficient path, scheme) and the
-digest of every record's t, u, alpha, fp_iters, residual, correction_sum
-and flux_abs_sum, sign bits included.  The problems are the space and
-time studies', on both coefficient paths, and one whose velocity and
-reaction vary in space and time, so that its operators change every
-step.  The ``run_single`` lines digest the four integrated error norms
-instead, and the ``assembly`` lines the data, indptr and indices of the
-mass, the Laplacian and the stiffness (of the space problem and of the
-variable-coefficient one, at three times).  Run it on two source trees
+digest of every record's t, u, alpha (expanded to every pair of the
+mesh, 1 on the pairs the limiter does not list), fp_iters, residual,
+correction_sum and flux_abs_sum, sign bits included.  The problems are
+the space and time studies', on both coefficient paths, and one whose
+velocity and reaction vary in space and time, so that its operators
+change every step.  The ``run_single`` lines digest the four integrated
+error norms instead, and the ``assembly`` lines the data, indptr and
+indices of the mass, the Laplacian and the stiffness (of the space
+problem and of the variable-coefficient one, at three times).  Run it on two source trees
 and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
@@ -61,14 +62,14 @@ def floats(*values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def digest_records(records) -> str:
+def digest_records(mesh, records) -> str:
     h = hashlib.sha256()
     for rec in records:
         h.update(floats(rec.t, rec.residual, rec.correction_sum, rec.flux_abs_sum))
         h.update(struct.pack("<q", rec.fp_iters))
         h.update(np.ascontiguousarray(rec.u).tobytes())
         if rec.alpha is not None:
-            h.update(np.ascontiguousarray(rec.alpha.values).tobytes())
+            h.update(rec.alpha.expanded(mesh.pairs.i.size).tobytes())
     return h.hexdigest()
 
 
@@ -124,10 +125,10 @@ def main():
                     spec, _ = make()
                     spec.constant_coefficients = constant
                     label = f"records {mesh_name} {problem} constant={constant} {scheme_name}"
-                    run(label, lambda: digest_records(TimeStepper(mesh, spec, scheme).run(STEPS)))
+                    run(label, lambda: digest_records(mesh, TimeStepper(mesh, spec, scheme).run(STEPS)))
         for scheme_name, scheme in SCHEMES.items():
             label = f"records {mesh_name} variable constant=False {scheme_name}"
-            run(label, lambda: digest_records(TimeStepper(mesh, variable_spec(), scheme).run(STEPS)))
+            run(label, lambda: digest_records(mesh, TimeStepper(mesh, variable_spec(), scheme).run(STEPS)))
         for scheme_name, scheme in SCHEMES.items():
             spec, exact = problem_of["space"]()
 

@@ -103,13 +103,12 @@ def run_single(mesh, spec, exact, scheme):
     stepper = TimeStepper(mesh, spec, scheme)
     records = stepper.run(n_steps)
     ws = err.ErrorWorkspace(mesh)
-    # the stepper puts every record's limiter on the mesh's pair graph,
-    # which must be the mass pattern's: dh_seminorm weights it with the
+    # every record's limiter lists pairs of the stepper's pair graph, which
+    # must be the mass pattern's: dh_seminorm weights them with the
     # diffusion's d_ij on those pairs
     i, j, _ = _upper_pairs(stepper.mass)
-    last = records[-1].alpha
-    if last is not None and not (np.array_equal(last.i, i) and np.array_equal(last.j, j)):
-        raise ValueError("the limiters are not on the mass pattern's pairs")
+    if not (np.array_equal(stepper.pairs.i, i) and np.array_equal(stepper.pairs.j, j)):
+        raise ValueError("the stepper's pairs are not the mass pattern's")
 
     series = {"l2": [], "h1": [], "fct": [], "dh": []}
     for record in records[1:]:
@@ -118,7 +117,7 @@ def run_single(mesh, spec, exact, scheme):
         series["l2"].append(ws.l2_error(record.u, exact, t))
         series["h1"].append(ws.h1_error(record.u, exact, t))
         e_nodes = ws.nodal_error(record.u, exact, t)
-        dh = err.dh_seminorm(record.alpha, d_ij, e_nodes)
+        dh = err.dh_seminorm(stepper.pairs, record.alpha, d_ij, e_nodes)
         series["fct"].append(ws.fct_nodal(e_nodes, dh, spec.eps, spec.c0))
         series["dh"].append(dh)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .assembly import assemble_laplacian, assemble_mass
 from .fct import LimiterMatrix
+from .mesh import PairGraph
 
 _A1, _A2 = 0.445948490915965, 0.091576213509771
 _W1, _W2 = 0.223381589678011, 0.109951743655322
@@ -132,22 +133,24 @@ def _norm(matrix, e):
     return math.sqrt(max(float(np.einsum("i,i->", e, matrix @ e)), 0.0))
 
 
-def dh_seminorm(alpha: LimiterMatrix, d_ij, e_nodes) -> float:
+def dh_seminorm(pairs: PairGraph, alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     """Square root of the stabilization form
     d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2, the
-    diffusion entries ``d_ij`` given on the limiter's pairs.  The sum runs
-    over the pairs with alpha_ij != 1 alone, the only ones with a term that
-    is not zero (a Zalesak limiter leaves alpha_ij = 1 on all but a few), so
-    it is 0.0 exactly when alpha = 1 everywhere.
+    diffusion entries ``d_ij`` given on the pairs.  The sum runs, in pair
+    order, over the pairs alpha lists with alpha_ij != 1 alone, the only
+    ones with a term that is not zero (a Zalesak limiter leaves
+    alpha_ij = 1 on all but a few), so it is 0.0 exactly when alpha = 1
+    everywhere.
 
     Raises ValueError unless ``d_ij`` has one value per pair.
     """
     d_ij = np.asarray(d_ij)
-    if d_ij.shape != alpha.values.shape:
-        raise ValueError(f"d_ij has shape {d_ij.shape}, the limiter {alpha.values.shape}")
+    if d_ij.shape != pairs.i.shape:
+        raise ValueError(f"d_ij has shape {d_ij.shape}, the pairs {pairs.i.shape}")
     k = np.flatnonzero(alpha.values != 1.0)
     de = e_nodes[alpha.j[k]] - e_nodes[alpha.i[k]]
-    return math.sqrt(float(np.sum((1.0 - alpha.values[k]) * np.abs(d_ij[k]) * de * de)))
+    d = np.abs(d_ij[alpha.ids[k]])
+    return math.sqrt(float(np.sum((1.0 - alpha.values[k]) * d * de * de)))
 
 
 def time_integrate(values, tau) -> float:

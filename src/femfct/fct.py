@@ -4,9 +4,10 @@ Artificial diffusion, mass lumping, raw and linearized antidiffusive
 fluxes, prelimiting, the Zalesak limiter, the assembled correction vector,
 and the M-matrix diagnostic for the low-order system matrix.
 
-Fluxes, plain (npairs,) arrays, and limiter values are stored once per
-node pair i < j of a mesh's ``PairGraph``; f_ji = -f_ij and alpha_ji =
-alpha_ij are implicit, so antisymmetry and limiter symmetry hold exactly.
+Fluxes, plain (npairs,) arrays, are stored once per node pair i < j of a
+mesh's ``PairGraph``, and limiter values once per pair a limiter lists;
+f_ji = -f_ij and alpha_ji = alpha_ij are implicit, so antisymmetry and
+limiter symmetry hold exactly.
 """
 
 from __future__ import annotations
@@ -21,17 +22,26 @@ from .mesh import PairGraph, Pattern
 
 @dataclass(frozen=True)
 class LimiterMatrix:
-    """Symmetric limiter weights alpha_ij in [0, 1] on the pairs i < j."""
+    """Symmetric limiter weights alpha_ij in [0, 1] on the pairs ``ids`` of
+    a mesh's ``PairGraph`` (unique, sorted), their ends i < j in ``i`` and
+    ``j``; alpha_ij = 1 on every pair it does not list."""
 
     n: int
     i: np.ndarray
     j: np.ndarray
     values: np.ndarray
+    ids: np.ndarray
 
     def __post_init__(self):
         # written so that NaN fails it too
         if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValueError("limiter values outside [0, 1]")
+
+    def expanded(self, npairs: int) -> np.ndarray:
+        """alpha on every one of the ``npairs`` pairs, 1 where not listed."""
+        alpha = np.ones(npairs)
+        alpha[self.ids] = self.values
+        return alpha
 
 
 def _upper_pairs(mat: sparse.csr_matrix):
@@ -151,7 +161,8 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     Sums P_i^+- of the positive/negative fluxes, the bounds Q_i^+- of
     ``zalesak_bounds``, ratios R_i^+- = min{1, Q_i^+- / P_i^+-} (set to 1
     where P is zero), and alpha_ij = min{R_i^+, R_j^-} for f_ij > 0 else
-    min{R_i^-, R_j^+}.
+    min{R_i^-, R_j^+}.  The limiter lists the pairs it evaluates, those
+    touching a node whose R^+ or R^- is not 1; alpha is 1 on the others.
 
     R_i^+- is set to 1 at the ``dirichlet`` node indices: their
     equations are replaced by the boundary condition anyway, and letting
@@ -173,23 +184,25 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     r_plus[dirichlet] = r_minus[dirichlet] = 1.0
     # min{1, 1} = 1: alpha differs from 1 only on the pairs touching a node
     # whose R^+ or R^- does (NaN included), 54 of 12416 at FK level 5 in
-    # step 20 of the space study; they are read from those nodes' columns
-    # of the pair table (a pair between two of them twice, with one value)
-    alpha = np.ones(f.shape)
-    k = pairs.incident[:, np.flatnonzero((r_plus != 1.0) | (r_minus != 1.0))].ravel()
-    k = k[k >= 0]
+    # step 20 of the space study; the limiter lists those alone, read from
+    # those nodes' columns of the pair table, sorted, and a pair between
+    # two of them once (np.unique took 25 us to the 10 us of this)
+    k = pairs.incident[:, np.flatnonzero((r_plus != 1.0) | (r_minus != 1.0))]
+    k = np.sort(k[k >= 0])
+    k = np.concatenate((k[:1], k[1:][k[1:] != k[:-1]]))
     ik, jk = i[k], j[k]
-    alpha[k] = np.where(
+    alpha = np.where(
         f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
     )
-    return LimiterMatrix(n, i, j, alpha)
+    return LimiterMatrix(n, ik, jk, alpha, k)
 
 
-def correction_vector(alpha: LimiterMatrix, f: np.ndarray) -> np.ndarray:
+def correction_vector(pairs: PairGraph, alpha: LimiterMatrix, f: np.ndarray) -> np.ndarray:
     """Limited correction f*_i = sum_j alpha_ij f_ij of the fluxes ``f`` on
-    alpha's pairs; sums to zero."""
-    w = alpha.values * f
-    return np.bincount(alpha.i, w, alpha.n) - np.bincount(alpha.j, w, alpha.n)
+    the pairs, alpha_ij = 1 on those alpha does not list; sums to zero."""
+    w = f.copy()
+    w[alpha.ids] = alpha.values * f[alpha.ids]
+    return np.bincount(pairs.i, w, pairs.n) - np.bincount(pairs.j, w, pairs.n)
 
 
 @dataclass(frozen=True)

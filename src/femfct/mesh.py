@@ -54,7 +54,7 @@ class Edges:
 @dataclass(frozen=True)
 class PairGraph:
     """The edges i < j of a mesh as the node pairs of the fluxes, (npairs,)
-    arrays in this order, and of every LimiterMatrix, which shares its arrays."""
+    arrays in this order; a LimiterMatrix lists pairs by their ids here."""
 
     n: int
     i: np.ndarray

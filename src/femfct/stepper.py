@@ -158,7 +158,9 @@ class TimeStepper:
     next LU reuses unless the structure (the exact zeros of Abar) changed
     (see ``Factorization``).  Every flux and limiter lives on the
     mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
-    and the d_ij read from D's data array at the pattern's upper positions.
+    and the d_ij read from D's data array at the pattern's upper positions;
+    a Zalesak limiter lists only the pairs it evaluates, a fixed one every
+    pair.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind):
@@ -175,9 +177,9 @@ class TimeStepper:
         value = self._fixed_limiter()
         self.fixed_alpha = None
         if value is not None:
-            # a read-only view, shared by every record
+            # a read-only view on every pair, shared by every record
             values = np.broadcast_to(float(value), self.pairs.i.shape)
-            self.fixed_alpha = LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values)
+            self.fixed_alpha = self._on_every_pair(values)
         # only a Zalesak limiter needs the explicit predictor
         self._check_predictor = value is None
         # the v of S_v: linear_fct solves M_L + tau Abar whatever its limiter
@@ -266,12 +268,25 @@ class TimeStepper:
             return lim.value
         return None
 
+    @cached_property
+    def _every_pair(self) -> np.ndarray:
+        # the ids of a limiter listing every pair, shared by all of them
+        ids = np.arange(self.pairs.i.size)
+        ids.setflags(write=False)
+        return ids
+
+    def _on_every_pair(self, values) -> LimiterMatrix:
+        return LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values, self._every_pair)
+
     def _limit(self, flux, bounds) -> LimiterMatrix:
-        """Zalesak limiter of the fluxes, a constant limiter's value (in [0, 1])
-        written into its fresh values on the interior pairs."""
+        """Zalesak limiter of the fluxes, listing the pairs it evaluates; a
+        constant limiter's lists every pair, its value (in [0, 1]) on the
+        interior ones and the Zalesak values on the others."""
         alpha = zalesak(self.pairs, flux, bounds, self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
-            alpha.values[self._interior_pairs] = self.scheme.limiter.value
+            values = alpha.expanded(self._every_pair.size)
+            values[self._interior_pairs] = self.scheme.limiter.value
+            alpha = self._on_every_pair(values)
         return alpha
 
     # -- single steps ------------------------------------------------
@@ -285,7 +300,7 @@ class TimeStepper:
         rhs = tau * level.f + self._mass_v @ u_prev
         u = self._factorization(level).solve(self._constrained_rhs(rhs, level.g))
         flux = raw_fluxes(self.pairs, self._m_ij, level.ops[1], u, u_prev, tau)
-        fstar = correction_vector(self.fixed_alpha, flux)
+        fstar = correction_vector(self.pairs, self.fixed_alpha, flux)
         return _fct_record(level.t, u, self.fixed_alpha, fstar, flux)
 
     step_galerkin = step_low_order = step_fixed_limiter
@@ -302,7 +317,7 @@ class TimeStepper:
         if alpha is None:
             ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
             alpha = self._limit(flux, zalesak_bounds(self.pairs, ubar, self.m_lumped))
-        fstar = correction_vector(alpha, flux)
+        fstar = correction_vector(self.pairs, alpha, flux)
         rhs = tau * level.f + self.m_lumped * u_prev + fstar
         u = self._factorization(level).solve(self._constrained_rhs(rhs, g))
         return _fct_record(level.t, u, alpha, fstar, flux)
@@ -334,7 +349,7 @@ class TimeStepper:
         def limited_correction(u_cur):
             flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), dubar)
             alpha = self._limit(flux, bounds)
-            return flux, alpha, correction_vector(alpha, flux)
+            return flux, alpha, correction_vector(self.pairs, alpha, flux)
 
         base_rhs = tau * fvec + self.m_lumped * u_prev
 

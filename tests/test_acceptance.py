@@ -16,6 +16,7 @@ from femfct import (
     ConstantLimiter,
     Factorization,
     LimiterMatrix,
+    PairGraph,
     SchemeKind,
     TimeStepper,
     apply_dirichlet,
@@ -288,11 +289,12 @@ def test_criterion_10_norm_identities():
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < 0.15
     iu, ju = iu[keep], ju[keep]
+    pairs = PairGraph(n, iu, ju)
     worst = 0.0
     for _ in range(100):
         e = rng.standard_normal(n)
         a_vals = rng.random(iu.size)
-        alpha = LimiterMatrix(n, iu, ju, a_vals)
+        alpha = LimiterMatrix(n, iu, ju, a_vals, np.arange(iu.size))
         d_off = -rng.random(iu.size)
         dense = np.zeros((n, n))
         dense[iu, ju] = d_off
@@ -300,7 +302,7 @@ def test_criterion_10_norm_identities():
         np.fill_diagonal(dense, -dense.sum(axis=1))
         eps, c0 = rng.random() + 0.1, rng.random() + 0.1
 
-        dh = dh_seminorm(alpha, d_off, e)
+        dh = dh_seminorm(pairs, alpha, d_off, e)
         total = ws.fct_nodal(e, dh, eps, c0) ** 2
         parts = eps * ws.h1_nodal(e) ** 2 + c0 * ws.l2_nodal(e) ** 2 + dh * dh
         worst = max(worst, abs(total - parts) / max(total, 1e-30))

@@ -341,6 +341,23 @@ class TestStudies:
         assert f"FAILED at 1: ValueError('{message}')" in capsys.readouterr().err
         assert read_rows(out) == []
 
+    @pytest.mark.parametrize("change", ["one pair fewer", "ends swapped"])
+    def test_pairs_off_the_mass_pattern_are_rejected(self, monkeypatch, change):
+        # dh_seminorm weights the limiters with d_ij on the stepper's pairs,
+        # which must be the mass pattern's
+        class OffPattern(femfct.TimeStepper):
+            def run(self, n_steps):
+                records = super().run(n_steps)
+                i, j = self.pairs.i, self.pairs.j
+                i, j = (i[1:], j[1:]) if change == "one pair fewer" else (j, i)
+                self.pairs = femfct.PairGraph(self.pairs.n, i, j)
+                return records
+
+        monkeypatch.setattr(femfct.cli, "TimeStepper", OffPattern)
+        spec, exact = space_study_problem(tau=0.05, t_end=0.1)
+        with pytest.raises(ValueError, match="the stepper's pairs are not the mass pattern's"):
+            run_single(build_grid(ExperimentConfig(), 1), spec, exact, ExperimentConfig().scheme_obj())
+
     @pytest.mark.parametrize("study", ["space", "time"])
     def test_grid_that_cannot_be_built_is_a_failure(self, tmp_path, capsys, study):
         mesh = tmp_path / "bad.msh"

@@ -36,8 +36,11 @@ the nonlinear FCT step's plain fixed-point iteration from u^{n-1},
 which Anderson acceleration from an extrapolated start replaces, the
 Zalesak limiter selecting its pairs by ``limits[i] | limits[j]`` over
 every pair, which the limiting nodes' columns of the pair table replace,
-the flux kernels making a fresh array per operation, and the d_h
-seminorm summed over every pair instead of the pairs with alpha != 1.  Every
+the flux kernels making a fresh array per operation, the d_h
+seminorm summed over every pair instead of the pairs with alpha != 1, and
+the Zalesak limiter storing alpha on every pair, with the correction and
+the d_h seminorm read from it, which a limiter listing only the pairs it
+evaluates replaces.  Every
 mesh is also tried with its nodes randomly relabelled, which leaves the
 CSR column order unsorted before assembly.
 """
@@ -628,7 +631,7 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
             # the reference's None is the kernel's empty index array
             nodes = np.empty(0, dtype=np.intp) if dirichlet is None else dirichlet
             np.testing.assert_array_equal(
-                zalesak(pairs, flux, bounds, nodes).values,
+                zalesak(pairs, flux, bounds, nodes).expanded(pairs.i.size),
                 old_zalesak(pairs, flux, ubar, m_lumped, dirichlet=dirichlet),
             )
 
@@ -695,8 +698,10 @@ def test_neighbour_table_bounds_match_ufunc_at(mesh, kind, monkeypatch):
     flux = prelimit(size * rng.standard_normal(pairs.i.size), ubar[pairs.i] - ubar[pairs.j])
     alpha, alpha_ref = (zalesak(pairs, flux, q, bnodes) for q in (bounds, ref))
     assert np.any(alpha.values < 1.0)
+    assert np.array_equal(alpha.ids, alpha_ref.ids)
     assert np.array_equal(alpha.values, alpha_ref.values)
-    assert correction_vector(alpha, flux).tobytes() == correction_vector(alpha_ref, flux).tobytes()
+    fstar, fstar_ref = (correction_vector(pairs, a, flux) for a in (alpha, alpha_ref))
+    assert fstar.tobytes() == fstar_ref.tobytes()
 
 
 def old_zalesak_where(pairs, f, bounds, dirichlet):
@@ -758,7 +763,7 @@ def test_zalesak_matches_full_where_bitwise(mesh, operators, state):
     for seed in range(3):
         _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
         every, interior = (
-            zalesak(pairs, flux, bounds, dirichlet).values
+            zalesak(pairs, flux, bounds, dirichlet).expanded(pairs.i.size)
             for dirichlet in (no_nodes, mesh.boundary_nodes)
         )
         assert every.tobytes() == old_zalesak_where(pairs, flux, bounds, no_nodes).tobytes()
@@ -1035,7 +1040,7 @@ def test_fixed_limiter_records_report_the_applied_raw_flux(mesh, name, constant)
         a = assemble_stiffness(mesh, spec, rec.t)
         d = artificial_diffusion(a, mesh.pattern)
         raw = raw_fluxes(mesh.pairs, mass.data[upper], d.data[upper], rec.u, prev.u, tau)
-        fstar = correction_vector(stepper.fixed_alpha, raw)
+        fstar = correction_vector(mesh.pairs, stepper.fixed_alpha, raw)
         assert bits(rec.flux_abs_sum) == bits(float(np.abs(raw).sum()))
         assert bits(rec.correction_sum) == bits(float(fstar.sum()))
         tau_f = tau * assemble_load(mesh, spec, rec.t)
@@ -1290,7 +1295,7 @@ def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
     def limited_correction(u_cur):
         flux = prelimit(raw_fluxes(stepper.pairs, stepper._m_ij, d_ij, u_cur, u_prev, tau), dubar)
         alpha = stepper._limit(flux, bounds)
-        return flux, alpha, correction_vector(alpha, flux)
+        return flux, alpha, correction_vector(stepper.pairs, alpha, flux)
 
     base_rhs = tau * level.f + stepper.m_lumped * u_prev
     flux, alpha, fstar = limited_correction(u_prev)
@@ -1642,10 +1647,10 @@ def old_linear_fluxes(pairs, m_ij, d_ij, m_lumped, r, u_prev, tau, dirichlet, g_
     return tau * m_ij * dnu + tau * d_ij * (u_prev[j] - u_prev[i] - tau * dnu)
 
 
-def old_dh_seminorm(alpha, d_ij, e_nodes):
-    """The d_h seminorm summed over every pair."""
-    de = e_nodes[alpha.j] - e_nodes[alpha.i]
-    return math.sqrt(float(np.sum((1.0 - alpha.values) * np.abs(d_ij) * de * de)))
+def old_dh_seminorm(pairs, alpha, d_ij, e_nodes):
+    """The d_h seminorm summed over every pair, ``alpha`` given on each."""
+    de = e_nodes[pairs.j] - e_nodes[pairs.i]
+    return math.sqrt(float(np.sum((1.0 - alpha) * np.abs(d_ij) * de * de)))
 
 
 def recorded_calls(mesh, monkeypatch):
@@ -1705,11 +1710,9 @@ def test_flux_kernels_in_place_match_allocating_formulas_bitwise(pair_mesh, kind
         assert np.any(flux == 0.0)
 
 
-@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
-def test_pair_table_selection_matches_every_pair_scan_bitwise(pair_mesh, kind, monkeypatch):
-    # sign bits included; with the range check off, NaN alpha on the same
-    # pairs, which the check rejects in both
-    seen = recorded_calls(pair_mesh, monkeypatch)
+def zalesak_inputs(seen, kind):
+    """The recorded arguments of the last zalesak call, its fluxes
+    ``perturbed`` and, for ``ties``, its bounds rounded to a coarse grid."""
     pairs, flux, bounds, dirichlet = seen["zalesak"]
     rng = np.random.default_rng(7)
     flux = perturbed(flux, kind, rng)
@@ -1720,16 +1723,24 @@ def test_pair_table_selection_matches_every_pair_scan_bitwise(pair_mesh, kind, m
         # a NaN flux alone leaves R at 1 (no P compares > 0); NaN bounds
         # at every tenth node give NaN ratios
         bounds = tuple(np.where(np.arange(q.size) % 10 == 0, np.nan, q) for q in bounds)
+    return pairs, flux, bounds, dirichlet
+
+
+@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
+def test_pair_table_selection_matches_every_pair_scan_bitwise(pair_mesh, kind, monkeypatch):
+    # sign bits included; with the range check off, NaN alpha on the same
+    # pairs, which the check rejects in both
+    pairs, flux, bounds, dirichlet = zalesak_inputs(recorded_calls(pair_mesh, monkeypatch), kind)
     ref = old_zalesak_limits(pairs, flux, bounds, dirichlet)
     if kind == "nan":
         assert np.isnan(ref).any()
         with pytest.raises(ValueError, match="outside"):
             zalesak(pairs, flux, bounds, dirichlet)
-        monkeypatch.setattr(femfct.fct, "LimiterMatrix", lambda n, i, j, values: values)
-        assert zalesak(pairs, flux, bounds, dirichlet).tobytes() == ref.tobytes()
+        monkeypatch.setattr(LimiterMatrix, "__post_init__", lambda self: None)
+    alpha = zalesak(pairs, flux, bounds, dirichlet).expanded(pairs.i.size)
+    assert alpha.tobytes() == ref.tobytes()
+    if kind == "nan":
         return
-    alpha = zalesak(pairs, flux, bounds, dirichlet)
-    assert alpha.values.tobytes() == ref.tobytes()
     assert np.any(ref < 1.0) and np.any(ref == 1.0)
     if kind == "predictor":
         # a few limited pairs, as in a real step
@@ -1745,24 +1756,25 @@ def test_dh_seminorm_over_limited_pairs_matches_every_pair_sum(pair_mesh, scheme
     }
     spec, exact = space_study_problem(tau=1e-3, t_end=1e-2)
     stepper = TimeStepper(pair_mesh, spec, schemes[scheme])
-    d_ij = stepper._constant_operators[1]
+    pairs, d_ij = stepper.pairs, stepper._constant_operators[1]
     ws = ErrorWorkspace(pair_mesh)
     rng = np.random.default_rng(8)
     limited = 0
     for rec in stepper.run(10)[1:]:
         alpha = rec.alpha
+        every = alpha.expanded(pairs.i.size)
         for e in (ws.nodal_error(rec.u, exact, rec.t), rng.standard_normal(pair_mesh.n_nodes)):
-            dh, ref = dh_seminorm(alpha, d_ij, e), old_dh_seminorm(alpha, d_ij, e)
+            dh, ref = dh_seminorm(pairs, alpha, d_ij, e), old_dh_seminorm(pairs, every, d_ij, e)
             assert_close(dh, ref)
             if scheme == "constant":
                 continue
             # a node on no limited pair is not read
             on_limited = np.zeros(pair_mesh.n_nodes, dtype=bool)
-            on_limited[alpha.i[alpha.values != 1.0]] = on_limited[alpha.j[alpha.values != 1.0]] = True
+            on_limited[pairs.i[every != 1.0]] = on_limited[pairs.j[every != 1.0]] = True
             e[np.flatnonzero(~on_limited)[0]] = np.nan
-            assert bits(dh_seminorm(alpha, d_ij, e)) == bits(dh)
-        limited = max(limited, np.count_nonzero(alpha.values != 1.0))
-    assert 0 < limited < alpha.values.size
+            assert bits(dh_seminorm(pairs, alpha, d_ij, e)) == bits(dh)
+        limited = max(limited, np.count_nonzero(every != 1.0))
+    assert 0 < limited < pairs.i.size
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "low_order", "constant"])
@@ -1776,11 +1788,82 @@ def test_dh_seminorm_of_fixed_limiters(pair_mesh, kind):
     }
     spec, _ = space_study_problem(tau=1e-3, t_end=1e-2)
     stepper = TimeStepper(pair_mesh, spec, schemes[kind])
-    alpha, d_ij = stepper.fixed_alpha, stepper._constant_operators[1]
+    pairs, alpha, d_ij = stepper.pairs, stepper.fixed_alpha, stepper._constant_operators[1]
     e = np.random.default_rng(9).standard_normal(pair_mesh.n_nodes)
-    dh = dh_seminorm(alpha, d_ij, e)
+    dh = dh_seminorm(pairs, alpha, d_ij, e)
     if kind == "galerkin":
         assert dh == 0.0 and not np.signbit(dh)
     else:
         assert dh > 0.0
-        assert bits(dh) == bits(old_dh_seminorm(alpha, d_ij, e))
+        assert bits(dh) == bits(old_dh_seminorm(pairs, alpha.values, d_ij, e))
+
+
+# -- the listed limiter: the Zalesak limiter keeps alpha on the pairs it
+# evaluates alone, 1 on every other pair, against the limiter, correction
+# and d_h seminorm on every pair that it replaced
+
+
+def dense_zalesak(pairs, f, bounds, dirichlet):
+    """The Zalesak limiter's alpha on every pair, and which nodes limit
+    (R^+ or R^- not 1), as computed when each limiter stored every pair."""
+    n, i, j = pairs.n, pairs.i, pairs.j
+    q_plus, q_minus = bounds
+    fpos = np.maximum(f, 0.0)
+    fneg = np.minimum(f, 0.0)
+    p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
+    p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
+    r_plus, r_minus = np.ones(n), np.ones(n)
+    np.divide(q_plus, p_plus, out=r_plus, where=p_plus > 0.0)
+    np.divide(q_minus, p_minus, out=r_minus, where=p_minus < 0.0)
+    np.minimum(r_plus, 1.0, out=r_plus)
+    np.minimum(r_minus, 1.0, out=r_minus)
+    r_plus[dirichlet] = r_minus[dirichlet] = 1.0
+    limits = (r_plus != 1.0) | (r_minus != 1.0)
+    alpha = np.ones(f.shape)
+    k = pairs.incident[:, np.flatnonzero(limits)].ravel()
+    k = k[k >= 0]
+    ik, jk = i[k], j[k]
+    alpha[k] = np.where(
+        f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
+    )
+    return alpha, limits
+
+
+def dense_correction_vector(pairs, alpha, f):
+    """The correction from ``alpha`` on every pair."""
+    w = alpha * f
+    return np.bincount(pairs.i, w, pairs.n) - np.bincount(pairs.j, w, pairs.n)
+
+
+def dense_dh_seminorm(pairs, alpha, d_ij, e_nodes):
+    """The d_h seminorm over the pairs with alpha != 1, ``alpha`` given on
+    every pair."""
+    k = np.flatnonzero(alpha != 1.0)
+    de = e_nodes[pairs.j[k]] - e_nodes[pairs.i[k]]
+    return math.sqrt(float(np.sum((1.0 - alpha[k]) * np.abs(d_ij[k]) * de * de)))
+
+
+@pytest.mark.parametrize("kind", ["predictor", "random", "ties", "nan"])
+def test_listed_limiter_matches_every_pair_oracles_bitwise(pair_mesh, kind, monkeypatch):
+    # sign bits included; NaN alpha with the range check off
+    seen = recorded_calls(pair_mesh, monkeypatch)
+    pairs, flux, bounds, dirichlet = zalesak_inputs(seen, kind)
+    d_ij = seen["linear_fluxes"][2]
+    ref, limits = dense_zalesak(pairs, flux, bounds, dirichlet)
+    if kind == "nan":
+        assert np.isnan(ref).any()
+        monkeypatch.setattr(LimiterMatrix, "__post_init__", lambda self: None)
+    alpha = zalesak(pairs, flux, bounds, dirichlet)
+    assert alpha.expanded(pairs.i.size).tobytes() == ref.tobytes()
+    # unique and sorted, and exactly the pairs touching a limiting node
+    assert np.all(np.diff(alpha.ids) > 0)
+    assert np.array_equal(alpha.ids, np.flatnonzero(limits[pairs.i] | limits[pairs.j]))
+    assert np.array_equal(alpha.i, pairs.i[alpha.ids])
+    assert np.array_equal(alpha.j, pairs.j[alpha.ids])
+    assert alpha.ids.size > 0
+    if kind == "predictor":
+        assert alpha.ids.size < 0.2 * pairs.i.size
+    fstar = correction_vector(pairs, alpha, flux)
+    assert fstar.tobytes() == dense_correction_vector(pairs, ref, flux).tobytes()
+    for e in (np.random.default_rng(10).standard_normal(pairs.n), np.linspace(0.0, 1.0, pairs.n)):
+        assert bits(dh_seminorm(pairs, alpha, d_ij, e)) == bits(dense_dh_seminorm(pairs, ref, d_ij, e))

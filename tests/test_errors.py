@@ -10,12 +10,17 @@ from femfct import (
     ErrorWorkspace,
     ExactSolution,
     LimiterMatrix,
+    PairGraph,
     build_friedrichs_keller,
     dh_seminorm,
     eoc,
     load_mesh,
     time_integrate,
 )
+
+
+# the one pair (0, 1)
+PAIR = PairGraph(2, np.array([0]), np.array([1]))
 
 
 def interpolate(mesh, func):
@@ -111,26 +116,32 @@ class TestH1Error:
 
 class TestDhSeminorm:
     def toy(self, alpha_value):
-        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([alpha_value]))
+        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([alpha_value]), np.array([0]))
         return alpha, np.array([-1.0])
 
     def test_zero_error(self):
         alpha, d_ij = self.toy(0.0)
-        assert dh_seminorm(alpha, d_ij, np.zeros(2)) == 0.0
+        assert dh_seminorm(PAIR, alpha, d_ij, np.zeros(2)) == 0.0
 
     def test_alpha_one_vanishes(self):
         alpha, d_ij = self.toy(1.0)
-        assert dh_seminorm(alpha, d_ij, np.array([0.0, 1.0])) == 0.0
+        assert dh_seminorm(PAIR, alpha, d_ij, np.array([0.0, 1.0])) == 0.0
+
+    def test_unlisted_pair_vanishes(self):
+        # alpha = 1 on a pair the limiter does not list
+        none = np.empty(0, dtype=np.intp)
+        alpha = LimiterMatrix(2, none, none, np.empty(0), none)
+        assert dh_seminorm(PAIR, alpha, np.array([-1.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_two_node_value(self):
         # sum over unordered pairs of (1 - alpha)|d_ij| (e_j - e_i)^2
         alpha, d_ij = self.toy(0.0)
-        assert dh_seminorm(alpha, d_ij, np.array([0.0, 1.0])) == pytest.approx(1.0)
+        assert dh_seminorm(PAIR, alpha, d_ij, np.array([0.0, 1.0])) == pytest.approx(1.0)
 
     def test_one_value_per_pair_required(self):
         alpha, _ = self.toy(0.0)
         with pytest.raises(ValueError, match="shape"):
-            dh_seminorm(alpha, np.array([-1.0, -1.0]), np.zeros(2))
+            dh_seminorm(PAIR, alpha, np.array([-1.0, -1.0]), np.zeros(2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -146,7 +157,7 @@ class TestDhSeminorm:
         dense[j, i] = d_off
         np.fill_diagonal(dense, -dense.sum(axis=1))
         a_vals = rng.random(i.size)
-        alpha = LimiterMatrix(n, i, j, a_vals)
+        alpha = LimiterMatrix(n, i, j, a_vals, np.arange(i.size))
         e = rng.standard_normal(n)
         a_full = np.zeros((n, n))
         a_full[i, j] = a_vals
@@ -157,16 +168,15 @@ class TestDhSeminorm:
             for q in range(n)
             if p != q
         )
-        edge = dh_seminorm(alpha, d_off, e)
+        edge = dh_seminorm(PairGraph(n, i, j), alpha, d_off, e)
         assert edge**2 == pytest.approx(nodal, rel=1e-10, abs=1e-12)
 
 
 class TestFctNorm:
     def test_zero_error(self, fk1):
-        i, j = np.triu_indices(2, k=1)
-        alpha = LimiterMatrix(2, i, j, np.ones(1))
+        alpha = LimiterMatrix(2, PAIR.i, PAIR.j, np.ones(1), np.array([0]))
         e = np.zeros(fk1.n_nodes)
-        dh = dh_seminorm(alpha, np.array([-1.0]), e)
+        dh = dh_seminorm(PAIR, alpha, np.array([-1.0]), e)
         assert ErrorWorkspace(fk1).fct_nodal(e, dh, eps=1.0, c0=1.0) == 0.0
 
     def test_alpha_one_reduces_to_energy_norm(self, fk1):
@@ -174,9 +184,10 @@ class TestFctNorm:
         e = rng.standard_normal(fk1.n_nodes)
         i, j = np.triu_indices(fk1.n_nodes, k=1)
         # alpha = 1 on an arbitrary pattern: d_h term drops out
-        alpha = LimiterMatrix(fk1.n_nodes, i[:3], j[:3], np.ones(3))
+        pairs = PairGraph(fk1.n_nodes, i[:3], j[:3])
+        alpha = LimiterMatrix(fk1.n_nodes, pairs.i, pairs.j, np.ones(3), np.arange(3))
         ws = ErrorWorkspace(fk1)
-        full = ws.fct_nodal(e, dh_seminorm(alpha, np.full(3, -1.0), e), eps=2.0, c0=3.0)
+        full = ws.fct_nodal(e, dh_seminorm(pairs, alpha, np.full(3, -1.0), e), eps=2.0, c0=3.0)
         expected = math.sqrt(2.0 * ws.h1_nodal(e) ** 2 + 3.0 * ws.l2_nodal(e) ** 2)
         assert full == pytest.approx(expected, rel=1e-13)
 
@@ -187,18 +198,18 @@ class TestFctNorm:
         rng = np.random.default_rng(42)
         i, j = np.triu_indices(mesh.n_nodes, k=1)
         keep = rng.random(i.size) < 0.1
-        i, j = i[keep], j[keep]
+        pairs = PairGraph(mesh.n_nodes, i[keep], j[keep])
         for _ in range(100):
             e = rng.standard_normal(mesh.n_nodes)
-            a_vals = rng.random(i.size)
-            alpha = LimiterMatrix(mesh.n_nodes, i, j, a_vals)
-            d_off = -rng.random(i.size)
+            a_vals = rng.random(pairs.i.size)
+            alpha = LimiterMatrix(mesh.n_nodes, pairs.i, pairs.j, a_vals, np.arange(pairs.i.size))
+            d_off = -rng.random(pairs.i.size)
             eps, c0 = rng.random() + 0.1, rng.random() + 0.1
-            total = ws.fct_nodal(e, dh_seminorm(alpha, d_off, e), eps=eps, c0=c0) ** 2
+            total = ws.fct_nodal(e, dh_seminorm(pairs, alpha, d_off, e), eps=eps, c0=c0) ** 2
             parts = (
                 eps * ws.h1_nodal(e) ** 2
                 + c0 * ws.l2_nodal(e) ** 2
-                + dh_seminorm(alpha, d_off, e) ** 2
+                + dh_seminorm(pairs, alpha, d_off, e) ** 2
             )
             assert abs(total - parts) <= 1e-12 * max(total, 1.0)
 

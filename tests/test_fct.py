@@ -232,30 +232,42 @@ class TestZalesak:
     def flux(self, value):
         return np.array([value])
 
-    def limit(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET, pairs=PAIR):
+    def limiter(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET, pairs=PAIR):
         return zalesak(pairs, flux, zalesak_bounds(pairs, ubar, m_lumped), dirichlet)
+
+    def limit(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET, pairs=PAIR):
+        """alpha on every pair."""
+        return self.limiter(flux, ubar, m_lumped, dirichlet, pairs).expanded(pairs.i.size)
 
     def test_zero_fluxes_give_alpha_one(self):
         alpha = self.limit(self.flux(0.0), np.array([0.0, 1.0]), np.ones(2))
-        np.testing.assert_array_equal(alpha.values, 1.0)
+        np.testing.assert_array_equal(alpha, 1.0)
 
     def test_unconstrained_pair(self):
         alpha = self.limit(self.flux(0.5), np.array([0.0, 1.0]), np.ones(2))
-        assert alpha.values[0] == pytest.approx(1.0)
+        assert alpha[0] == pytest.approx(1.0)
 
     def test_constrained_pair(self):
         alpha = self.limit(self.flux(0.5), np.array([0.0, 0.2]), np.ones(2))
-        assert alpha.values[0] == pytest.approx(0.4)
+        assert alpha[0] == pytest.approx(0.4)
+
+    def test_lists_only_the_pairs_at_limiting_nodes(self):
+        # no node limits: nothing listed, alpha = 1 on the pair
+        free = self.limiter(self.flux(0.5), np.array([0.0, 1.0]), np.ones(2))
+        assert free.ids.size == free.i.size == free.j.size == free.values.size == 0
+        held = self.limiter(self.flux(0.5), np.array([0.0, 0.2]), np.ones(2))
+        np.testing.assert_array_equal(held.ids, [0])
+        assert (held.i[0], held.j[0]) == (0, 1)
 
     def test_dirichlet_nodes_do_not_limit(self):
         ubar = np.array([0.0, 0.2])
         alpha = self.limit(self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([1]))
         # node 1 no longer throttles; node 0's own ratio is R_0^+ = 0.4
-        assert alpha.values[0] == pytest.approx(0.4)
+        assert alpha[0] == pytest.approx(0.4)
         alpha = self.limit(
             self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([0, 1])
         )
-        assert alpha.values[0] == pytest.approx(1.0)
+        assert alpha[0] == pytest.approx(1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -267,29 +279,35 @@ class TestZalesak:
         ubar = rng.standard_normal(n)
         m = rng.random(n) + 0.1
         alpha = self.limit(flux, ubar, m, pairs=PairGraph(n, i, j))
-        assert np.all(alpha.values >= 0.0)
-        assert np.all(alpha.values <= 1.0)
+        assert np.all(alpha >= 0.0)
+        assert np.all(alpha <= 1.0)
 
 
 class TestCorrectionVector:
     def pair_flux(self):
         return np.array([0.2])
 
+    @staticmethod
+    def on_pair(value):
+        return LimiterMatrix(2, np.array([0]), np.array([1]), np.array([value]), np.array([0]))
+
     def test_alpha_zero(self):
-        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([0.0]))
-        np.testing.assert_array_equal(correction_vector(alpha, self.pair_flux()), 0.0)
+        np.testing.assert_array_equal(correction_vector(PAIR, self.on_pair(0.0), self.pair_flux()), 0.0)
 
     def test_alpha_one_gives_row_sums(self):
-        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([1.0]))
         np.testing.assert_allclose(
-            correction_vector(alpha, self.pair_flux()), [0.2, -0.2]
+            correction_vector(PAIR, self.on_pair(1.0), self.pair_flux()), [0.2, -0.2]
         )
 
     def test_half_alpha(self):
-        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([0.5]))
         np.testing.assert_allclose(
-            correction_vector(alpha, self.pair_flux()), [0.1, -0.1]
+            correction_vector(PAIR, self.on_pair(0.5), self.pair_flux()), [0.1, -0.1]
         )
+
+    def test_unlisted_pair_has_alpha_one(self):
+        none = np.empty(0, dtype=np.intp)
+        alpha = LimiterMatrix(2, none, none, np.empty(0), none)
+        np.testing.assert_allclose(correction_vector(PAIR, alpha, self.pair_flux()), [0.2, -0.2])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -298,19 +316,26 @@ class TestCorrectionVector:
         n = 10
         i, j = np.triu_indices(n, k=1)
         flux = rng.standard_normal(i.size)
-        alpha = LimiterMatrix(n, i, j, rng.random(i.size))
-        total = correction_vector(alpha, flux).sum()
+        # a random half of the pairs listed
+        ids = np.flatnonzero(rng.random(i.size) < 0.5)
+        alpha = LimiterMatrix(n, i[ids], j[ids], rng.random(ids.size), ids)
+        total = correction_vector(PairGraph(n, i, j), alpha, flux).sum()
         assert abs(total) <= 1e-12 * max(np.abs(flux).sum(), 1.0)
 
 
 class TestLimiterMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            LimiterMatrix(2, np.array([0]), np.array([1]), np.array([1.5]))
+            LimiterMatrix(2, np.array([0]), np.array([1]), np.array([1.5]), np.array([0]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="outside"):
-            LimiterMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]))
+            LimiterMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]), np.array([0, 1]))
+
+    def test_expanded_is_one_off_the_listed_pairs(self):
+        alpha = LimiterMatrix(4, np.array([0, 2]), np.array([1, 3]), np.array([0.25, -0.0]), np.array([1, 3]))
+        full = alpha.expanded(5)
+        assert full.tobytes() == np.array([1.0, 0.25, 1.0, -0.0, 1.0]).tobytes()
 
 
 class TestMMatrixCheck:
