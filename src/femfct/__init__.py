@@ -9,7 +9,6 @@ from .assembly import (
     assemble_stiffness,
 )
 from .errors import (
-    ErrorReport,
     ErrorWorkspace,
     dh_seminorm,
     eoc,

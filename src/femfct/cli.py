@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,56 +125,57 @@ def run_single(mesh, spec, exact, scheme):
     return integrated, records
 
 
-def run_space_study(config: ExperimentConfig):
-    """Spatial convergence study over config.levels; returns (report, failures)."""
-    report = err.ErrorReport()
-    failures = []
+def _run_study(config: ExperimentConfig, points, problem, setup, x):
+    """run_single once at each point, on the (level, mesh, tau) that
+    ``setup(point)`` gives and the problem ``problem(eps=, tau=, t_end=)``
+    builds; returns (rows, failures), a failure (point, repr(exc)).  A row,
+    keyed by the CSV column names, holds the level, h, tau, the four
+    time-integrated norms err_*, their EOCs eoc_* over the rows' column
+    ``x`` (None on the first row) and the wall time."""
     scheme = config.scheme_obj()
-    for level in range(config.levels[0], config.levels[1] + 1):
+    rows, failures = [], []
+    for point in points:
         start = time.perf_counter()
         try:
-            mesh = build_grid(config, level)
-            spec, exact = problems.space_study_problem(
-                eps=config.eps, tau=config.tau, t_end=config.t_end
-            )
+            level, mesh, tau = setup(point)
+            spec, exact = problem(eps=config.eps, tau=tau, t_end=config.t_end)
             integrated, _ = run_single(mesh, spec, exact, scheme)
-        except Exception as exc:  # record and continue with the next level
-            failures.append((level, repr(exc)))
+        except Exception as exc:  # record and continue with the next point
+            failures.append((point, repr(exc)))
             continue
-        report.levels.append(level)
-        report.hs.append(mesh.h)
-        report.err_l2l2.append(integrated["l2"])
-        report.err_l2h1.append(integrated["h1"])
-        report.err_l2fct.append(integrated["fct"])
-        report.err_l2dh.append(integrated["dh"])
-        report.wall_time_s.append(time.perf_counter() - start)
-    return report, failures
+        row = dict(level=level, h=mesh.h, tau=tau, wall_time_s=time.perf_counter() - start)
+        row.update((f"err_l2{k}", v) for k, v in integrated.items())
+        rows.append(row)
+    for name in ("l2l2", "l2h1", "l2fct", "l2dh"):
+        errs, xs = [r[f"err_{name}"] for r in rows], [r[x] for r in rows]
+        for row, q in zip(rows, [None] + (err.eoc(errs, xs) if len(rows) >= 2 else [])):
+            row[f"eoc_{name}"] = q
+    return rows, failures
+
+
+def run_space_study(config: ExperimentConfig):
+    """Spatial convergence study over config.levels; returns (rows, failures)."""
+    levels = range(config.levels[0], config.levels[1] + 1)
+
+    def setup(level):
+        return level, build_grid(config, level), config.tau
+
+    return _run_study(config, levels, problems.space_study_problem, setup, "h")
 
 
 def run_time_study(config: ExperimentConfig):
-    """Temporal convergence study: tau halved on a fixed fine grid."""
-    scheme = config.scheme_obj()
-    rows = []
-    failures = []
+    """Temporal convergence study, tau halved on a fixed fine grid; returns
+    (rows, failures)."""
+    level = config.time_level
     try:
-        mesh = build_grid(config, config.time_level)
+        mesh = build_grid(config, level)
     except Exception as exc:  # recorded like a failed tau; no tau can run
-        return rows, [None], [(f"level {config.time_level}", repr(exc))]
-    for tau in DEFAULT_TIME_TAUS:
-        start = time.perf_counter()
-        try:
-            spec, exact = problems.time_study_problem(
-                eps=config.eps, tau=tau, t_end=config.t_end
-            )
-            integrated, _ = run_single(mesh, spec, exact, scheme)
-        except Exception as exc:
-            failures.append((tau, repr(exc)))
-            continue
-        rows.append((tau, integrated["l2"], time.perf_counter() - start))
-    taus = [r[0] for r in rows]
-    errs = [r[1] for r in rows]
-    eocs = [None] + (err.eoc(errs, taus) if len(errs) >= 2 else [])
-    return rows, eocs, failures
+        return [], [(f"level {level}", repr(exc))]
+
+    def setup(tau):
+        return level, mesh, tau
+
+    return _run_study(config, DEFAULT_TIME_TAUS, problems.time_study_problem, setup, "tau")
 
 
 # -- CSV ---------------------------------------------------------------
@@ -188,22 +189,12 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_space_csv(path, report: err.ErrorReport):
-    # each column's values by its name: the error columns are the report's
-    # fields of the same name
-    cols = dict(level=report.levels, h=report.hs, wall_time_s=report.wall_time_s, **report.eocs())
-    cols.update((name, getattr(report, name)) for name in SPACE_COLUMNS if name.startswith("err_"))
+def write_csv(path, columns, rows):
+    """The rows' values of the named columns, under a header line."""
     with open(path, "w") as fh:
-        fh.write(",".join(SPACE_COLUMNS) + "\n")
-        for row in zip(*(cols[name] for name in SPACE_COLUMNS)):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_time_csv(path, rows, eocs):
-    with open(path, "w") as fh:
-        fh.write(",".join(TIME_COLUMNS) + "\n")
-        for (tau, e, wall), q in zip(rows, eocs):
-            fh.write(",".join(_fmt(v) for v in (tau, e, q, wall)) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row[name]) for name in columns) + "\n")
 
 
 # -- argument handling --------------------------------------------------
@@ -324,21 +315,20 @@ def parse_args(argv=None) -> ExperimentConfig:
 def main(argv=None) -> int:
     config = parse_args(argv)
     if config.study == "space":
-        report, failures = run_space_study(config)
-        write_space_csv(config.out, report)
-        eocs = report.eocs()
-        for k in range(len(report.levels)):
+        rows, failures = run_space_study(config)
+        write_csv(config.out, SPACE_COLUMNS, rows)
+        for r in rows:
             print(
-                f"level {report.levels[k]}: h={report.hs[k]:.3g} "
-                f"l2l2={report.err_l2l2[k]:.6g} l2h1={report.err_l2h1[k]:.6g} "
-                f"l2fct={report.err_l2fct[k]:.6g} l2dh={report.err_l2dh[k]:.6g} "
-                f"eoc_l2l2={_fmt(eocs['eoc_l2l2'][k]) or '-'}"
+                f"level {r['level']}: h={r['h']:.3g} "
+                f"l2l2={r['err_l2l2']:.6g} l2h1={r['err_l2h1']:.6g} "
+                f"l2fct={r['err_l2fct']:.6g} l2dh={r['err_l2dh']:.6g} "
+                f"eoc_l2l2={_fmt(r['eoc_l2l2']) or '-'}"
             )
     else:
-        rows, eocs, failures = run_time_study(config)
-        write_time_csv(config.out, rows, eocs)
-        for (tau, e, _), q in zip(rows, eocs):
-            print(f"tau={tau:.6g}: l2l2={e:.6g} eoc={_fmt(q) or '-'}")
+        rows, failures = run_time_study(config)
+        write_csv(config.out, TIME_COLUMNS, rows)
+        for r in rows:
+            print(f"tau={r['tau']:.6g}: l2l2={r['err_l2l2']:.6g} eoc={_fmt(r['eoc_l2l2']) or '-'}")
     for where, message in failures:
         print(f"FAILED at {where}: {message}", file=sys.stderr)
     return 2 if failures else 0

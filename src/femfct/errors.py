@@ -9,7 +9,6 @@ vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,22 +171,3 @@ def eoc(errors, hs) -> list:
         for a, b, h, k in zip(errors, errors[1:], hs, hs[1:])
     ]
 
-
-@dataclass
-class ErrorReport:
-    """Per-level time-integrated errors and experimental orders."""
-
-    levels: list[int] = field(default_factory=list)
-    hs: list[float] = field(default_factory=list)
-    err_l2l2: list[float] = field(default_factory=list)
-    err_l2h1: list[float] = field(default_factory=list)
-    err_l2fct: list[float] = field(default_factory=list)
-    err_l2dh: list[float] = field(default_factory=list)
-    wall_time_s: list[float] = field(default_factory=list)
-
-    def eocs(self) -> dict[str, list]:
-        out = {}
-        for name in ("l2l2", "l2h1", "l2fct", "l2dh"):
-            col = getattr(self, f"err_{name}")
-            out[f"eoc_{name}"] = [None] + (eoc(col, self.hs) if len(col) >= 2 else [])
-        return out

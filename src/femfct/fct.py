@@ -26,7 +26,6 @@ class LimiterMatrix:
     a mesh's ``PairGraph`` (unique, sorted), their ends i < j in ``i`` and
     ``j``; alpha_ij = 1 on every pair it does not list."""
 
-    n: int
     i: np.ndarray
     j: np.ndarray
     values: np.ndarray
@@ -194,7 +193,7 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     alpha = np.where(
         f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
     )
-    return LimiterMatrix(n, ik, jk, alpha, k)
+    return LimiterMatrix(ik, jk, alpha, k)
 
 
 def correction_vector(pairs: PairGraph, alpha: LimiterMatrix, f: np.ndarray) -> np.ndarray:

@@ -276,7 +276,7 @@ class TimeStepper:
         return ids
 
     def _on_every_pair(self, values) -> LimiterMatrix:
-        return LimiterMatrix(self.pairs.n, self.pairs.i, self.pairs.j, values, self._every_pair)
+        return LimiterMatrix(self.pairs.i, self.pairs.j, values, self._every_pair)
 
     def _limit(self, flux, bounds) -> LimiterMatrix:
         """Zalesak limiter of the fluxes, listing the pairs it evaluates; a

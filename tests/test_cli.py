@@ -12,16 +12,19 @@ import femfct
 import femfct.cli
 from femfct import space_study_problem, time_study_problem
 from femfct.cli import (
+    DEFAULT_TIME_TAUS,
     SPACE_COLUMNS,
+    TIME_COLUMNS,
     ExperimentConfig,
     build_grid,
     main,
     parse_args,
     run_single,
     run_space_study,
-    write_space_csv,
+    run_time_study,
+    write_csv,
 )
-from femfct.errors import ErrorReport
+from femfct.errors import eoc
 from femfct.stepper import ConstantLimiter, ZalesakLimiter
 
 
@@ -277,28 +280,101 @@ def read_rows(path):
 
 
 class TestCsvRoundTrip:
-    def report(self):
-        return ErrorReport(
-            levels=[1, 2],
-            hs=[0.25, 0.125],
-            err_l2l2=[0.1, 0.024999999999999998],
-            err_l2h1=[0.4, 0.2],
-            err_l2fct=[0.2, 0.1],
-            err_l2dh=[0.09, 0.045],
-            wall_time_s=[1.5, 3.25],
-        )
+    def rows(self):
+        return [
+            dict(level=1, h=0.25, tau=0.05, err_l2l2=0.1, err_l2h1=0.4, err_l2fct=0.2,
+                 err_l2dh=0.09, eoc_l2l2=None, eoc_l2h1=None, eoc_l2fct=None, eoc_l2dh=None,
+                 wall_time_s=1.5),
+            dict(level=2, h=0.125, tau=0.025, err_l2l2=0.024999999999999998, err_l2h1=0.2,
+                 err_l2fct=0.1, err_l2dh=0.045, eoc_l2l2=2.0000000000000004, eoc_l2h1=1.0,
+                 eoc_l2fct=1.0, eoc_l2dh=1.0, wall_time_s=3.25),
+        ]
 
     def test_exact_round_trip(self, tmp_path):
+        # each study writes its own columns of the same rows
         path = tmp_path / "study.csv"
-        rep = self.report()
-        write_space_csv(path, rep)
-        rows = read_rows(path)
-        assert list(rows[0]) == SPACE_COLUMNS
-        assert len(rows) == len(rep.levels)
-        assert [int(r["level"]) for r in rows] == rep.levels
-        assert [float(r["h"]) for r in rows] == rep.hs
-        assert [float(r["err_l2l2"]) for r in rows] == rep.err_l2l2
-        assert [float(r["err_l2dh"]) for r in rows] == rep.err_l2dh
+        rows = self.rows()
+        for columns in (SPACE_COLUMNS, TIME_COLUMNS):
+            write_csv(path, columns, rows)
+            with open(path, newline="") as fh:
+                assert next(csv.reader(fh)) == columns
+            back = read_rows(path)
+            assert len(back) == len(rows)
+            for row, text in zip(rows, back):
+                for name in columns:
+                    if row[name] is None:
+                        assert text[name] == ""
+                    elif name == "level":
+                        assert text[name] == str(row[name])
+                    else:
+                        assert float(text[name]) == row[name]
+
+
+class TestStudyRows:
+    @pytest.fixture
+    def fixed_norms(self, monkeypatch):
+        """run_single's four norms as fixed functions of h and tau."""
+        def run_single(mesh, spec, exact, scheme):
+            h, tau = mesh.h, spec.tau
+            norms = {"l2": 1.6 * h * h + tau, "h1": 1.6 * h + 2.0 * tau,
+                     "fct": 0.8 * h + tau * tau, "dh": 0.36 * h}
+            return norms, []
+
+        monkeypatch.setattr(femfct.cli, "run_single", run_single)
+
+    def test_space_rows_and_eoc_columns(self, fixed_norms):
+        cfg = ExperimentConfig(grid="fk", levels=(1, 2), tau=1e-30)
+        rows, failures = run_space_study(cfg)
+        assert failures == []
+        assert [r["level"] for r in rows] == [1, 2]
+        assert [r["h"] for r in rows] == [0.25, 0.125]
+        assert [r["tau"] for r in rows] == [1e-30, 1e-30]
+        assert [r["err_l2dh"] for r in rows] == [0.09, 0.045]
+        assert all(r["wall_time_s"] >= 0.0 for r in rows)
+        assert [r["eoc_l2l2"] for r in rows] == [None, pytest.approx(2.0)]
+        assert [r["eoc_l2h1"] for r in rows] == [None, pytest.approx(1.0)]
+        assert [r["eoc_l2fct"] for r in rows] == [None, pytest.approx(1.0)]
+        assert [r["eoc_l2dh"] for r in rows] == [None, pytest.approx(1.0)]
+
+    def test_eoc_columns_skip_failed_points(self, fixed_norms, monkeypatch):
+        # level 2 fails: the EOCs of level 3 are over h from level 1's
+        build = femfct.cli.build_grid
+
+        def build_grid(config, level):
+            if level == 2:
+                raise femfct.MeshError("no level 2")
+            return build(config, level)
+
+        monkeypatch.setattr(femfct.cli, "build_grid", build_grid)
+        rows, failures = run_space_study(ExperimentConfig(grid="fk", levels=(1, 3), tau=1e-30))
+        assert failures == [(2, "MeshError('no level 2')")]
+        assert [r["level"] for r in rows] == [1, 3]
+        assert [r["eoc_l2h1"] for r in rows] == [None, pytest.approx(1.0)]
+        rows, failures = run_space_study(ExperimentConfig(grid="fk", levels=(2, 3), tau=1e-30))
+        assert [r["level"] for r in rows] == [3]
+        assert all(rows[0][f"eoc_{k}"] is None for k in ("l2l2", "l2h1", "l2fct", "l2dh"))
+
+    def test_time_rows_and_eoc_columns(self, fixed_norms):
+        cfg = ExperimentConfig(grid="fk", study="time", time_level=2)
+        rows, failures = run_time_study(cfg)
+        assert failures == []
+        assert [r["tau"] for r in rows] == list(DEFAULT_TIME_TAUS)
+        assert all(r["level"] == 2 and r["h"] == 0.125 for r in rows)
+        errs = [r["err_l2h1"] for r in rows]
+        assert [r["eoc_l2h1"] for r in rows] == [None] + eoc(errs, DEFAULT_TIME_TAUS)
+
+    def test_time_rows_carry_all_four_norms(self):
+        # linear FCT, so that the d_h seminorm is not zero
+        cfg = ExperimentConfig(grid="fk", scheme="linear_fct", study="time", time_level=2)
+        rows, failures = run_time_study(cfg)
+        assert failures == []
+        spec, exact = time_study_problem(tau=DEFAULT_TIME_TAUS[0], t_end=cfg.t_end)
+        integrated, _ = run_single(build_grid(cfg, 2), spec, exact, cfg.scheme_obj())
+        assert {name: rows[0][f"err_l2{name}"] for name in integrated} == integrated
+        for name in ("l2l2", "l2h1", "l2fct", "l2dh"):
+            errs = [r[f"err_{name}"] for r in rows]
+            assert all(0.0 < e < np.inf for e in errs)
+            assert [r[f"eoc_{name}"] for r in rows] == [None] + eoc(errs, DEFAULT_TIME_TAUS)
 
 
 class TestStudies:
@@ -309,13 +385,13 @@ class TestStudies:
         )
         # tau = 0.05 exceeds the predictor's positivity bound on level 3 only
         with pytest.warns(UserWarning, match=r"^tau=0.05 exceeds") as caught:
-            report, failures = run_space_study(cfg)
+            rows, failures = run_space_study(cfg)
         assert len(caught) == 1
         assert failures == []
-        assert report.levels == [1, 2, 3]
+        assert [r["level"] for r in rows] == [1, 2, 3]
         # errors decrease monotonically with refinement
-        assert report.err_l2l2[0] > report.err_l2l2[1] > report.err_l2l2[2]
-        assert all(e > 0 for e in report.err_l2fct)
+        assert rows[0]["err_l2l2"] > rows[1]["err_l2l2"] > rows[2]["err_l2l2"]
+        assert all(r["err_l2fct"] > 0 for r in rows)
 
     def test_main_space(self, tmp_path, capsys):
         out = tmp_path / "space.csv"
@@ -383,6 +459,14 @@ class TestStudies:
         assert out.exists()
         text = capsys.readouterr().out
         assert "tau=" in text
+        with open(out, newline="") as fh:
+            assert next(csv.reader(fh)) == TIME_COLUMNS
+        rows = read_rows(out)
+        taus = [float(r["tau"]) for r in rows]
+        errs = [float(r["err_l2l2"]) for r in rows]
+        assert taus == list(DEFAULT_TIME_TAUS)
+        assert rows[0]["eoc_l2l2"] == ""
+        assert [float(r["eoc_l2l2"]) for r in rows[1:]] == eoc(errs, taus)
 
 
 # 5 steps of a scheme, the four integrated norms and each step's nodal

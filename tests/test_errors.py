@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femfct import (
-    ErrorReport,
     ErrorWorkspace,
     ExactSolution,
     LimiterMatrix,
@@ -116,7 +115,7 @@ class TestH1Error:
 
 class TestDhSeminorm:
     def toy(self, alpha_value):
-        alpha = LimiterMatrix(2, np.array([0]), np.array([1]), np.array([alpha_value]), np.array([0]))
+        alpha = LimiterMatrix(np.array([0]), np.array([1]), np.array([alpha_value]), np.array([0]))
         return alpha, np.array([-1.0])
 
     def test_zero_error(self):
@@ -130,7 +129,7 @@ class TestDhSeminorm:
     def test_unlisted_pair_vanishes(self):
         # alpha = 1 on a pair the limiter does not list
         none = np.empty(0, dtype=np.intp)
-        alpha = LimiterMatrix(2, none, none, np.empty(0), none)
+        alpha = LimiterMatrix(none, none, np.empty(0), none)
         assert dh_seminorm(PAIR, alpha, np.array([-1.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_two_node_value(self):
@@ -157,7 +156,7 @@ class TestDhSeminorm:
         dense[j, i] = d_off
         np.fill_diagonal(dense, -dense.sum(axis=1))
         a_vals = rng.random(i.size)
-        alpha = LimiterMatrix(n, i, j, a_vals, np.arange(i.size))
+        alpha = LimiterMatrix(i, j, a_vals, np.arange(i.size))
         e = rng.standard_normal(n)
         a_full = np.zeros((n, n))
         a_full[i, j] = a_vals
@@ -174,7 +173,7 @@ class TestDhSeminorm:
 
 class TestFctNorm:
     def test_zero_error(self, fk1):
-        alpha = LimiterMatrix(2, PAIR.i, PAIR.j, np.ones(1), np.array([0]))
+        alpha = LimiterMatrix(PAIR.i, PAIR.j, np.ones(1), np.array([0]))
         e = np.zeros(fk1.n_nodes)
         dh = dh_seminorm(PAIR, alpha, np.array([-1.0]), e)
         assert ErrorWorkspace(fk1).fct_nodal(e, dh, eps=1.0, c0=1.0) == 0.0
@@ -185,7 +184,7 @@ class TestFctNorm:
         i, j = np.triu_indices(fk1.n_nodes, k=1)
         # alpha = 1 on an arbitrary pattern: d_h term drops out
         pairs = PairGraph(fk1.n_nodes, i[:3], j[:3])
-        alpha = LimiterMatrix(fk1.n_nodes, pairs.i, pairs.j, np.ones(3), np.arange(3))
+        alpha = LimiterMatrix(pairs.i, pairs.j, np.ones(3), np.arange(3))
         ws = ErrorWorkspace(fk1)
         full = ws.fct_nodal(e, dh_seminorm(pairs, alpha, np.full(3, -1.0), e), eps=2.0, c0=3.0)
         expected = math.sqrt(2.0 * ws.h1_nodal(e) ** 2 + 3.0 * ws.l2_nodal(e) ** 2)
@@ -202,7 +201,7 @@ class TestFctNorm:
         for _ in range(100):
             e = rng.standard_normal(mesh.n_nodes)
             a_vals = rng.random(pairs.i.size)
-            alpha = LimiterMatrix(mesh.n_nodes, pairs.i, pairs.j, a_vals, np.arange(pairs.i.size))
+            alpha = LimiterMatrix(pairs.i, pairs.j, a_vals, np.arange(pairs.i.size))
             d_off = -rng.random(pairs.i.size)
             eps, c0 = rng.random() + 0.1, rng.random() + 0.1
             total = ws.fct_nodal(e, dh_seminorm(pairs, alpha, d_off, e), eps=eps, c0=c0) ** 2
@@ -248,19 +247,3 @@ class TestEoc:
 
     def test_nonpositive_error_gives_none(self):
         assert eoc([0.1, 0.0], [0.5, 0.25]) == [None]
-
-
-class TestErrorReport:
-    def test_eoc_table_shape(self):
-        rep = ErrorReport(
-            levels=[1, 2],
-            hs=[0.25, 0.125],
-            err_l2l2=[0.1, 0.025],
-            err_l2h1=[0.4, 0.2],
-            err_l2fct=[0.2, 0.1],
-            err_l2dh=[0.1, 0.05],
-            wall_time_s=[1.0, 2.0],
-        )
-        eocs = rep.eocs()
-        assert eocs["eoc_l2l2"] == [None, pytest.approx(2.0)]
-        assert eocs["eoc_l2h1"] == [None, pytest.approx(1.0)]

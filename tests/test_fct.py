@@ -289,7 +289,7 @@ class TestCorrectionVector:
 
     @staticmethod
     def on_pair(value):
-        return LimiterMatrix(2, np.array([0]), np.array([1]), np.array([value]), np.array([0]))
+        return LimiterMatrix(np.array([0]), np.array([1]), np.array([value]), np.array([0]))
 
     def test_alpha_zero(self):
         np.testing.assert_array_equal(correction_vector(PAIR, self.on_pair(0.0), self.pair_flux()), 0.0)
@@ -306,7 +306,7 @@ class TestCorrectionVector:
 
     def test_unlisted_pair_has_alpha_one(self):
         none = np.empty(0, dtype=np.intp)
-        alpha = LimiterMatrix(2, none, none, np.empty(0), none)
+        alpha = LimiterMatrix(none, none, np.empty(0), none)
         np.testing.assert_allclose(correction_vector(PAIR, alpha, self.pair_flux()), [0.2, -0.2])
 
     @settings(max_examples=50, deadline=None)
@@ -318,7 +318,7 @@ class TestCorrectionVector:
         flux = rng.standard_normal(i.size)
         # a random half of the pairs listed
         ids = np.flatnonzero(rng.random(i.size) < 0.5)
-        alpha = LimiterMatrix(n, i[ids], j[ids], rng.random(ids.size), ids)
+        alpha = LimiterMatrix(i[ids], j[ids], rng.random(ids.size), ids)
         total = correction_vector(PairGraph(n, i, j), alpha, flux).sum()
         assert abs(total) <= 1e-12 * max(np.abs(flux).sum(), 1.0)
 
@@ -326,14 +326,14 @@ class TestCorrectionVector:
 class TestLimiterMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            LimiterMatrix(2, np.array([0]), np.array([1]), np.array([1.5]), np.array([0]))
+            LimiterMatrix(np.array([0]), np.array([1]), np.array([1.5]), np.array([0]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="outside"):
-            LimiterMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]), np.array([0, 1]))
+            LimiterMatrix(np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]), np.array([0, 1]))
 
     def test_expanded_is_one_off_the_listed_pairs(self):
-        alpha = LimiterMatrix(4, np.array([0, 2]), np.array([1, 3]), np.array([0.25, -0.0]), np.array([1, 3]))
+        alpha = LimiterMatrix(np.array([0, 2]), np.array([1, 3]), np.array([0.25, -0.0]), np.array([1, 3]))
         full = alpha.expanded(5)
         assert full.tobytes() == np.array([1.0, 0.25, 1.0, -0.0, 1.0]).tobytes()
 
