@@ -15,11 +15,23 @@ problem and of the variable-coefficient one, at three times).  Run it on two sou
 and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
+
+When the outputs are meant to move by rounding only, save each case's
+arrays on one tree and compare the other's against them; ``--compare``
+prints, per case, the largest relative move of u (max |u - u_ref| over
+max |u_ref|, over the records) and of alpha, of the four integrated
+norms, or of a matrix's data, instead of its digest:
+
+    PYTHONPATH=old/src python3 scripts/record_digests.py --save /tmp/ref
+    PYTHONPATH=src python3 scripts/record_digests.py --compare /tmp/ref
 """
 
+import argparse
 import hashlib
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -95,15 +107,75 @@ def variable_spec():
     )
 
 
-def run(label, fn):
-    try:
-        out = fn()
-    except Exception as exc:  # a failing case digests its message
-        out = repr(exc)
-    print(label, out, flush=True)
+def record_arrays(mesh, records) -> dict:
+    arrays = {"u": np.stack([rec.u for rec in records])}
+    limited = [rec.alpha.expanded(mesh.pairs.i.size) for rec in records if rec.alpha is not None]
+    if limited:
+        arrays["alpha"] = np.stack(limited)
+    return arrays
 
 
-def main():
+def relative_move(new, ref) -> float:
+    if new.shape != ref.shape:
+        return np.inf
+    scale = np.abs(ref).max(initial=0.0)
+    move = np.abs(new - ref).max(initial=0.0)
+    return move / scale if scale > 0.0 else move
+
+
+class Cases:
+    """Runs each case and prints its digest, saving its arrays to
+    ``save``, or prints its moves against the arrays saved in ``compare``."""
+
+    def __init__(self, save=None, compare=None):
+        self.save, self.compare = save, compare
+        self.largest = {}
+
+    def run(self, label, fn, digest, arrays):
+        try:
+            out = fn()
+        except Exception as exc:  # a failing case digests its message
+            error = repr(exc)
+            print(label, error if self.compare is None else f"error {error}", flush=True)
+            return
+        values = {name: np.asarray(v) for name, v in arrays(out).items()}
+        if self.compare is None:
+            print(label, digest(out), flush=True)
+            if self.save is not None:
+                np.savez_compressed(self.path(self.save, label), **values)
+            return
+        path = self.path(self.compare, label)
+        if not path.exists():
+            print(label, "no saved arrays", flush=True)
+            return
+        with np.load(path) as ref:
+            moves = {name: relative_move(v, ref[name]) if name in ref else np.inf for name, v in values.items()}
+            moves.update({name: np.inf for name in ref.files if name not in values})
+        for name, move in moves.items():
+            self.largest[name] = max(self.largest.get(name, 0.0), move)
+        print(label, " ".join(f"{name}={move:.3g}" for name, move in moves.items()), flush=True)
+
+    @staticmethod
+    def path(directory, label) -> Path:
+        return Path(directory) / (re.sub(r"[^A-Za-z0-9.]+", "_", label) + ".npz")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--save", metavar="DIR", help="also save each case's arrays to DIR")
+    modes.add_argument("--compare", metavar="DIR", help="print each case's moves against DIR's arrays")
+    args = parser.parse_args(argv)
+    if args.save is not None:
+        Path(args.save).mkdir(parents=True, exist_ok=True)
+    cases = Cases(args.save, args.compare)
+
+    def matrix(label, fn):
+        cases.run(label, fn, digest_matrix, lambda mat: {"matrix": mat.data})
+
+    def records(label, mesh, fn):
+        cases.run(label, fn, lambda recs: digest_records(mesh, recs), lambda recs: record_arrays(mesh, recs))
+
     # tau = 1/30 exceeds the predictor's positivity bound, which the
     # stepper reports once per run
     warnings.filterwarnings("ignore", message="tau=")
@@ -113,30 +185,32 @@ def main():
         "time": lambda: problems.time_study_problem(tau=1.0 / STEPS, t_end=1.0),
     }
     for mesh_name, mesh in meshes():
-        run(f"assembly {mesh_name} mass", lambda: digest_matrix(assemble_mass(mesh)))
-        run(f"assembly {mesh_name} laplacian", lambda: digest_matrix(assemble_laplacian(mesh)))
+        matrix(f"assembly {mesh_name} mass", lambda: assemble_mass(mesh))
+        matrix(f"assembly {mesh_name} laplacian", lambda: assemble_laplacian(mesh))
         for problem, spec in (("space", problem_of["space"]()[0]), ("variable", variable_spec())):
             for t in (0.0, 0.25, 0.7):
                 label = f"assembly {mesh_name} stiffness {problem} t={t}"
-                run(label, lambda: digest_matrix(assemble_stiffness(mesh, spec, t)))
+                matrix(label, lambda: assemble_stiffness(mesh, spec, t))
         for problem, make in problem_of.items():
             for constant in (True, False):
                 for scheme_name, scheme in SCHEMES.items():
                     spec, _ = make()
                     spec.constant_coefficients = constant
                     label = f"records {mesh_name} {problem} constant={constant} {scheme_name}"
-                    run(label, lambda: digest_records(mesh, TimeStepper(mesh, spec, scheme).run(STEPS)))
+                    records(label, mesh, lambda: TimeStepper(mesh, spec, scheme).run(STEPS))
         for scheme_name, scheme in SCHEMES.items():
             label = f"records {mesh_name} variable constant=False {scheme_name}"
-            run(label, lambda: digest_records(mesh, TimeStepper(mesh, variable_spec(), scheme).run(STEPS)))
+            records(label, mesh, lambda: TimeStepper(mesh, variable_spec(), scheme).run(STEPS))
         for scheme_name, scheme in SCHEMES.items():
             spec, exact = problem_of["space"]()
-
-            def norms():
-                integrated, _ = cli.run_single(mesh, spec, exact, scheme)
-                return hashlib.sha256(floats(*integrated.values())).hexdigest()
-
-            run(f"run_single {mesh_name} space {scheme_name}", norms)
+            cases.run(
+                f"run_single {mesh_name} space {scheme_name}",
+                lambda: cli.run_single(mesh, spec, exact, scheme)[0],
+                lambda integrated: hashlib.sha256(floats(*integrated.values())).hexdigest(),
+                lambda integrated: {"norms": list(integrated.values())},
+            )
+    if cases.compare is not None:
+        print("largest", " ".join(f"{name}={move:.3g}" for name, move in cases.largest.items()))
 
 
 if __name__ == "__main__":

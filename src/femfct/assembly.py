@@ -19,6 +19,9 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
+from .mesh import bin_sums
+
+
 def _zero(t, x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -53,7 +56,7 @@ class ProblemSpec:
 def _node_sums(mesh, values) -> np.ndarray:
     """(n,) sums of the per-edge ``values`` over the edges at each node."""
     i, j, n = mesh.edges.i, mesh.edges.j, mesh.n_nodes
-    return np.bincount(i, values, n) + np.bincount(j, values, n)
+    return bin_sums(i, values, n) + bin_sums(j, values, n)
 
 
 def _on_pattern(mesh, upper, lower, diag) -> sparse.csr_matrix:
@@ -110,7 +113,7 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     pair = eps_k + cm
     upper = mesh.edge_sum(np.where(up, forward, backward)) + pair
     lower = mesh.edge_sum(np.where(up, backward, forward)) + pair
-    diag = np.bincount(tri.ravel(), own.ravel(), mesh.n_nodes) + _node_sums(mesh, cm - eps_k)
+    diag = bin_sums(tri.ravel(), own.ravel(), mesh.n_nodes) + _node_sums(mesh, cm - eps_k)
     return _on_pattern(mesh, upper, lower, diag)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import PairGraph, Pattern
+from .mesh import PairGraph, Pattern, bin_sums
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,10 @@ def linear_fluxes(
 
 
 def prelimit(f: np.ndarray, dubar: np.ndarray) -> np.ndarray:
-    """The fluxes ``f`` with every f_ij (ubar_i - ubar_j) < 0 set to zero
-    (both orientations), ``dubar`` holding ubar_i - ubar_j per pair: fixed
-    by the predictor, so gathered once per step for all of its iterations."""
-    f = f.copy()
+    """The fluxes ``f``, in place, with every f_ij (ubar_i - ubar_j) < 0 set
+    to zero (both orientations), ``dubar`` holding ubar_i - ubar_j per
+    pair: fixed by the predictor, so gathered once per step for all of its
+    iterations."""
     f[f * dubar < 0.0] = 0.0
     return f
 
@@ -154,8 +154,10 @@ def zalesak_bounds(pairs: PairGraph, ubar: np.ndarray, m_lumped: np.ndarray):
     return m_lumped * (near.max(axis=0) - ubar), m_lumped * (near.min(axis=0) - ubar)
 
 
-def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix:
-    """Zalesak limiter of the fluxes ``f`` on the pairs.
+def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet):
+    """Zalesak limiter of the fluxes ``f`` on the pairs, and the fluxes'
+    unlimited node sums sum_j f_ij = P_i^+ + P_i^-, from which
+    ``correction_vector`` completes the correction.
 
     Sums P_i^+- of the positive/negative fluxes, the bounds Q_i^+- of
     ``zalesak_bounds``, ratios R_i^+- = min{1, Q_i^+- / P_i^+-} (set to 1
@@ -172,8 +174,9 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     q_plus, q_minus = bounds
     fpos = np.maximum(f, 0.0)
     fneg = np.minimum(f, 0.0)
-    p_plus = np.bincount(i, fpos, n) - np.bincount(j, fneg, n)
-    p_minus = np.bincount(i, fneg, n) - np.bincount(j, fpos, n)
+    p_plus = bin_sums(i, fpos, n) - bin_sums(j, fneg, n)
+    p_minus = bin_sums(i, fneg, n) - bin_sums(j, fpos, n)
+    sums = p_plus + p_minus
 
     r_plus, r_minus = np.ones(n), np.ones(n)
     np.divide(q_plus, p_plus, out=r_plus, where=p_plus > 0.0)
@@ -193,15 +196,25 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet) -> LimiterMatrix
     alpha = np.where(
         f[k] > 0.0, np.minimum(r_plus[ik], r_minus[jk]), np.minimum(r_minus[ik], r_plus[jk])
     )
-    return LimiterMatrix(ik, jk, alpha, k)
+    return LimiterMatrix(ik, jk, alpha, k), sums
 
 
-def correction_vector(pairs: PairGraph, alpha: LimiterMatrix, f: np.ndarray) -> np.ndarray:
+def correction_vector(pairs: PairGraph, alpha: LimiterMatrix, f: np.ndarray, sums=None) -> np.ndarray:
     """Limited correction f*_i = sum_j alpha_ij f_ij of the fluxes ``f`` on
-    the pairs, alpha_ij = 1 on those alpha does not list; sums to zero."""
-    w = f.copy()
-    w[alpha.ids] = alpha.values * f[alpha.ids]
-    return np.bincount(pairs.i, w, pairs.n) - np.bincount(pairs.j, w, pairs.n)
+    the pairs, alpha_ij = 1 on those alpha does not list, to rounding: the
+    unlimited sums sum_j f_ij (``zalesak``'s, or summed here) plus the sums
+    of (alpha_ij - 1) f_ij over the listed pairs whose alpha is not 1."""
+    if sums is None:
+        sums = bin_sums(pairs.i, f, pairs.n) - bin_sums(pairs.j, f, pairs.n)
+    # about 60 pairs for a Zalesak limiter, none for Galerkin's; summed as
+    # the unlimited sums are, so that alpha = 0 on every pair gives 0 exactly
+    patch = alpha.values != 1.0
+    w = alpha.values[patch] - 1.0
+    w *= f[alpha.ids[patch]]
+    fstar = bin_sums(alpha.i[patch], w, pairs.n)
+    fstar -= bin_sums(alpha.j[patch], w, pairs.n)
+    fstar += sums
+    return fstar
 
 
 @dataclass(frozen=True)

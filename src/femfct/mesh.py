@@ -188,7 +188,7 @@ class TriMesh:
         """(E,) sums of |T| values over each edge's triangles T, from (m, 3)
         values, values[m, q] on edge q of triangle m; summed in triangle order."""
         edges, weighted = self.edges, self.geometry.areas[:, None] * values
-        return _read_only(np.bincount(edges.of_triangle.ravel(), weighted.ravel(), edges.i.size))
+        return _read_only(bin_sums(edges.of_triangle.ravel(), weighted.ravel(), edges.i.size))
 
     @cached_property
     def edge_mass(self) -> np.ndarray:
@@ -233,6 +233,15 @@ class TriMesh:
 
     def areas(self) -> np.ndarray:
         return self.geometry.areas
+
+
+def bin_sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n,) sums of ``values`` per entry of ``index``: np.bincount(index,
+    values, n) bitwise (both add in input order from 0.0), without its copy
+    of a read-only index such as the mesh's."""
+    out = np.zeros(n)
+    np.add.at(out, index, values)
+    return out
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -278,16 +278,17 @@ class TimeStepper:
     def _on_every_pair(self, values) -> LimiterMatrix:
         return LimiterMatrix(self.pairs.i, self.pairs.j, values, self._every_pair)
 
-    def _limit(self, flux, bounds) -> LimiterMatrix:
+    def _limit(self, flux, bounds):
         """Zalesak limiter of the fluxes, listing the pairs it evaluates; a
         constant limiter's lists every pair, its value (in [0, 1]) on the
-        interior ones and the Zalesak values on the others."""
-        alpha = zalesak(self.pairs, flux, bounds, self._bnodes)
+        interior ones and the Zalesak values on the others; with zalesak's
+        unlimited node sums of the fluxes."""
+        alpha, sums = zalesak(self.pairs, flux, bounds, self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
             values = alpha.expanded(self._every_pair.size)
             values[self._interior_pairs] = self.scheme.limiter.value
             alpha = self._on_every_pair(values)
-        return alpha
+        return alpha, sums
 
     # -- single steps ------------------------------------------------
 
@@ -313,11 +314,11 @@ class TimeStepper:
             self.pairs, self._m_ij, d_ij, self.m_lumped, r, u_prev, tau, self._bnodes,
             (g - prev.g) / tau,
         )
-        alpha = self.fixed_alpha
+        alpha, sums = self.fixed_alpha, None
         if alpha is None:
             ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
-            alpha = self._limit(flux, zalesak_bounds(self.pairs, ubar, self.m_lumped))
-        fstar = correction_vector(self.pairs, alpha, flux)
+            alpha, sums = self._limit(flux, zalesak_bounds(self.pairs, ubar, self.m_lumped))
+        fstar = correction_vector(self.pairs, alpha, flux, sums)
         rhs = tau * level.f + self.m_lumped * u_prev + fstar
         u = self._factorization(level).solve(self._constrained_rhs(rhs, g))
         return _fct_record(level.t, u, alpha, fstar, flux)
@@ -348,8 +349,8 @@ class TimeStepper:
 
         def limited_correction(u_cur):
             flux = prelimit(raw_fluxes(self.pairs, self._m_ij, d_ij, u_cur, u_prev, tau), dubar)
-            alpha = self._limit(flux, bounds)
-            return flux, alpha, correction_vector(self.pairs, alpha, flux)
+            alpha, sums = self._limit(flux, bounds)
+            return flux, alpha, correction_vector(self.pairs, alpha, flux, sums)
 
         base_rhs = tau * fvec + self.m_lumped * u_prev
 

@@ -40,7 +40,9 @@ the flux kernels making a fresh array per operation, the d_h
 seminorm summed over every pair instead of the pairs with alpha != 1, and
 the Zalesak limiter storing alpha on every pair, with the correction and
 the d_h seminorm read from it, which a limiter listing only the pairs it
-evaluates replaces.  Every
+evaluates replaces, and the correction summed over every pair, which the
+limiter's unlimited sums patched on the listed pairs replace (checked
+against the formula sum_j alpha_ij f_ij to a rounding bound).  Every
 mesh is also tried with its nodes randomly relabelled, which leaves the
 CSR column order unsorted before assembly.
 """
@@ -631,7 +633,7 @@ def test_hoisted_zalesak_bounds_match_per_call_formula(mesh, operators):
             # the reference's None is the kernel's empty index array
             nodes = np.empty(0, dtype=np.intp) if dirichlet is None else dirichlet
             np.testing.assert_array_equal(
-                zalesak(pairs, flux, bounds, nodes).expanded(pairs.i.size),
+                zalesak(pairs, flux, bounds, nodes)[0].expanded(pairs.i.size),
                 old_zalesak(pairs, flux, ubar, m_lumped, dirichlet=dirichlet),
             )
 
@@ -696,11 +698,13 @@ def test_neighbour_table_bounds_match_ufunc_at(mesh, kind, monkeypatch):
         return
     size = 0.3 * m_lumped.mean() * np.ptp(ubar)
     flux = prelimit(size * rng.standard_normal(pairs.i.size), ubar[pairs.i] - ubar[pairs.j])
-    alpha, alpha_ref = (zalesak(pairs, flux, q, bnodes) for q in (bounds, ref))
+    (alpha, sums), (alpha_ref, sums_ref) = (zalesak(pairs, flux, q, bnodes) for q in (bounds, ref))
     assert np.any(alpha.values < 1.0)
     assert np.array_equal(alpha.ids, alpha_ref.ids)
     assert np.array_equal(alpha.values, alpha_ref.values)
-    fstar, fstar_ref = (correction_vector(pairs, a, flux) for a in (alpha, alpha_ref))
+    fstar, fstar_ref = (
+        correction_vector(pairs, a, flux, s) for a, s in ((alpha, sums), (alpha_ref, sums_ref))
+    )
     assert fstar.tobytes() == fstar_ref.tobytes()
 
 
@@ -751,7 +755,8 @@ def limiter_state(mesh, operators, state, seed):
     u_prev = size * u_prev
     u_new = u_prev + size * rng.standard_normal(mesh.n_nodes)
     raw = raw_fluxes(pairs, m_ij, d_ij, u_new, u_prev, 1e-3)
-    flux = prelimit(raw, ubar[pairs.i] - ubar[pairs.j])
+    # prelimit works in place
+    flux = prelimit(raw.copy(), ubar[pairs.i] - ubar[pairs.j])
     return raw, flux, ubar, zalesak_bounds(pairs, ubar, m_lumped)
 
 
@@ -763,7 +768,7 @@ def test_zalesak_matches_full_where_bitwise(mesh, operators, state):
     for seed in range(3):
         _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
         every, interior = (
-            zalesak(pairs, flux, bounds, dirichlet).expanded(pairs.i.size)
+            zalesak(pairs, flux, bounds, dirichlet)[0].expanded(pairs.i.size)
             for dirichlet in (no_nodes, mesh.boundary_nodes)
         )
         assert every.tobytes() == old_zalesak_where(pairs, flux, bounds, no_nodes).tobytes()
@@ -791,7 +796,7 @@ def test_constant_limiter_overwrites_the_zalesak_values_bitwise(mesh, spec, oper
         _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
         ref = old_zalesak_where(mesh.pairs, flux, bounds, mesh.boundary_nodes)
         ref[interior] = 0.5
-        assert stepper._limit(flux, bounds).values.tobytes() == ref.tobytes()
+        assert stepper._limit(flux, bounds)[0].values.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("state", ["none", "all", "mixed"])
@@ -1294,8 +1299,8 @@ def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
 
     def limited_correction(u_cur):
         flux = prelimit(raw_fluxes(stepper.pairs, stepper._m_ij, d_ij, u_cur, u_prev, tau), dubar)
-        alpha = stepper._limit(flux, bounds)
-        return flux, alpha, correction_vector(stepper.pairs, alpha, flux)
+        alpha, sums = stepper._limit(flux, bounds)
+        return flux, alpha, correction_vector(stepper.pairs, alpha, flux, sums)
 
     base_rhs = tau * level.f + stepper.m_lumped * u_prev
     flux, alpha, fstar = limited_correction(u_prev)
@@ -1737,7 +1742,7 @@ def test_pair_table_selection_matches_every_pair_scan_bitwise(pair_mesh, kind, m
         with pytest.raises(ValueError, match="outside"):
             zalesak(pairs, flux, bounds, dirichlet)
         monkeypatch.setattr(LimiterMatrix, "__post_init__", lambda self: None)
-    alpha = zalesak(pairs, flux, bounds, dirichlet).expanded(pairs.i.size)
+    alpha = zalesak(pairs, flux, bounds, dirichlet)[0].expanded(pairs.i.size)
     assert alpha.tobytes() == ref.tobytes()
     if kind == "nan":
         return
@@ -1799,8 +1804,9 @@ def test_dh_seminorm_of_fixed_limiters(pair_mesh, kind):
 
 
 # -- the listed limiter: the Zalesak limiter keeps alpha on the pairs it
-# evaluates alone, 1 on every other pair, against the limiter, correction
-# and d_h seminorm on every pair that it replaced
+# evaluates alone, 1 on every other pair, against the limiter and d_h
+# seminorm on every pair that it replaced; the correction, now from the
+# limiter's unlimited sums, against its formula to rounding
 
 
 def dense_zalesak(pairs, f, bounds, dirichlet):
@@ -1829,10 +1835,58 @@ def dense_zalesak(pairs, f, bounds, dirichlet):
     return alpha, limits
 
 
-def dense_correction_vector(pairs, alpha, f):
-    """The correction from ``alpha`` on every pair."""
-    w = alpha * f
-    return np.bincount(pairs.i, w, pairs.n) - np.bincount(pairs.j, w, pairs.n)
+def assert_correction_matches_formula(pairs, alpha, f, fstar):
+    """f*_i = sum_j alpha_ij f_ij, ``alpha`` given on every pair, f_ji =
+    -f_ij and alpha_ji = alpha_ij, within (2 deg_i + 2) eps sum_j |f_ij|
+    at each node, against the terms of the dense n x n matrices summed
+    exactly (math.fsum); NaN at the same nodes.  sum_i f*_i, zero in exact
+    arithmetic, within the sum of those bounds plus the rounding of
+    summing f*."""
+    n, i, j = pairs.n, pairs.i, pairs.j
+    dense_f, dense_alpha = np.zeros((n, n)), np.ones((n, n))
+    dense_f[i, j], dense_f[j, i] = f, -f
+    dense_alpha[i, j] = dense_alpha[j, i] = alpha
+    ref = np.array([math.fsum(row) for row in dense_alpha * dense_f])
+    eps = np.finfo(float).eps
+    degree = np.bincount(np.concatenate((i, j)), minlength=n)
+    bound = (2 * degree + 2) * eps * np.abs(dense_f).sum(axis=1)
+    assert np.array_equal(np.isnan(fstar), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    assert np.all(np.abs(fstar - ref)[finite] <= bound[finite])
+    if finite.all():
+        assert abs(fstar.sum()) <= bound.sum() + n * eps * np.abs(fstar).sum()
+
+
+@pytest.mark.parametrize("listing", ["listed", "every", "empty"])
+def test_correction_matches_formula(pair_mesh, listing):
+    # a dense antisymmetric F (every pair's flux nonzero, sizes over six
+    # decades) and a symmetric alpha, which lists a random third of the
+    # pairs, every pair or none, with the values 0 and 1 among its own;
+    # the unlimited sums computed by correction_vector or handed over by
+    # zalesak
+    pairs = pair_mesh.pairs
+    npairs = pairs.i.size
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        f = rng.standard_normal(npairs) * 10.0 ** rng.uniform(-3.0, 3.0, npairs)
+        ids = {
+            "listed": np.flatnonzero(rng.random(npairs) < 1.0 / 3.0),
+            "every": np.arange(npairs),
+            "empty": np.empty(0, dtype=np.intp),
+        }[listing]
+        values = rng.random(ids.size)
+        values[rng.random(ids.size) < 0.2] = 0.0
+        values[rng.random(ids.size) < 0.2] = 1.0
+        alpha = LimiterMatrix(pairs.i[ids], pairs.j[ids], values, ids)
+        bounds = zalesak_bounds(pairs, rng.standard_normal(pairs.n), np.ones(pairs.n))
+        _, sums = zalesak(pairs, f, bounds, np.empty(0, dtype=np.intp))
+        for given in (None, sums):
+            fstar = correction_vector(pairs, alpha, f, given)
+            assert_correction_matches_formula(pairs, alpha.expanded(npairs), f, fstar)
+        if listing == "every":
+            # a fixed limiter 0 (low order) cancels its own sums exactly
+            zero = LimiterMatrix(pairs.i, pairs.j, np.zeros(npairs), ids)
+            assert correction_vector(pairs, zero, f).tobytes() == np.zeros(pairs.n).tobytes()
 
 
 def dense_dh_seminorm(pairs, alpha, d_ij, e_nodes):
@@ -1853,7 +1907,7 @@ def test_listed_limiter_matches_every_pair_oracles_bitwise(pair_mesh, kind, monk
     if kind == "nan":
         assert np.isnan(ref).any()
         monkeypatch.setattr(LimiterMatrix, "__post_init__", lambda self: None)
-    alpha = zalesak(pairs, flux, bounds, dirichlet)
+    alpha, sums = zalesak(pairs, flux, bounds, dirichlet)
     assert alpha.expanded(pairs.i.size).tobytes() == ref.tobytes()
     # unique and sorted, and exactly the pairs touching a limiting node
     assert np.all(np.diff(alpha.ids) > 0)
@@ -1863,7 +1917,7 @@ def test_listed_limiter_matches_every_pair_oracles_bitwise(pair_mesh, kind, monk
     assert alpha.ids.size > 0
     if kind == "predictor":
         assert alpha.ids.size < 0.2 * pairs.i.size
-    fstar = correction_vector(pairs, alpha, flux)
-    assert fstar.tobytes() == dense_correction_vector(pairs, ref, flux).tobytes()
+    # the correction from zalesak's sums against the formula, to rounding
+    assert_correction_matches_formula(pairs, ref, flux, correction_vector(pairs, alpha, flux, sums))
     for e in (np.random.default_rng(10).standard_normal(pairs.n), np.linspace(0.0, 1.0, pairs.n)):
         assert bits(dh_seminorm(pairs, alpha, d_ij, e)) == bits(dense_dh_seminorm(pairs, ref, d_ij, e))

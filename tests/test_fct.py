@@ -233,7 +233,7 @@ class TestZalesak:
         return np.array([value])
 
     def limiter(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET, pairs=PAIR):
-        return zalesak(pairs, flux, zalesak_bounds(pairs, ubar, m_lumped), dirichlet)
+        return zalesak(pairs, flux, zalesak_bounds(pairs, ubar, m_lumped), dirichlet)[0]
 
     def limit(self, flux, ubar, m_lumped, dirichlet=NO_DIRICHLET, pairs=PAIR):
         """alpha on every pair."""
@@ -268,6 +268,30 @@ class TestZalesak:
             self.flux(0.5), ubar, np.ones(2), dirichlet=np.array([0, 1])
         )
         assert alpha[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_alpha_reads_the_opposite_ratio_of_the_far_node(self, sign):
+        # the path 0 - 1 - 2 with ubar = sign * (0, 1, 1.5), m = (8, 1, 1)
+        # and f_01 = 4 sign, f_12 = sign; for sign = 1:
+        #   P+ = (4, 1, 0), P- = (0, -4, -1), Q+ = (8, 0.5, 0), Q- = (0, -1, -0.5)
+        #   R+ = (1, 0.5, 1), R- = (1, 0.25, 0.5)
+        #   alpha_01 = min{R_0^+, R_1^-} = 0.25, alpha_12 = min{R_1^+, R_2^-} = 0.5
+        # so R_1^+ != R_1^-, and reading R_1^+ for alpha_01 gives 0.5;
+        # sign = -1 swaps R+ and R-, and f_ij < 0 reads min{R_i^-, R_j^+}
+        pairs = PairGraph(3, np.array([0, 1]), np.array([1, 2]))
+        flux = sign * np.array([4.0, 1.0])
+        ubar = sign * np.array([0.0, 1.0, 1.5])
+        alpha = self.limiter(flux, ubar, np.array([8.0, 1.0, 1.0]), pairs=pairs)
+        np.testing.assert_array_equal(alpha.ids, [0, 1])
+        np.testing.assert_array_equal(alpha.values, [0.25, 0.5])
+
+    def test_returns_the_unlimited_node_sums(self):
+        # sum_j f_ij = P_i^+ + P_i^- on the path 0 - 1 - 2
+        pairs = PairGraph(3, np.array([0, 1]), np.array([1, 2]))
+        flux = np.array([4.0, -1.0])
+        bounds = zalesak_bounds(pairs, np.array([0.0, 1.0, 1.5]), np.ones(3))
+        _, sums = zalesak(pairs, flux, bounds, NO_DIRICHLET)
+        np.testing.assert_array_equal(sums, [4.0, -5.0, 1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -308,6 +332,16 @@ class TestCorrectionVector:
         none = np.empty(0, dtype=np.intp)
         alpha = LimiterMatrix(none, none, np.empty(0), none)
         np.testing.assert_allclose(correction_vector(PAIR, alpha, self.pair_flux()), [0.2, -0.2])
+
+    def test_adds_the_limited_part_to_the_given_sums(self):
+        # f* = sums + (alpha - 1) f over the listed pairs; sums left as given,
+        # and 0 exactly for alpha = 0
+        sums = np.array([0.2, -0.2])
+        fstar = correction_vector(PAIR, self.on_pair(0.5), self.pair_flux(), sums)
+        np.testing.assert_allclose(fstar, [0.1, -0.1])
+        np.testing.assert_array_equal(sums, [0.2, -0.2])
+        zero = correction_vector(PAIR, self.on_pair(0.0), self.pair_flux(), sums)
+        assert zero.tobytes() == np.zeros(2).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

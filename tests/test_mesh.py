@@ -19,6 +19,7 @@ from femfct import (
     space_study_problem,
 )
 from femfct.cli import ExperimentConfig, build_grid
+from femfct.mesh import bin_sums
 
 
 def triangle_signature(mesh):
@@ -204,6 +205,25 @@ class TestEdges:
     def test_fk0_count(self, fk0):
         # Euler: V - E + F = 2 with the outer face -> E = 9 + 9 - 2 = 16
         assert edge_arrays(fk0)[0].size == 16
+
+
+class TestBinSums:
+    @pytest.mark.parametrize("index", ["edge_i", "edge_j", "edge_of_triangle", "triangles", "empty"])
+    def test_bitwise_bincount(self, index):
+        # both add in input order from 0.0: the same sums, signed zeros and
+        # empty bins included, on the mesh's read-only index arrays
+        mesh = build_shifted_grid(2)
+        idx, n = {
+            "edge_i": (mesh.edges.i, mesh.n_nodes),
+            "edge_j": (mesh.edges.j, mesh.n_nodes),
+            "edge_of_triangle": (mesh.edges.of_triangle.ravel(), mesh.edges.i.size),
+            "triangles": (mesh.triangles.ravel(), mesh.n_nodes + 3),
+            "empty": (np.empty(0, dtype=np.intp), 5),
+        }[index]
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(idx.size) * 10.0 ** rng.integers(-8, 9, idx.size)
+        values[::7] = -0.0
+        assert bin_sums(idx, values, n).tobytes() == np.bincount(idx, values, n).tobytes()
 
 
 def relabel(mesh, seed):
