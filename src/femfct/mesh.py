@@ -118,7 +118,9 @@ class TriMesh:
     """Immutable triangular mesh of the unit square.
 
     nodes : (n, 2) array of coordinates
-    triangles : (m, 3) int array, counterclockwise orientation
+    triangles : (m, 3) int array, counterclockwise orientation: the builders
+        and refine_uniform make them so, and load_mesh reorients the
+        triangles it reads; TriMesh(...) itself checks and reorients nothing
     boundary_mask : (n,) bool array, True for nodes on the boundary
     level : refinement level
     h : characteristic mesh width (for the structured families this is the
@@ -259,27 +261,9 @@ def _boundary_mask(nodes: np.ndarray) -> np.ndarray:
     )
 
 
-def _orient_ccw(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Flip triangles with negative signed area; reject degenerate ones."""
-    p = nodes[triangles]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    area2 = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    if np.any(area2 == 0.0):
-        bad = int(np.flatnonzero(area2 == 0.0)[0])
-        raise MeshError(f"triangle {bad} is degenerate (zero area)")
-    triangles = triangles.copy()
-    flip = area2 < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    return triangles
-
-
 def _make_mesh(nodes, triangles, level, h) -> TriMesh:
     nodes = np.ascontiguousarray(nodes, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-    if triangles.min() < 0 or triangles.max() >= nodes.shape[0]:
-        raise MeshError("triangle node index out of range")
-    triangles = _orient_ccw(nodes, triangles)
     return TriMesh(nodes, triangles, _boundary_mask(nodes), level, h)
 
 
@@ -328,7 +312,8 @@ def load_mesh(path) -> TriMesh:
 
     Format: first non-comment line ``N_nodes N_triangles``, then the node
     coordinates ``x y`` and the 0-based triangle indices ``i j k``.  Lines
-    starting with ``#`` are comments.  Clockwise triangles are reoriented.
+    starting with ``#`` are comments.  Clockwise triangles are reoriented
+    (vertices 1 and 2 swapped) with the signed areas of the zero-area check.
     Every node must be in a triangle, and every edge in one triangle or in
     two on either side of it.
     """
@@ -373,16 +358,18 @@ def load_mesh(path) -> TriMesh:
         raise MeshError(f"{path}:{rows[1 + unused[0]][0]}: node {unused[0]} is in no triangle")
     p = nodes[tris]
     v1, v2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    flat = np.flatnonzero(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0] == 0.0)
+    area2 = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    flat = np.flatnonzero(area2 == 0.0)
     if flat.size:
         k = int(flat[0])
         raise MeshError(f"{path}:{rows[1 + n_nodes + k][0]}: triangle {k} is degenerate (zero area)")
     diam = float(np.max(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)))
-    mesh = _make_mesh(nodes, tris, 0, diam)
+    # the only reorientation: the builders make counterclockwise triangles
+    cw = area2 < 0.0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
     # counterclockwise triangles that neither overlap nor share an edge
     # three ways run through each edge at most once in each direction
-    t = mesh.triangles
-    a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
+    a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
     repeated = np.ones(a.size, dtype=bool)
     repeated[np.unique(a * n_nodes + b, return_index=True)[1]] = False
     if repeated.any():
@@ -391,7 +378,7 @@ def load_mesh(path) -> TriMesh:
             f"{path}:{rows[1 + n_nodes + k // 3][0]}: edge {a[k]}-{b[k]} is in more than "
             "two triangles, or in two on the same side of it"
         )
-    return mesh
+    return _make_mesh(nodes, tris, 0, diam)
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:

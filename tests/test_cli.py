@@ -100,17 +100,18 @@ class TestConfig:
     def test_flag_parsing(self):
         cfg = parse_args(
             ["--grid", "shifted", "--levels", "2..4", "--scheme", "galerkin",
-             "--tau", "0.01", "--out", "x.csv"]
+             "--tau", "0.01", "--limiter", "constant:0.5", "--out", "x.csv"]
         )
         assert cfg.grid == "shifted"
         assert cfg.levels == (2, 4)
         assert cfg.scheme == "galerkin"
         assert cfg.tau == 0.01
+        assert cfg.limiter == "constant:0.5"
         assert cfg.out == "x.csv"
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "study.cfg"
-        path.write_text("grid = fk\nlevels = 1..2\ntau = 0.05  # coarse\n")
+        path.write_text("# a study\n\ngrid = fk\n   \n  # levels\nlevels = 1..2\ntau = 0.05  # coarse\n")
         cfg = parse_args(["--config", str(path), "--tau", "0.01"])
         assert cfg.grid == "fk"
         assert cfg.levels == (1, 2)
@@ -267,6 +268,10 @@ class TestGrids:
         default, loaded = build_grid(config, 1), build_grid(own, 1)
         assert np.array_equal(default.nodes, loaded.nodes)
         assert np.array_equal(default.triangles, loaded.triangles)
+
+    def test_unknown_grid_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown grid family 'hexagonal'"):
+            build_grid(ExperimentConfig(grid="hexagonal"), 0)
 
     def test_unstructured_refinement(self):
         coarse = build_grid(ExperimentConfig(grid="unstructured"), level=0)

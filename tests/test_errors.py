@@ -223,6 +223,10 @@ class TestTimeIntegrate:
     def test_three_four_five(self):
         assert time_integrate([3.0, 4.0], tau=1.0) == pytest.approx(5.0)
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty norm series"):
+            time_integrate([], tau=0.1)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_scaling_homogeneity(self, scale):
@@ -247,3 +251,10 @@ class TestEoc:
 
     def test_nonpositive_error_gives_none(self):
         assert eoc([0.1, 0.0], [0.5, 0.25]) == [None]
+
+    @pytest.mark.parametrize(
+        "errors, hs", [([0.1], [0.5]), ([0.1, 0.05], [0.5])], ids=["too-short", "mismatched"]
+    )
+    def test_bad_lengths_rejected(self, errors, hs):
+        with pytest.raises(ValueError, match="need matching sequences of length >= 2"):
+            eoc(errors, hs)

@@ -114,6 +114,14 @@ class TestLump:
         # the level-0 center node touches 6 triangles of area 1/8
         assert m[center] == pytest.approx(6.0 / 8.0 / 3.0, abs=1e-15)
 
+    def test_inverted_element_rejected(self):
+        # TriMesh(...) reorients nothing: one clockwise triangle built
+        # directly, not through load_mesh, has negative lumped masses
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        mesh = TriMesh(nodes, np.array([[0, 2, 1]]), np.ones(3, dtype=bool), 0, 1.0)
+        with pytest.raises(ValueError, match=r"nonpositive lumped mass at node 0 \(inverted element\?\)"):
+            lump(assemble_mass(mesh))
+
 
 class TestPredictor:
     def test_zero_residual_is_identity(self):

@@ -30,6 +30,36 @@ def triangle_signature(mesh):
     return sorted(tris)
 
 
+def signed_areas(mesh):
+    """Twice the signed area of each triangle, from the nodes and the
+    triangles alone (not from the cached geometry)."""
+    p = mesh.nodes[mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+
+@pytest.mark.parametrize(
+    "grid, level, seed",
+    [("fk", level, None) for level in range(7)]
+    + [("shifted", level, None) for level in range(7)]
+    + [("unstructured", level, None) for level in range(5)]
+    + [("shifted", 3, 3)],
+)
+def test_all_triangles_ccw(grid, level, seed):
+    # the builders and refine_uniform make counterclockwise triangles by
+    # construction, and nothing after them reorients a triangle
+    mesh = build_grid(ExperimentConfig(grid=grid), level)
+    if seed is not None:
+        mesh = relabel(mesh, seed)
+    assert np.all(signed_areas(mesh) > 0.0)
+
+
+@pytest.mark.parametrize("build", [build_friedrichs_keller, build_shifted_grid])
+def test_negative_level_rejected(build):
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        build(-1)
+
+
 class TestFriedrichsKeller:
     def test_level0_counts(self, fk0):
         assert fk0.n_nodes == 9
@@ -42,12 +72,6 @@ class TestFriedrichsKeller:
     def test_level1_counts(self, fk1):
         assert fk1.n_nodes == 25
         assert fk1.n_triangles == 32
-
-    def test_all_triangles_ccw(self, fk1):
-        p = fk1.nodes[fk1.triangles]
-        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        assert np.all(cross > 0)
 
     def test_boundary_nodes_cached_and_read_only(self, fk1):
         nodes = fk1.boundary_nodes
@@ -117,9 +141,28 @@ class TestLoadMesh:
 
     def test_clockwise_reoriented(self, tmp_path):
         mesh = load_mesh(self.write(tmp_path, "3 1\n0 0\n1 0\n0 1\n0 2 1\n"))
-        p = mesh.nodes[mesh.triangles[0]]
-        e1, e2 = p[1] - p[0], p[2] - p[0]
-        assert e1[0] * e2[1] - e1[1] * e2[0] > 0
+        assert signed_areas(mesh)[0] > 0
+
+    def test_mixed_orientation_reoriented(self, tmp_path):
+        # the unit square as two triangles, the first listed clockwise
+        mesh = load_mesh(self.write(tmp_path, "4 2\n0 0\n1 0\n1 1\n0 1\n0 2 1\n0 2 3\n"))
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2], [0, 2, 3]])
+        assert np.all(signed_areas(mesh) > 0.0)
+        assert mesh.areas().sum() == 1.0
+        assert np.all(signed_areas(refine_uniform(mesh)) > 0.0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\n0 0\n1 x\n0 1\n0 1 2\n", r"mesh\.msh:3: could not convert string to float: 'x'"),
+            ("3 1\n0 0\n1 0\n0 1\n", r"mesh\.msh: expected 5 data lines, got 4"),
+            ("3 1\n0 0\n1 nan\n0 1\n0 1 2\n", r"mesh\.msh: non-finite node coordinate"),
+        ],
+        ids=["non-numeric", "data-line-count", "non-finite"],
+    )
+    def test_malformed_data_rejected(self, tmp_path, text, message):
+        with pytest.raises(MeshError, match=message):
+            load_mesh(self.write(tmp_path, text))
 
     def test_bad_field_count_reports_line(self, tmp_path):
         path = self.write(tmp_path, "3 1\n0 0\n1 0 9\n0 1\n0 1 2\n")
