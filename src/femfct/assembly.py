@@ -107,7 +107,7 @@ def assemble_stiffness(mesh, spec: ProblemSpec, t: float) -> sparse.csr_matrix:
     own *= geo.areas[:, None]
     # summed per edge and per node in triangle order, (q, q+1) being the
     # upper entry where t_q < t_{q+1}, plus eps K + R
-    up = tri < tri[:, nxt]
+    up = mesh.upper_first
     cm = _per_edge(spec.c(t, edges.x, edges.y), edges) * mesh.edge_mass
     eps_k = spec.eps * mesh.edge_laplacian
     pair = eps_k + cm

@@ -205,6 +205,14 @@ class TriMesh:
         return self.edge_sum(np.einsum("mqd,mqd->mq", g, np.roll(g, -1, axis=1)))
 
     @cached_property
+    def upper_first(self) -> np.ndarray:
+        """(m, 3) t_q < t_{q+1} (q + 1 taken mod 3): whether the entry
+        (t_q, t_{q+1}) of each triangle's edge q is its edge's upper one;
+        computed on first use; read-only."""
+        tri = self.triangles
+        return _read_only(tri < tri[:, [1, 2, 0]])
+
+    @cached_property
     def pairs(self) -> PairGraph:
         """The edges as the pair graph of the FCT kernels."""
         return PairGraph(self.n_nodes, self.edges.i, self.edges.j)

@@ -54,25 +54,32 @@ class Factorization:
     takes COLAMD's column order.
 
     ``order`` is an earlier factorization's ``order``: the CSC structure
-    ``(indptr, indices)`` it factored and its downwind order ``cols``, or
-    None after COLAMD.  A matrix of that structure is factored in that
-    order; any other matrix is ordered afresh.
+    ``(indptr, indices)`` of the ``A[:, cols]`` it factored and its
+    downwind order ``cols``, or None after COLAMD.  A matrix whose
+    columns in that order have that structure is factored in that order,
+    and hands the same ``order`` on; any other matrix is ordered afresh.
+    A CSC matrix on the order's own arrays (its ``indptr`` is the
+    order's) is taken to be ``A[:, cols]`` already and factored as it is.
     """
 
     def __init__(self, matrix, order=None):
-        csc = sparse.csc_matrix(matrix)
-        indptr, indices = csc.indptr, csc.indices
-        if (
-            order is not None
-            and np.array_equal(indptr, order[0])
-            and np.array_equal(indices, order[1])
-        ):
-            cols = order[2]
-        else:
-            cols = _downwind_order(csc)
-        if cols is not None:
-            # rebinding frees the unpermuted values before SuperLU runs
-            csc = csc[:, cols]
+        csc = matrix
+        if order is None or getattr(matrix, "indptr", None) is not order[0]:
+            csc = sparse.csc_matrix(matrix)
+            permuted = None if order is None else csc[:, order[2]]
+            if permuted is None or not (
+                np.array_equal(permuted.indptr, order[0])
+                and np.array_equal(permuted.indices, order[1])
+            ):
+                order = permuted = None
+                cols = _downwind_order(csc)
+                if cols is not None:
+                    permuted = csc[:, cols]
+                    order = (permuted.indptr, permuted.indices, cols)
+            if permuted is not None:
+                # rebinding frees the unpermuted values before SuperLU runs
+                csc = permuted
+        cols = None if order is None else order[2]
         try:
             self._lu = splu(
                 csc,
@@ -84,7 +91,7 @@ class Factorization:
         except RuntimeError as exc:
             raise SolverError(f"LU factorization failed: {exc}") from exc
         self._cols = cols
-        self.order = None if cols is None else (indptr, indices, cols)
+        self.order = order
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._lu.solve(np.asarray(rhs, dtype=float))

@@ -156,7 +156,14 @@ class TimeStepper:
     built from (once per stepper for constant coefficients, once per step
     otherwise); the upwinded systems factor in downwind order, which the
     next LU reuses unless the structure (the exact zeros of Abar) changed
-    (see ``Factorization``).  Every flux and limiter lives on the
+    (see ``Factorization``).  A build whose exact zeros of Abar on the
+    mesh pattern are the last build's makes Abar on the last one's
+    structure arrays, and the LU at it gathers its system's values from
+    the pattern straight into the LU order's column-permuted arrays,
+    through a position map built the first time a structure is seen
+    again; every other build and system takes scipy's sums and
+    ``apply_dirichlet``, which give bitwise the same matrices.  Every
+    flux and limiter lives on the
     mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
     and the d_ij read from D's data array at the pattern's upper positions;
     a Zalesak limiter lists only the pairs it evaluates, a fixed one every
@@ -186,6 +193,11 @@ class TimeStepper:
         self._v = 0.0 if value is None or scheme.kind == LINEAR_FCT else value
         # the last LU and the operators it was built from
         self._lu = self._lu_ops = None
+        # the structure of the last Abar built by scipy's sum (its exact
+        # zeros on the mesh pattern, its indices and indptr), the last Abar
+        # built on that structure again with its data on the pattern, and
+        # the gather map of the last LU order it was factored in
+        self._abar_structure = self._abar_data = self._gather = None
 
     # -- operators ---------------------------------------------------
 
@@ -202,28 +214,45 @@ class TimeStepper:
         return (1.0 - self._v) * sparse.diags(self.m_lumped) + self._v * self.mass
 
     def _build_operators(self, t):
+        pattern = self.mesh.pattern
         a = assemble_stiffness(self.mesh, self.spec, t)
-        d = artificial_diffusion(a, self.mesh.pattern)
-        d_ij = d.data[self.mesh.pattern.upper]
+        d = artificial_diffusion(a, pattern)
+        d_ij = d.data[pattern.upper]
         # (1-v) D in place: a scaled copy per build made varcoef_fk5's peak
         # RSS about 4 MB higher and unsteady from run to run
         d.data *= 1.0 - self._v
-        # Abar stays scipy's sum, which drops the entries where upwinding
-        # cancels a_ij exactly (43% of them at FK L5): an edge with a_ij or
+        # Abar on the mesh pattern, entry by entry scipy's sum a + d, whose
+        # exact zeros are the entries that sum drops: where upwinding
+        # cancels a_ij exactly (43% of them at FK L5), an edge with a_ij or
         # a_ji >= 0 keeps only one of the two, which makes the graphs of
         # convection-dominated systems acyclic and their LUs triangular in
         # downwind order
-        abar = (a + d).tocsr()
+        data = a.data + d.data
+        keep = data != 0.0
         if self._check_predictor:
-            self._check_predictor_bound(abar)
+            self._check_predictor_bound(data[pattern.diag])
+        last = self._abar_structure
+        if last is not None and np.array_equal(keep, last[0]):
+            # the structure of the last Abar: its dropped arrays take the
+            # kept data, which the LU's system is then gathered from
+            abar = sparse.csr_matrix((data[keep], last[1], last[2]), shape=a.shape)
+            self._abar_data = abar, data
+        else:
+            abar = (a + d).tocsr()
+            self._abar_structure = keep, abar.indices, abar.indptr
+            self._abar_data = None
         return abar, d_ij
 
-    def _check_predictor_bound(self, abar):
+    def _check_predictor_bound(self, diag):
         """Warn once if tau exceeds min_i 2 m_i / abar_ii over the interior
-        nodes, the bound under which the explicit predictor of the FCT
-        schemes keeps nonnegative coefficients."""
+        nodes i with abar_ii > 0, ``diag`` holding Abar's diagonal: under
+        that bound the explicit predictor of the FCT schemes keeps
+        nonnegative coefficients, and that is all the bound says.  The
+        unlimited linear scheme's own step limit is 1.0-1.41 times smaller
+        and is not checked: between the two, ``linear_fct`` amplifies
+        rounding without a warning."""
         interior = ~self.mesh.boundary_mask
-        diag, m = abar.diagonal()[interior], self.m_lumped[interior]
+        diag, m = diag[interior], self.m_lumped[interior]
         bound = (2.0 * m[diag > 0.0] / diag[diag > 0.0]).min(initial=np.inf)
         tau = self.spec.tau
         if tau > bound:
@@ -241,12 +270,62 @@ class TimeStepper:
             order = None if self._lu is None else self._lu.order
             # the last LU goes first: two are never held at once
             self._lu = None
-            # scipy's sums and apply_dirichlet keep the pattern that dropped
-            # the exact zeros of Abar, which the LU's fill depends on
-            system = self._mass_v + self.spec.tau * ops[0]
-            system = apply_dirichlet(system, self.mesh)
+            system = self._gathered_system(ops[0], order)
+            if system is None:
+                # scipy's sums and apply_dirichlet keep the pattern that
+                # dropped the exact zeros of Abar, which the LU's fill
+                # depends on
+                system = self._mass_v + self.spec.tau * ops[0]
+                system = apply_dirichlet(system, self.mesh)
             self._lu, self._lu_ops = Factorization(system, order=order), ops
         return self._lu
+
+    @cached_property
+    def _mass_v_data(self):
+        # (1-v) M_L + v M on the mesh pattern, entry by entry the values of
+        # _mass_v, which stores no entry where this is 0
+        data = self._v * self.mass.data
+        data[self.mesh.pattern.diag] += (1.0 - self._v) * self.m_lumped
+        return data
+
+    def _gathered_system(self, abar, order):
+        """The constrained S_v at ``abar`` as a CSC matrix on the column-
+        permuted arrays of the downwind ``order``, its values gathered from
+        the mesh pattern: bitwise the matrix that scipy's sums,
+        apply_dirichlet and the LU's column slice give.  None, for those
+        sums, unless ``abar`` was built on a structure seen again and the
+        system stores exactly the entries of ``order``'s structure."""
+        if order is None or self._abar_data is None or self._abar_data[0] is not abar:
+            return None
+        if self._gather is None or self._gather[0] is not order:
+            # built the first time a structure is seen again
+            self._gather = order, *self._gather_map(order)
+        _, stored, pos, boundary = self._gather
+        system = self._mass_v_data + self.spec.tau * self._abar_data[1]
+        if not np.array_equal(system != 0.0, stored):
+            return None
+        # identity rows on the boundary, as apply_dirichlet makes them
+        system[boundary] = 0.0
+        system[self.mesh.pattern.diag[self._bnodes]] = 1.0
+        n = self.mesh.n_nodes
+        return sparse.csc_matrix((system[pos], order[1], order[0]), shape=(n, n))
+
+    def _gather_map(self, order):
+        """(stored, pos, boundary) on the mesh pattern: the entries the
+        system factored in ``order`` stores, the pattern position of each
+        entry of its column-permuted CSC arrays, and the positions of the
+        boundary rows' entries."""
+        pattern, n = self.mesh.pattern, self.mesh.n_nodes
+        size = pattern.indices.size
+        # pattern position + 1 in the order's columns, on the system's
+        # structure, which the pattern holds
+        ids = pattern.matrix(np.arange(1.0, size + 1.0)).tocsc()[:, order[2]]
+        on_system = sparse.csc_matrix((np.ones(order[1].size), order[1], order[0]), shape=(n, n))
+        pos = ids.multiply(on_system).data.astype(np.intp) - 1
+        stored = np.zeros(size, dtype=bool)
+        stored[pos] = True
+        in_boundary_row = np.repeat(self.mesh.boundary_mask, np.diff(pattern.indptr))
+        return stored, pos, np.flatnonzero(in_boundary_row)
 
     def _constrained_rhs(self, rhs, g):
         # in place: every caller hands over a fresh array it keeps no use for

@@ -42,7 +42,11 @@ the Zalesak limiter storing alpha on every pair, with the correction and
 the d_h seminorm read from it, which a limiter listing only the pairs it
 evaluates replaces, and the correction summed over every pair, which the
 limiter's unlimited sums patched on the listed pairs replace (checked
-against the formula sum_j alpha_ij f_ij to a rounding bound).  Every
+against the formula sum_j alpha_ij f_ij to a rounding bound), and Abar
+and the constrained system from scipy's sums, ``apply_dirichlet`` and a
+CSC conversion and column slice on every variable-coefficient step, which
+a gather from the mesh pattern into the LU order's arrays replaces while
+the exact zeros of a + d stay.  Every
 mesh is also tried with its nodes randomly relabelled, which leaves the
 CSR column order unsorted before assembly.
 """
@@ -1921,3 +1925,130 @@ def test_listed_limiter_matches_every_pair_oracles_bitwise(pair_mesh, kind, monk
     assert_correction_matches_formula(pairs, ref, flux, correction_vector(pairs, alpha, flux, sums))
     for e in (np.random.default_rng(10).standard_normal(pairs.n), np.linspace(0.0, 1.0, pairs.n)):
         assert bits(dh_seminorm(pairs, alpha, d_ij, e)) == bits(dense_dh_seminorm(pairs, ref, d_ij, e))
+
+
+# -- the variable-coefficient path on a cached structure: Abar and the
+# system gathered from the mesh pattern while the exact zeros of a + d
+# stay those of the last build, against scipy's sums on every step
+
+
+class SumsEveryStep(TimeStepper):
+    """A stepper that forgets Abar's structure before every build: each
+    Abar is scipy's sum a + d and each system the sums, apply_dirichlet
+    and the LU's column slice."""
+
+    def _build_operators(self, t):
+        self._abar_structure = None
+        return super()._build_operators(t)
+
+
+def rotating_spec():
+    """The space problem with b = (2 cos 40t, 3 sin 40t) on the
+    variable-coefficient path: the exact zeros of Abar move with t."""
+    spec, _ = space_study_problem()
+    spec.constant_coefficients = False
+    spec.b = lambda t, x, y: (np.full_like(x, 2.0 * np.cos(40.0 * t), dtype=float),
+                              np.full_like(x, 3.0 * np.sin(40.0 * t), dtype=float))
+    return spec
+
+
+def gathered_runs(stepper, n_steps, monkeypatch):
+    """The records of ``stepper.run(n_steps)`` and, per LU, whether its
+    system came on the order's column-permuted arrays."""
+    gathered = []
+
+    def recording(matrix, order=None):
+        gathered.append(order is not None and matrix.indptr is order[0])
+        return Factorization(matrix, order=order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(femfct.stepper, "Factorization", recording)
+        records = stepper.run(n_steps)
+    return records, gathered
+
+
+@pytest.mark.parametrize("kind", ["low_order", "linear_fct", "nonlinear_fct"])
+def test_gathered_systems_match_scipy_sums(pair_mesh, kind, monkeypatch):
+    # 30 steps of the rotating velocity, whose structure changes mid-run:
+    # every u bitwise that of a run summing on every step
+    spec = rotating_spec()
+    new, gathered = gathered_runs(TimeStepper(pair_mesh, spec, SchemeKind(kind)), 30, monkeypatch)
+    ref, summed = gathered_runs(SumsEveryStep(pair_mesh, spec, SchemeKind(kind)), 30, monkeypatch)
+    assert not any(summed)
+    # the first LU and each one after a change of structure come from the
+    # sums, the others through the map; the structure changes at 28 of the
+    # 29 steps after the first on the unstructured mesh, 7 on shifted L3
+    # and 3 on FK L3
+    assert 1 < gathered.count(False) and 0 < gathered.count(True)
+    for a, b in zip(new, ref, strict=True):
+        assert a.u.tobytes() == b.u.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])
+def test_constant_coefficients_never_build_the_map(fk2, kind, monkeypatch):
+    maps = []
+    gather_map = TimeStepper._gather_map
+    monkeypatch.setattr(
+        TimeStepper, "_gather_map", lambda self, order: maps.append(order) or gather_map(self, order)
+    )
+    spec, _ = space_study_problem()
+    stepper = TimeStepper(fk2, spec, SchemeKind(kind))
+    stepper.run(10)
+    assert maps == []
+    assert stepper._gather is None and stepper._abar_data is None
+    # the variable-coefficient path builds one for its constant structure
+    spec.constant_coefficients = False
+    TimeStepper(fk2, spec, SchemeKind(kind)).run(10)
+    assert len(maps) == (kind != "galerkin")
+
+
+@pytest.mark.parametrize("change", ["newly_zero", "newly_nonzero"])
+@pytest.mark.parametrize("kind", ["low_order", "linear_fct"])
+def test_changed_zero_of_abar_takes_scipy_sums(mesh, kind, change, monkeypatch):
+    # a_ii := -d_ii at an interior node makes abar_ii exactly 0: at step 5
+    # only (newly zero), or at every step but 5 (newly nonzero at step 5);
+    # that step and the one after build Abar and the system by scipy's
+    # sums, as does the first LU, and every other LU gathers its system;
+    # every u is that of a run summing on every step
+    node = np.flatnonzero(~mesh.boundary_mask)[0]
+    pos = mesh.pattern.diag[node]
+    spec, _ = space_study_problem()
+    spec.constant_coefficients = False
+    at_step_5 = lambda t: abs(t - 5 * spec.tau) < 0.5 * spec.tau
+    zero_at = at_step_5 if change == "newly_zero" else lambda t: not at_step_5(t)
+    assemble = femfct.stepper.assemble_stiffness
+
+    def stiffness(mesh, spec, t):
+        a = assemble(mesh, spec, t)
+        if zero_at(t):
+            a.data[pos] = -artificial_diffusion(a, mesh.pattern).data[pos]
+        return a
+
+    monkeypatch.setattr(femfct.stepper, "assemble_stiffness", stiffness)
+    runs = []
+    for cls in (TimeStepper, SumsEveryStep):
+        stepper = cls(mesh, spec, SchemeKind(kind))
+        records, gathered = gathered_runs(stepper, 10, monkeypatch)
+        level = TimeLevel(stepper, 5 * spec.tau)
+        assert (level.ops[0][node, node] == 0.0) == (change == "newly_zero")
+        runs.append((records, gathered))
+    (new, gathered), (ref, summed) = runs
+    assert gathered == [False] + [True] * 3 + [False, False] + [True] * 4
+    assert not any(summed)
+    for a, b in zip(new, ref, strict=True):
+        assert a.u.tobytes() == b.u.tobytes()
+
+
+def test_zero_of_the_system_takes_scipy_sums(fk2):
+    # Abar's structure seen again, but an exact zero of the system where
+    # the LU's order stores an entry: the system comes from the sums
+    spec, _ = space_study_problem()
+    spec.constant_coefficients = False
+    stepper = TimeStepper(fk2, spec, SchemeKind("low_order"))
+    stepper.run(3)
+    abar, data = stepper._abar_data
+    order = stepper._lu.order
+    assert stepper._gathered_system(abar, order) is not None
+    pos = fk2.pattern.diag[np.flatnonzero(~fk2.boundary_mask)[0]]
+    stepper._mass_v_data[pos] = -(spec.tau * data[pos])
+    assert stepper._gathered_system(abar, order) is None
