@@ -4,14 +4,18 @@ leaves every output bitwise unchanged.
 
 Each line names a case (mesh, problem, coefficient path, scheme) and the
 digest of every record's t, u, alpha (expanded to every pair of the
-mesh, 1 on the pairs the limiter does not list), fp_iters, residual,
-correction_sum and flux_abs_sum, sign bits included.  The problems are
-the space and time studies', on both coefficient paths, and one whose
-velocity and reaction vary in space and time, so that its operators
-change every step.  The ``run_single`` lines digest the four integrated
-error norms instead, and the ``assembly`` lines the data, indptr and
-indices of the mass, the Laplacian and the stiffness (of the space
-problem and of the variable-coefficient one, at three times).  Run it on two source trees
+mesh, the limiter's rest value on the pairs it does not list),
+fp_iters, residual, correction_sum and flux_abs_sum, sign bits included.
+The problems are the space and time studies', on both coefficient paths,
+and one whose velocity and reaction vary in space and time, so that its
+operators change every step.  The time problem runs at tau = 1/30,
+beyond every digest mesh's linear step limit (about 1/151 at FK level
+5), where rounding moves are amplified, and at tau = 1/320 ("time320"),
+inside all of them, where ``--compare`` tells rounding from a real
+change.  The ``run_single`` lines digest the four integrated error norms
+instead, and the ``assembly`` lines the data, indptr and indices of the
+mass, the Laplacian and the stiffness (of the space problem and of the
+variable-coefficient one, at three times).  Run it on two source trees
 and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
@@ -179,10 +183,12 @@ def main(argv=None):
     # tau = 1/30 exceeds the predictor's positivity bound, which the
     # stepper reports once per run
     warnings.filterwarnings("ignore", message="tau=")
-    # the space problem's first steps, and the time problem at a coarse tau
+    # the space problem's first steps, and the time problem at a coarse
+    # tau and at one inside the linear step limits
     problem_of = {
         "space": lambda: problems.space_study_problem(tau=1e-3, t_end=STEPS * 1e-3),
         "time": lambda: problems.time_study_problem(tau=1.0 / STEPS, t_end=1.0),
+        "time320": lambda: problems.time_study_problem(tau=1.0 / 320.0, t_end=1.0),
     }
     for mesh_name, mesh in meshes():
         matrix(f"assembly {mesh_name} mass", lambda: assemble_mass(mesh))

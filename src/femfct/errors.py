@@ -136,20 +136,22 @@ def dh_seminorm(pairs: PairGraph, alpha: LimiterMatrix, d_ij, e_nodes) -> float:
     """Square root of the stabilization form
     d_h(e, e) = sum_{i<j} (1 - alpha_ij) |d_ij| (e_j - e_i)^2, the
     diffusion entries ``d_ij`` given on the pairs.  The sum runs, in pair
-    order, over the pairs alpha lists with alpha_ij != 1 alone, the only
-    ones with a term that is not zero (a Zalesak limiter leaves
-    alpha_ij = 1 on all but a few), so it is 0.0 exactly when alpha = 1
-    everywhere.
+    order, over the pairs with alpha_ij != 1 alone, the only ones with a
+    term that is not zero: for a Zalesak limiter (rest 1) a few of the
+    pairs it lists, for a fixed limiter below 1 every pair; so it is 0.0
+    exactly when alpha = 1 everywhere.
 
     Raises ValueError unless ``d_ij`` has one value per pair.
     """
     d_ij = np.asarray(d_ij)
     if d_ij.shape != pairs.i.shape:
         raise ValueError(f"d_ij has shape {d_ij.shape}, the pairs {pairs.i.shape}")
-    k = np.flatnonzero(alpha.values != 1.0)
-    de = e_nodes[alpha.j[k]] - e_nodes[alpha.i[k]]
-    d = np.abs(d_ij[alpha.ids[k]])
-    return math.sqrt(float(np.sum((1.0 - alpha.values[k]) * d * de * de)))
+    values, ids = alpha.values, alpha.ids
+    if alpha.rest != 1.0:  # the unlisted pairs' terms too
+        values, ids = alpha.expanded(d_ij.size), np.arange(d_ij.size)
+    k = np.flatnonzero(values != 1.0)
+    de = e_nodes[pairs.j[ids[k]]] - e_nodes[pairs.i[ids[k]]]
+    return math.sqrt(float(np.sum((1.0 - values[k]) * np.abs(d_ij[ids[k]]) * de * de)))
 
 
 def time_integrate(values, tau) -> float:

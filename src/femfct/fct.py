@@ -5,9 +5,9 @@ fluxes, prelimiting, the Zalesak limiter, the assembled correction vector,
 and the M-matrix diagnostic for the low-order system matrix.
 
 Fluxes, plain (npairs,) arrays, are stored once per node pair i < j of a
-mesh's ``PairGraph``, and limiter values once per pair a limiter lists;
-f_ji = -f_ij and alpha_ji = alpha_ij are implicit, so antisymmetry and
-limiter symmetry hold exactly.
+mesh's ``PairGraph``, and limiter values once per pair a limiter lists
+(one value for the others); f_ji = -f_ij and alpha_ji = alpha_ij are
+implicit, so antisymmetry and limiter symmetry hold exactly.
 """
 
 from __future__ import annotations
@@ -24,21 +24,23 @@ from .mesh import PairGraph, Pattern, bin_sums
 class LimiterMatrix:
     """Symmetric limiter weights alpha_ij in [0, 1] on the pairs ``ids`` of
     a mesh's ``PairGraph`` (unique, sorted), their ends i < j in ``i`` and
-    ``j``; alpha_ij = 1 on every pair it does not list."""
+    ``j``; alpha_ij = ``rest`` (1 for Zalesak's) on every other pair."""
 
     i: np.ndarray
     j: np.ndarray
     values: np.ndarray
     ids: np.ndarray
+    rest: float = 1.0
 
     def __post_init__(self):
         # written so that NaN fails it too
-        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
+        values = self.values
+        if not (0.0 <= self.rest <= 1.0 and (not values.size or values.min() >= 0.0 and values.max() <= 1.0)):
             raise ValueError("limiter values outside [0, 1]")
 
     def expanded(self, npairs: int) -> np.ndarray:
-        """alpha on every one of the ``npairs`` pairs, 1 where not listed."""
-        alpha = np.ones(npairs)
+        """alpha on every one of the ``npairs`` pairs, ``rest`` off the list."""
+        alpha = np.full(npairs, self.rest)
         alpha[self.ids] = self.values
         return alpha
 
@@ -201,18 +203,21 @@ def zalesak(pairs: PairGraph, f: np.ndarray, bounds, dirichlet):
 
 def correction_vector(pairs: PairGraph, alpha: LimiterMatrix, f: np.ndarray, sums=None) -> np.ndarray:
     """Limited correction f*_i = sum_j alpha_ij f_ij of the fluxes ``f`` on
-    the pairs, alpha_ij = 1 on those alpha does not list, to rounding: the
-    unlimited sums sum_j f_ij (``zalesak``'s, or summed here) plus the sums
-    of (alpha_ij - 1) f_ij over the listed pairs whose alpha is not 1."""
+    the pairs, to rounding: rest times the unlimited sums sum_j f_ij
+    (``zalesak``'s, or summed here) plus the sums of (alpha_ij - rest) f_ij
+    over the listed pairs whose alpha is not alpha's ``rest``."""
     if sums is None:
         sums = bin_sums(pairs.i, f, pairs.n) - bin_sums(pairs.j, f, pairs.n)
-    # about 60 pairs for a Zalesak limiter, none for Galerkin's; summed as
-    # the unlimited sums are, so that alpha = 0 on every pair gives 0 exactly
-    patch = alpha.values != 1.0
-    w = alpha.values[patch] - 1.0
+    # about 60 pairs for a Zalesak limiter, none for a fixed one
+    patch = alpha.values != alpha.rest
+    w = alpha.values[patch] - alpha.rest
     w *= f[alpha.ids[patch]]
     fstar = bin_sums(alpha.i[patch], w, pairs.n)
     fstar -= bin_sums(alpha.j[patch], w, pairs.n)
+    if alpha.rest != 1.0:
+        # not rest * sums: rest = 0 gives +0.0 (or NaN), as the sums of
+        # (0 - 1) f_ij over every pair did
+        sums = sums - (1.0 - alpha.rest) * sums
     fstar += sums
     return fstar
 

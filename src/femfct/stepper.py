@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -147,7 +147,7 @@ class TimeStepper:
     every other scheme solves M_L + tau Abar (v = 0).  A level's operators
     are (Abar_v, d_ij), d_ij being D's entries on the pairs.
 
-    ``run`` builds each time level t = n tau once (a ``TimeLevel``) and
+    ``steps`` builds each time level t = n tau once (a ``TimeLevel``) and
     hands it to the next step as its previous level, so every load,
     boundary value and operator of the run is computed once; each step
     also gets u^{n-1} and u^{n-2} (None at the first step), which only the
@@ -166,8 +166,9 @@ class TimeStepper:
     flux and limiter lives on the
     mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
     and the d_ij read from D's data array at the pattern's upper positions;
-    a Zalesak limiter lists only the pairs it evaluates, a fixed one every
-    pair.
+    a Zalesak limiter lists only the pairs it evaluates (alpha = 1 off
+    them), ``ConstantLimiter(v)`` the pairs touching the boundary (v off
+    them), a fixed limiter v none.
     """
 
     def __init__(self, mesh, spec, scheme: SchemeKind):
@@ -178,15 +179,17 @@ class TimeStepper:
         self.m_lumped = lump(self.mass)
         self.pairs = mesh.pairs
         self._m_ij = mesh.edge_mass
-        bmask = mesh.boundary_mask
-        self._interior_pairs = ~(bmask[self.pairs.i] | bmask[self.pairs.j])
         self._bnodes = mesh.boundary_nodes
-        value = self._fixed_limiter()
+        # the value of a limiter that does not depend on the solution: 1 for
+        # Galerkin, 0 for low order, v for a constant limiter on every pair
+        value, lim = {GALERKIN: 1.0, LOW_ORDER: 0.0}.get(scheme.kind), scheme.limiter
+        if value is None and isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
+            value = lim.value
         self.fixed_alpha = None
         if value is not None:
-            # a read-only view on every pair, shared by every record
-            values = np.broadcast_to(float(value), self.pairs.i.shape)
-            self.fixed_alpha = self._on_every_pair(values)
+            # it lists no pair: one limiter, shared by every record
+            none = np.empty(0, dtype=np.intp)
+            self.fixed_alpha = LimiterMatrix(none, none, np.empty(0), none, float(value))
         # only a Zalesak limiter needs the explicit predictor
         self._check_predictor = value is None
         # the v of S_v: linear_fct solves M_L + tau Abar whatever its limiter
@@ -334,39 +337,26 @@ class TimeStepper:
 
     # -- limiting ----------------------------------------------------
 
-    def _fixed_limiter(self) -> float | None:
-        """The value of a limiter that does not depend on the solution: 1
-        for Galerkin, 0 for low order, v for a constant limiter on every
-        pair; None otherwise."""
-        lim = self.scheme.limiter
-        if self.scheme.kind == GALERKIN:
-            return 1.0
-        if self.scheme.kind == LOW_ORDER:
-            return 0.0
-        if isinstance(lim, ConstantLimiter) and not lim.zalesak_boundary:
-            return lim.value
-        return None
-
     @cached_property
-    def _every_pair(self) -> np.ndarray:
-        # the ids of a limiter listing every pair, shared by all of them
-        ids = np.arange(self.pairs.i.size)
-        ids.setflags(write=False)
-        return ids
-
-    def _on_every_pair(self, values) -> LimiterMatrix:
-        return LimiterMatrix(self.pairs.i, self.pairs.j, values, self._every_pair)
+    def _boundary_limiter(self) -> LimiterMatrix:
+        # ConstantLimiter(v)'s pairs, those touching a boundary node, with
+        # their ends, shared by all of its limiters; v on the others
+        bmask, i, j = self.mesh.boundary_mask, self.pairs.i, self.pairs.j
+        ids = np.flatnonzero(bmask[i] | bmask[j])
+        return LimiterMatrix(i[ids], j[ids], np.ones(ids.size), ids, float(self.scheme.limiter.value))
 
     def _limit(self, flux, bounds):
         """Zalesak limiter of the fluxes, listing the pairs it evaluates; a
-        constant limiter's lists every pair, its value (in [0, 1]) on the
-        interior ones and the Zalesak values on the others; with zalesak's
-        unlimited node sums of the fluxes."""
+        constant limiter's lists the pairs touching the boundary with their
+        Zalesak values (1 where zalesak lists none), its value on every
+        other pair; with zalesak's unlimited node sums of the fluxes."""
         alpha, sums = zalesak(self.pairs, flux, bounds, self._bnodes)
         if isinstance(self.scheme.limiter, ConstantLimiter):
-            values = alpha.expanded(self._every_pair.size)
-            values[self._interior_pairs] = self.scheme.limiter.value
-            alpha = self._on_every_pair(values)
+            listed = self._boundary_limiter
+            values = np.ones(listed.ids.size)
+            _, k, at = np.intersect1d(alpha.ids, listed.ids, assume_unique=True, return_indices=True)
+            values[at] = alpha.values[k]
+            alpha = replace(listed, values=values)
         return alpha, sums
 
     # -- single steps ------------------------------------------------
@@ -478,32 +468,39 @@ class TimeStepper:
 
     # -- time loop ---------------------------------------------------
 
-    def run(self, n_steps: int) -> list[StepRecord]:
-        """Advance n_steps of length tau from the nodal interpolant of u0.
+    def steps(self, n_steps: int):
+        """Advance n_steps of length tau from the nodal interpolant of u0:
+        an iterator of (level, record), level t = 0 and the initial record
+        first, that keeps only u^{n-1}, u^{n-2} and the previous level.
 
         Every step is called as step(level, u^{n-1}, previous level,
         u^{n-2}), u^{n-2} None at the first step; only
         ``step_nonlinear_fct`` reads u^{n-2}, the others accept it so that
         every scheme is called alike.  A step's StepFailure or SolverError
         is raised again, same type, as "step n (t=...) failed: ..."."""
-        tau = self.spec.tau
-        if n_steps * tau > self.spec.t_end + 1e-12:
+        # raised by this call, not by the first step
+        if n_steps * self.spec.tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
-        step = getattr(self, "step_" + self.scheme.kind)
+        return self._steps(n_steps, getattr(self, "step_" + self.scheme.kind))
+
+    def _steps(self, n_steps, step):
         prev = TimeLevel(self, 0.0)
         # the nodal interpolant of u0 with the boundary values g(0)
-        u0 = np.array(self.spec.u0(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float)
-        u0[self._bnodes] = prev.g
-        records = [StepRecord(0.0, u0)]
+        u = np.array(self.spec.u0(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float)
+        u[self._bnodes] = prev.g
+        yield prev, StepRecord(0.0, u)
+        u_prev2 = None
         for n in range(1, n_steps + 1):
-            level = TimeLevel(self, n * tau)
-            u_prev2 = records[-2].u if n > 1 else None
+            level = TimeLevel(self, n * self.spec.tau)
             try:
-                rec = step(level, records[-1].u, prev, u_prev2)
+                rec = step(level, u, prev, u_prev2)
                 if not np.isfinite(rec.u).all():
                     raise StepFailure("non-finite solution", rec.residual)
             except (StepFailure, SolverError) as exc:
                 raise type(exc)(f"step {n} (t={level.t:g}) failed: {exc}", exc.residual) from exc
-            records.append(rec)
-            prev = level
-        return records
+            u_prev2, u, prev = u, rec.u, level
+            yield level, rec
+
+    def run(self, n_steps: int) -> list[StepRecord]:
+        """The records of ``steps(n_steps)``, the initial record first."""
+        return [rec for _, rec in self.steps(n_steps)]

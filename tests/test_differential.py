@@ -42,7 +42,9 @@ the Zalesak limiter storing alpha on every pair, with the correction and
 the d_h seminorm read from it, which a limiter listing only the pairs it
 evaluates replaces, and the correction summed over every pair, which the
 limiter's unlimited sums patched on the listed pairs replace (checked
-against the formula sum_j alpha_ij f_ij to a rounding bound), and Abar
+against the formula sum_j alpha_ij f_ij to a rounding bound), a fixed
+limiter listing every pair, which one listing no pair and holding its
+value for all of them replaces, and Abar
 and the constrained system from scipy's sums, ``apply_dirichlet`` and a
 CSC conversion and column slice on every variable-coefficient step, which
 a gather from the mesh pattern into the LU order's arrays replaces while
@@ -99,7 +101,7 @@ from femfct import (
 )
 from femfct.cli import ExperimentConfig, build_grid, run_single
 from femfct.errors import QUAD4_BARY, QUAD4_W, ErrorWorkspace
-from femfct.mesh import _make_mesh
+from femfct.mesh import _make_mesh, bin_sums
 
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
@@ -800,7 +802,8 @@ def test_constant_limiter_overwrites_the_zalesak_values_bitwise(mesh, spec, oper
         _, flux, _, bounds = limiter_state(mesh, operators, state, seed)
         ref = old_zalesak_where(mesh.pairs, flux, bounds, mesh.boundary_nodes)
         ref[interior] = 0.5
-        assert stepper._limit(flux, bounds)[0].values.tobytes() == ref.tobytes()
+        alpha = stepper._limit(flux, bounds)[0]
+        assert alpha.expanded(mesh.pairs.i.size).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("state", ["none", "all", "mixed"])
@@ -1789,7 +1792,7 @@ def test_dh_seminorm_over_limited_pairs_matches_every_pair_sum(pair_mesh, scheme
 @pytest.mark.parametrize("kind", ["galerkin", "low_order", "constant"])
 def test_dh_seminorm_of_fixed_limiters(pair_mesh, kind):
     # alpha = 1 everywhere: exactly zero, from no pair; a fixed limiter
-    # below 1 on every pair: every pair, in the full sum's order
+    # below 1, which lists no pair: every pair, in the full sum's order
     schemes = {
         "galerkin": SchemeKind("galerkin"),
         "low_order": SchemeKind("low_order"),
@@ -1804,7 +1807,7 @@ def test_dh_seminorm_of_fixed_limiters(pair_mesh, kind):
         assert dh == 0.0 and not np.signbit(dh)
     else:
         assert dh > 0.0
-        assert bits(dh) == bits(old_dh_seminorm(pairs, alpha.values, d_ij, e))
+        assert bits(dh) == bits(old_dh_seminorm(pairs, alpha.expanded(pairs.i.size), d_ij, e))
 
 
 # -- the listed limiter: the Zalesak limiter keeps alpha on the pairs it
@@ -1861,13 +1864,14 @@ def assert_correction_matches_formula(pairs, alpha, f, fstar):
         assert abs(fstar.sum()) <= bound.sum() + n * eps * np.abs(fstar).sum()
 
 
-@pytest.mark.parametrize("listing", ["listed", "every", "empty"])
+@pytest.mark.parametrize("listing", ["listed", "every", "empty", "rest"])
 def test_correction_matches_formula(pair_mesh, listing):
     # a dense antisymmetric F (every pair's flux nonzero, sizes over six
     # decades) and a symmetric alpha, which lists a random third of the
-    # pairs, every pair or none, with the values 0 and 1 among its own;
-    # the unlimited sums computed by correction_vector or handed over by
-    # zalesak
+    # pairs, every pair or none, with the values 0 and 1 among its own,
+    # alpha = 1 on the others, or a random third with alpha = 0.3 on the
+    # others; the unlimited sums computed by correction_vector or handed
+    # over by zalesak
     pairs = pair_mesh.pairs
     npairs = pairs.i.size
     rng = np.random.default_rng(12)
@@ -1877,11 +1881,13 @@ def test_correction_matches_formula(pair_mesh, listing):
             "listed": np.flatnonzero(rng.random(npairs) < 1.0 / 3.0),
             "every": np.arange(npairs),
             "empty": np.empty(0, dtype=np.intp),
+            "rest": np.flatnonzero(rng.random(npairs) < 1.0 / 3.0),
         }[listing]
         values = rng.random(ids.size)
         values[rng.random(ids.size) < 0.2] = 0.0
         values[rng.random(ids.size) < 0.2] = 1.0
-        alpha = LimiterMatrix(pairs.i[ids], pairs.j[ids], values, ids)
+        rest = 0.3 if listing == "rest" else 1.0
+        alpha = LimiterMatrix(pairs.i[ids], pairs.j[ids], values, ids, rest)
         bounds = zalesak_bounds(pairs, rng.standard_normal(pairs.n), np.ones(pairs.n))
         _, sums = zalesak(pairs, f, bounds, np.empty(0, dtype=np.intp))
         for given in (None, sums):
@@ -1891,6 +1897,43 @@ def test_correction_matches_formula(pair_mesh, listing):
             # a fixed limiter 0 (low order) cancels its own sums exactly
             zero = LimiterMatrix(pairs.i, pairs.j, np.zeros(npairs), ids)
             assert correction_vector(pairs, zero, f).tobytes() == np.zeros(pairs.n).tobytes()
+
+
+def old_correction_vector(pairs, alpha, f):
+    """The correction with alpha = 1 off the listed pairs: the unlimited
+    sums plus the sums of (alpha_ij - 1) f_ij over the listed pairs whose
+    alpha is not 1, a fixed limiter v listing every pair."""
+    sums = bin_sums(pairs.i, f, pairs.n) - bin_sums(pairs.j, f, pairs.n)
+    patch = alpha.values != 1.0
+    w = alpha.values[patch] - 1.0
+    w *= f[alpha.ids[patch]]
+    fstar = bin_sums(alpha.i[patch], w, pairs.n)
+    fstar -= bin_sums(alpha.j[patch], w, pairs.n)
+    fstar += sums
+    return fstar
+
+
+@pytest.mark.parametrize("rest", [0.0, 0.5, 1.0])
+def test_correction_of_a_fixed_limiter_matches_every_pair_list_bitwise(pair_mesh, rest):
+    # a limiter listing no pair, alpha = rest on all of them, against the
+    # same value listed on every pair, both summing their own unlimited
+    # sums, as a fixed limiter's step has them; sign bits included, with
+    # exact zero fluxes and nodes whose fluxes are all zero: rest = 0 must
+    # give +0.0 everywhere, where rest * sums gives -0.0 at every node
+    # with negative sums
+    pairs = pair_mesh.pairs
+    npairs, none = pairs.i.size, np.empty(0, dtype=np.intp)
+    fixed = LimiterMatrix(none, none, np.empty(0), none, rest)
+    listed = LimiterMatrix(pairs.i, pairs.j, np.full(npairs, rest), np.arange(npairs))
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        f = rng.standard_normal(npairs) * 10.0 ** rng.uniform(-3.0, 3.0, npairs)
+        f[rng.random(npairs) < 0.3] = 0.0
+        f[np.isin(pairs.i, rng.integers(pairs.n, size=5))] = 0.0
+        new = correction_vector(pairs, fixed, f)
+        assert new.tobytes() == old_correction_vector(pairs, listed, f).tobytes()
+        if rest == 0.0:
+            assert new.tobytes() == np.zeros(pairs.n).tobytes()
 
 
 def dense_dh_seminorm(pairs, alpha, d_ij, e_nodes):

@@ -341,6 +341,21 @@ class TestCorrectionVector:
         alpha = LimiterMatrix(none, none, np.empty(0), none)
         np.testing.assert_allclose(correction_vector(PAIR, alpha, self.pair_flux()), [0.2, -0.2])
 
+    @pytest.mark.parametrize("rest, expected", [(0.0, [0.0, 0.0]), (0.5, [0.1, -0.1]), (1.0, [0.2, -0.2])])
+    def test_unlisted_pair_has_alpha_rest(self, rest, expected):
+        none = np.empty(0, dtype=np.intp)
+        alpha = LimiterMatrix(none, none, np.empty(0), none, rest)
+        fstar = correction_vector(PAIR, alpha, self.pair_flux())
+        np.testing.assert_allclose(fstar, expected)
+        if rest == 0.0:
+            # +0.0, not -0.0
+            assert fstar.tobytes() == np.zeros(2).tobytes()
+
+    def test_listed_pair_off_rest(self):
+        # alpha 1 on the listed pair, rest 0 elsewhere: the full flux
+        alpha = LimiterMatrix(np.array([0]), np.array([1]), np.array([1.0]), np.array([0]), 0.0)
+        np.testing.assert_allclose(correction_vector(PAIR, alpha, self.pair_flux()), [0.2, -0.2])
+
     def test_adds_the_limited_part_to_the_given_sums(self):
         # f* = sums + (alpha - 1) f over the listed pairs; sums left as given,
         # and 0 exactly for alpha = 0
@@ -378,6 +393,16 @@ class TestLimiterMatrix:
         alpha = LimiterMatrix(np.array([0, 2]), np.array([1, 3]), np.array([0.25, -0.0]), np.array([1, 3]))
         full = alpha.expanded(5)
         assert full.tobytes() == np.array([1.0, 0.25, 1.0, -0.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("rest", [-0.25, 1.5, -np.inf, np.nan])
+    def test_rejects_a_rest_outside_the_unit_interval(self, rest):
+        none = np.empty(0, dtype=np.intp)
+        with pytest.raises(ValueError, match="outside"):
+            LimiterMatrix(none, none, np.empty(0), none, rest)
+
+    def test_expanded_is_rest_off_the_listed_pairs(self):
+        alpha = LimiterMatrix(np.array([0]), np.array([1]), np.array([1.0]), np.array([2]), 0.5)
+        assert alpha.expanded(4).tobytes() == np.array([0.5, 0.5, 1.0, 0.5]).tobytes()
 
 
 class TestMMatrixCheck:

@@ -231,6 +231,39 @@ class TestRun:
         spec, _ = study
         with pytest.raises(ValueError):
             TimeStepper(fk1, spec, SchemeKind("galerkin")).run(1001)
+        # by the call, before the first step is asked for
+        with pytest.raises(ValueError, match="exceeds the end time"):
+            TimeStepper(fk1, spec, SchemeKind("galerkin")).steps(1001)
+
+    @pytest.mark.parametrize("kind", ["galerkin", "linear_fct", "nonlinear_fct"])
+    def test_steps_yields_the_records_of_run(self, fk2, study, kind):
+        # (level, record), the level t = 0 and the initial record first,
+        # each record bitwise run's
+        spec, _ = study
+        ref = TimeStepper(fk2, spec, SchemeKind(kind)).run(5)
+        pairs = list(TimeStepper(fk2, spec, SchemeKind(kind)).steps(5))
+        assert len(pairs) == len(ref) == 6
+        for n, ((level, rec), old) in enumerate(zip(pairs, ref)):
+            assert isinstance(level, TimeLevel) and level.t == rec.t == n * spec.tau
+            assert rec.u.tobytes() == old.u.tobytes()
+            assert (rec.fp_iters, rec.residual, rec.correction_sum) == (
+                old.fp_iters, old.residual, old.correction_sum)
+
+    def test_steps_holds_no_record(self, study):
+        # 1000 steps at FK level 3: the iterator keeps u^{n-1}, u^{n-2} and
+        # the previous level, no record once the next step is taken, and
+        # the stepper holds none
+        spec, _ = study
+        stepper = TimeStepper(build_friedrichs_keller(3), spec, SchemeKind("linear_fct"))
+        alive = []
+        for _, rec in stepper.steps(1000):
+            alive.append(weakref.ref(rec))
+            assert all(ref() is None for ref in alive[:-1])
+        del rec
+        assert len(alive) == 1001
+        assert all(ref() is None for ref in alive)
+        held = list(vars(stepper).values())
+        assert not any(isinstance(v, (femfct.stepper.StepRecord, list)) for v in held)
 
     def test_steady_state_preserved(self, fk1):
         # u* solving the stationary problem is a fixed point of the step
@@ -294,14 +327,14 @@ class TestLimiters:
         recs = TimeStepper(
             fk2, spec, SchemeKind("linear_fct", ConstantLimiter(0.5))
         ).run(3)
-        interior = ~(
-            fk2.boundary_mask[recs[1].alpha.i] | fk2.boundary_mask[recs[1].alpha.j]
-        )
-        np.testing.assert_array_equal(recs[1].alpha.values[interior], 0.5)
+        pairs = fk2.pairs
+        alpha = recs[1].alpha.expanded(pairs.i.size)
+        interior = ~(fk2.boundary_mask[pairs.i] | fk2.boundary_mask[pairs.j])
+        np.testing.assert_array_equal(alpha[interior], 0.5)
         # the first step's linear fluxes depend on u0 only, so pairs at the
         # boundary keep exactly the Zalesak run's values
         zal = TimeStepper(fk2, spec, SchemeKind("linear_fct")).run(1)[1].alpha.expanded(interior.size)
-        np.testing.assert_array_equal(recs[1].alpha.values[~interior], zal[~interior])
+        np.testing.assert_array_equal(alpha[~interior], zal[~interior])
         assert np.any(zal[~interior] != 0.5)
 
 
@@ -321,13 +354,25 @@ class TestListedPairs:
             listed = max(listed, ids.size)
         assert 0 < listed < stepper.pairs.i.size
 
-    def test_constant_limiter_lists_every_pair(self, fk2, study):
+    @pytest.mark.parametrize("kind", ["linear_fct", "nonlinear_fct"])
+    def test_constant_limiter_lists_the_boundary_pairs(self, fk2, study, kind):
+        # exactly the pairs touching a boundary node, sorted, their ids and
+        # ends shared by every record, each with its own values; v off them
         spec, _ = study
-        stepper = TimeStepper(fk2, spec, SchemeKind("linear_fct", ConstantLimiter(0.5)))
-        for rec in stepper.run(3)[1:]:
-            assert rec.alpha.i is stepper.pairs.i
-            assert rec.alpha.j is stepper.pairs.j
-            np.testing.assert_array_equal(rec.alpha.ids, np.arange(stepper.pairs.i.size))
+        stepper = TimeStepper(fk2, spec, SchemeKind(kind, ConstantLimiter(0.5)))
+        pairs, bmask = stepper.pairs, fk2.boundary_mask
+        boundary = np.flatnonzero(bmask[pairs.i] | bmask[pairs.j])
+        recs = stepper.run(3)[1:]
+        first = recs[0].alpha
+        np.testing.assert_array_equal(first.ids, boundary)
+        np.testing.assert_array_equal(first.i, pairs.i[boundary])
+        np.testing.assert_array_equal(first.j, pairs.j[boundary])
+        assert boundary.size < pairs.i.size
+        for rec in recs:
+            assert rec.alpha.rest == 0.5
+            assert rec.alpha.ids is first.ids
+            assert rec.alpha.i is first.i and rec.alpha.j is first.j
+            assert rec.alpha.values.shape == boundary.shape
 
     def test_zalesak_records_take_a_fraction_of_their_solutions(self, study):
         # 100 steps at FK level 4: the limiters' arrays, ids included, take
@@ -524,14 +569,16 @@ class TestStepData:
         ],
     )
     def test_fixed_limiter_on_every_record(self, fk2, study, scheme, value):
+        # lists no pair, has its value for all of them, and is one object
+        # on every record
         spec, _ = study
         stepper = TimeStepper(fk2, spec, scheme)
         alpha = stepper.fixed_alpha
-        assert alpha.i is stepper.pairs.i
-        assert alpha.j is stepper.pairs.j
-        np.testing.assert_array_equal(alpha.ids, np.arange(stepper.pairs.i.size))
-        np.testing.assert_array_equal(alpha.values, value)
-        assert not alpha.values.flags.writeable and not alpha.ids.flags.writeable
+        for part in (alpha.i, alpha.j, alpha.values, alpha.ids):
+            assert part.size == 0
+        assert alpha.rest == value and type(alpha.rest) is float
+        full = alpha.expanded(stepper.pairs.i.size)
+        assert full.tobytes() == np.full(stepper.pairs.i.size, float(value)).tobytes()
         for rec in stepper.run(5)[1:]:
             assert rec.alpha is alpha
 
@@ -577,6 +624,39 @@ class TestTimeDependentDirichlet:
         for rec in TimeStepper(mesh, spec, SchemeKind(kind)).run(20):
             exact = u(rec.t, mesh.nodes[:, 0], mesh.nodes[:, 1])
             assert np.abs(rec.u - exact).max() <= 1e-12
+
+
+class TestLinearStepLimit:
+    @pytest.mark.parametrize(
+        "build, limit",
+        [(build_friedrichs_keller, 1.0 / 38.0), (build_shifted_grid, 1.0 / 48.3)],
+        ids=["fk3", "shifted3"],
+    )
+    def test_unlimited_linear_scheme_is_stable_below_its_limit(self, build, limit):
+        # the space problem's operator with f = 0 and g = 0 from a random
+        # u0, 400 steps on level 3: the unlimited linear FCT scheme decays
+        # at 0.95 of its step limit tau* and grows at 1.05 tau* (an
+        # eigenvalue of its step map crosses -1); under Zalesak it decays
+        # at both
+        mesh = build(3)
+
+        def random_u0(x, y):
+            return np.random.default_rng(0).standard_normal(np.shape(x))
+
+        unlimited = SchemeKind("linear_fct", ConstantLimiter(1.0, zalesak_boundary=False))
+        for factor, grows in ((0.95, False), (1.05, True)):
+            tau = factor * limit
+            spec, _ = space_study_problem()
+            spec = dataclasses.replace(
+                spec, f=lambda t, x, y: np.zeros_like(x), u0=random_u0, tau=tau, t_end=400 * tau
+            )
+            for scheme in (unlimited, SchemeKind("linear_fct")):
+                recs = TimeStepper(mesh, spec, scheme).run(400)
+                ratio = np.abs(recs[-1].u).max() / np.abs(recs[0].u).max()
+                if grows and scheme is unlimited:
+                    assert ratio > 1e10
+                else:
+                    assert ratio < 1e-10
 
 
 class TestPredictorBound:
