@@ -15,8 +15,12 @@ inside all of them, where ``--compare`` tells rounding from a real
 change.  The ``run_single`` lines digest the four integrated error norms
 instead, and the ``assembly`` lines the data, indptr and indices of the
 mass, the Laplacian and the stiffness (of the space problem and of the
-variable-coefficient one, at three times).  Run it on two source trees
-and diff the outputs:
+variable-coefficient one, at three times).  The ``mesh`` lines digest
+each digest mesh's set-up arrays, and those of shifted level 6, the
+benchmark's study mesh: the element areas and gradients, the edges' ends,
+midpoints and per-triangle ids, the pattern's indptr, indices, diag,
+upper and lower, the boundary mask, and the edge mass and Laplacian.
+Run it on two source trees and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
 
@@ -86,6 +90,25 @@ def digest_records(mesh, records) -> str:
         h.update(np.ascontiguousarray(rec.u).tobytes())
         if rec.alpha is not None:
             h.update(rec.alpha.expanded(mesh.pairs.i.size).tobytes())
+    return h.hexdigest()
+
+
+def mesh_arrays(mesh) -> dict:
+    """Every set-up array of a mesh that assembly and the steps read."""
+    geo, edges, pattern = mesh.geometry, mesh.edges, mesh.pattern
+    arrays = {"areas": geo.areas, "grads": geo.grads}
+    arrays.update({f"edges_{name}": getattr(edges, name) for name in ("i", "j", "x", "y", "of_triangle")})
+    arrays.update({f"pattern_{name}": getattr(pattern, name) for name in ("indptr", "indices", "diag", "upper", "lower")})
+    # uint8 holds the same bytes as bool and can be subtracted by --compare
+    arrays["boundary_mask"] = mesh.boundary_mask.astype(np.uint8)
+    arrays.update(edge_mass=mesh.edge_mass, edge_laplacian=mesh.edge_laplacian)
+    return arrays
+
+
+def digest_arrays(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays.values():
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
@@ -190,7 +213,11 @@ def main(argv=None):
         "time": lambda: problems.time_study_problem(tau=1.0 / STEPS, t_end=1.0),
         "time320": lambda: problems.time_study_problem(tau=1.0 / 320.0, t_end=1.0),
     }
+    def mesh_line(label, mesh):
+        cases.run(f"mesh {label}", lambda: mesh_arrays(mesh), digest_arrays, lambda arrays: arrays)
+
     for mesh_name, mesh in meshes():
+        mesh_line(mesh_name, mesh)
         matrix(f"assembly {mesh_name} mass", lambda: assemble_mass(mesh))
         matrix(f"assembly {mesh_name} laplacian", lambda: assemble_laplacian(mesh))
         for problem, spec in (("space", problem_of["space"]()[0]), ("variable", variable_spec())):
@@ -215,6 +242,7 @@ def main(argv=None):
                 lambda integrated: hashlib.sha256(floats(*integrated.values())).hexdigest(),
                 lambda integrated: {"norms": list(integrated.values())},
             )
+    mesh_line("shifted6", build_shifted_grid(6))
     if cases.compare is not None:
         print("largest", " ".join(f"{name}={move:.3g}" for name, move in cases.largest.items()))
 

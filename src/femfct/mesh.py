@@ -150,16 +150,19 @@ class TriMesh:
     @cached_property
     def geometry(self) -> Geometry:
         """Element geometry, computed on first use; its arrays are read-only."""
-        p = self.nodes[self.triangles]  # (m, 3, 2)
-        v1 = p[:, 1] - p[:, 0]
-        v2 = p[:, 2] - p[:, 0]
-        area = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-        grads = np.empty((p.shape[0], 3, 2))
+        # each vertex's x and y as (3, m) rows, gathered from the coordinate columns
+        t = self.triangles.T
+        x, y = self.nodes[:, 0][t], self.nodes[:, 1][t]
+        area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+        # grad phi_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / 2|T|, formed
+        # as (2, 3, m) rows and copied to (m, 3, 2)
+        g = np.empty((2, 3, t.shape[1]))
         for a in range(3):
-            j, k = (a + 1) % 3, (a + 2) % 3
-            grads[:, a, 0] = p[:, j, 1] - p[:, k, 1]
-            grads[:, a, 1] = p[:, k, 0] - p[:, j, 0]
-        grads /= (2.0 * area)[:, None, None]
+            b, c = (a + 1) % 3, (a + 2) % 3
+            np.subtract(y[b], y[c], out=g[0, a])
+            np.subtract(x[c], x[b], out=g[1, a])
+        g /= 2.0 * area
+        grads = g.transpose(2, 1, 0).copy()
         for a in (area, grads):
             a.setflags(write=False)
         return Geometry(area, grads)
@@ -168,19 +171,23 @@ class TriMesh:
     def edges(self) -> Edges:
         """Edge numbering, computed on first use; its arrays are read-only."""
         t = self.triangles
-        nxt = np.roll(t, -1, axis=1)  # edge q = (vertex q, vertex q+1)
-        lo, hi = np.minimum(t, nxt).ravel(), np.maximum(t, nxt).ravel()
+        a, b = t.ravel(), t[:, [1, 2, 0]].ravel()  # edge q = (vertex q, vertex q+1)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         # one stable sort of the 3m keys groups the copies of each edge
         key = lo * self.n_nodes + hi
         order = np.argsort(key, kind="stable")
         key = key[order]
         start = np.concatenate(([True], key[1:] != key[:-1]))
+        # the edge ids, summed as int64 (a cumsum of the bools casts each one)
+        ids = start.astype(np.int64)
+        np.cumsum(ids, out=ids)
+        ids -= 1
         of_triangle = np.empty(key.size, dtype=np.int64)
-        of_triangle[order] = np.cumsum(start) - 1
-        first = order[start]
+        of_triangle[order] = ids
+        first = order.compress(start)
         i, j = lo[first], hi[first]
-        x = 0.5 * (self.nodes[i, 0] + self.nodes[j, 0])
-        y = 0.5 * (self.nodes[i, 1] + self.nodes[j, 1])
+        xs, ys = self.nodes.T.copy()  # the coordinate columns
+        x, y = 0.5 * (xs[i] + xs[j]), 0.5 * (ys[i] + ys[j])
         of_triangle = of_triangle.reshape(t.shape)
         for arr in (i, j, x, y, of_triangle):
             arr.setflags(write=False)
@@ -229,12 +236,15 @@ class TriMesh:
         np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
         diag = indptr[:-1] + n_lower
         # the edges are sorted by (i, j), so row i's upper entries are its
-        # edges in order; one stable sort by j gives row j's lower entries
+        # edges in order; the transpose of their CSR (a counting sort by
+        # column, stable in row order) lists row j's lower entries in order
         rank = np.arange(i.size)
-        upper = diag[i] + 1 + rank - (np.cumsum(n_upper) - n_upper)[i]
-        by_j = np.argsort(j, kind="stable")
+        first_upper = np.cumsum(n_upper) - n_upper
+        upper = diag[i] + 1 + rank - first_upper[i]
+        upper_t = sparse.csr_matrix((rank, j, np.append(first_upper, i.size)), shape=(n, n)).tocsc()
+        by_j = upper_t.data
         lower = np.empty_like(upper)
-        lower[by_j] = indptr[j[by_j]] + rank - (np.cumsum(n_lower) - n_lower)[j[by_j]]
+        lower[by_j] = indptr[j[by_j]] + rank - upper_t.indptr[j[by_j]]
         indices = np.empty(indptr[-1], dtype=np.int32)
         indices[diag], indices[upper], indices[lower] = np.arange(n), j, i
         for arr in (indptr, indices, diag, upper, lower):
@@ -286,13 +296,13 @@ def _lattice(level: int, flip_even_rows: bool):
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    row, col = np.divmod(np.arange(n * n), n)
-    v00 = row * (n + 1) + col
-    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
-    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+    lattice = np.arange(n)
+    v00 = lattice[:, None] * (n + 1) + lattice  # (row, col): the cell's lower left node
+    # per cell row, the corners' offsets from v00: v10 = 1, v01 = n + 1, v11 = n + 2
+    corners = np.tile([0, 1, n + 2, 0, n + 2, n + 1], (n, 1))
     if flip_even_rows:
-        flipped = np.stack([v00, v10, v01, v10, v11, v01], axis=1)
-        tris = np.where((row % 2 == 0)[:, None], flipped, tris)
+        corners[::2] = [0, 1, n + 1, 1, n + 2, n + 1]
+    tris = v00[:, :, None] + corners[:, None]
     return nodes, tris.reshape(-1, 3), 1.0 / n
 
 

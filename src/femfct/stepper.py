@@ -10,6 +10,7 @@ solutions).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -477,8 +478,14 @@ class TimeStepper:
         u^{n-2}), u^{n-2} None at the first step; only
         ``step_nonlinear_fct`` reads u^{n-2}, the others accept it so that
         every scheme is called alike.  A step's StepFailure or SolverError
-        is raised again, same type, as "step n (t=...) failed: ..."."""
-        # raised by this call, not by the first step
+        is raised again, same type, as "step n (t=...) failed: ...".
+
+        This call, not the first step, checks n_steps: TypeError unless it
+        is an integer, ValueError if it is negative or n_steps * tau
+        exceeds the end time."""
+        n_steps = operator.index(n_steps)
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
         if n_steps * self.spec.tau > self.spec.t_end + 1e-12:
             raise ValueError("n_steps * tau exceeds the end time")
         return self._steps(n_steps, getattr(self, "step_" + self.scheme.kind))

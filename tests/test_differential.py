@@ -50,7 +50,11 @@ CSC conversion and column slice on every variable-coefficient step, which
 a gather from the mesh pattern into the LU order's arrays replaces while
 the exact zeros of a + d stay.  Every
 mesh is also tried with its nodes randomly relabelled, which leaves the
-CSR column order unsorted before assembly.
+CSR column order unsorted before assembly.  The element geometry from the
+(m, 3, 2) gather of the node rows and the edge midpoints from the rows of
+the (n, 2) node array, which gathers from the coordinate columns replace,
+must give the same bytes, sign bits included, on every lattice level to 6
+and the packaged mesh refined up to 4 times.
 """
 
 import collections
@@ -292,6 +296,31 @@ def test_edges_match_unique_and_pair_graph(mesh):
         assert not arr.flags.writeable
     assert edges.x.flags.c_contiguous and edges.y.flags.c_contiguous
     assert mesh.edges is edges
+
+
+def row_gather_midpoints(mesh):
+    """The edge midpoints from the rows of the (n, 2) node array."""
+    nodes, i, j = mesh.nodes, mesh.edges.i, mesh.edges.j
+    return 0.5 * (nodes[i, 0] + nodes[j, 0]), 0.5 * (nodes[i, 1] + nodes[j, 1])
+
+
+@pytest.mark.parametrize(
+    "grid, level, seed",
+    [(grid, level, 0) for grid in ("fk", "shifted") for level in range(7)]
+    + [("unstructured", level, 0) for level in range(5)]
+    + [("shifted", 3, 3)],
+    ids=lambda p: str(p),
+)
+def test_geometry_and_midpoints_are_the_row_gathers_bytes(grid, level, seed):
+    mesh = relabel(build_grid(ExperimentConfig(grid=grid), level), seed)
+    area, grads, _ = old_geometry(mesh)
+    geo, edges = mesh.geometry, mesh.edges
+    assert geo.areas.tobytes() == area.tobytes()
+    assert geo.grads.shape == grads.shape and geo.grads.tobytes() == grads.tobytes()
+    x, y = row_gather_midpoints(mesh)
+    assert edges.x.tobytes() == x.tobytes() and edges.y.tobytes() == y.tobytes()
+    for arr in (geo.areas, geo.grads, edges.x, edges.y):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25, 0.7])
@@ -1150,7 +1179,7 @@ def old_lattice(level, shifted):
     return nodes, np.array(tris)
 
 
-@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("level", range(7))
 @pytest.mark.parametrize("build", [build_friedrichs_keller, build_shifted_grid])
 def test_lattice_builders_match_cell_loops(build, level):
     nodes, tris = old_lattice(level, shifted=build is build_shifted_grid)

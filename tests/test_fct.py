@@ -235,6 +235,14 @@ class TestPrelimit:
         out = prelimit(self.flux(0.0), np.array([-1.0]))
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize("dubar", [0.0, -0.0])
+    @pytest.mark.parametrize("value", [1.0, -1.0])
+    def test_flux_between_equal_values_kept(self, value, dubar):
+        # ubar_i = ubar_j: f_ij (ubar_i - ubar_j) = +-0.0 is not < 0, so
+        # the inequality is strict and the flux stays
+        out = prelimit(self.flux(value), np.array([dubar]))
+        assert out[0] == value
+
 
 class TestZalesak:
     def flux(self, value):

@@ -235,6 +235,24 @@ class TestRun:
         with pytest.raises(ValueError, match="exceeds the end time"):
             TimeStepper(fk1, spec, SchemeKind("galerkin")).steps(1001)
 
+    def test_negative_count_rejected(self, fk1, study):
+        spec, _ = study
+        with pytest.raises(ValueError, match="nonnegative"):
+            TimeStepper(fk1, spec, SchemeKind("galerkin")).run(-3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            TimeStepper(fk1, spec, SchemeKind("galerkin")).steps(-1)
+
+    def test_fractional_count_rejected_by_the_call(self, fk1, study):
+        # before the first step is asked for
+        spec, _ = study
+        with pytest.raises(TypeError):
+            TimeStepper(fk1, spec, SchemeKind("galerkin")).steps(2.5)
+
+    def test_numpy_integer_count_accepted(self, fk1, study):
+        spec, _ = study
+        recs = TimeStepper(fk1, spec, SchemeKind("galerkin")).run(np.int64(2))
+        assert [rec.t for rec in recs] == [0.0, spec.tau, 2 * spec.tau]
+
     @pytest.mark.parametrize("kind", ["galerkin", "linear_fct", "nonlinear_fct"])
     def test_steps_yields_the_records_of_run(self, fk2, study, kind):
         # (level, record), the level t = 0 and the initial record first,
