@@ -7,8 +7,11 @@ digest of every record's t, u, alpha (expanded to every pair of the
 mesh, the limiter's rest value on the pairs it does not list),
 fp_iters, residual, correction_sum and flux_abs_sum, sign bits included.
 The problems are the space and time studies', on both coefficient paths,
-and one whose velocity and reaction vary in space and time, so that its
-operators change every step.  The time problem runs at tau = 1/30,
+one whose velocity and reaction vary in space and time, so that its
+operators change every step, and ("rotating", on FK level 3 only) the
+space problem with the velocity b = (2 cos 40t, 3 sin 40t), which moves
+the exact zeros of Abar, and with them the structure of the LU's system,
+during the run.  The time problem runs at tau = 1/30,
 beyond every digest mesh's linear step limit (about 1/151 at FK level
 5), where rounding moves are amplified, and at tau = 1/320 ("time320"),
 inside all of them, where ``--compare`` tells rounding from a real
@@ -134,6 +137,16 @@ def variable_spec():
     )
 
 
+def rotating_spec():
+    """The space problem, variable-coefficient path, under the velocity
+    b = (2 cos 40t, 3 sin 40t), whose exact zeros of Abar move with t."""
+    spec, _ = problems.space_study_problem(tau=1e-3, t_end=STEPS * 1e-3)
+    spec.constant_coefficients = False
+    spec.b = lambda t, x, y: (np.full_like(x, 2.0 * np.cos(40.0 * t), dtype=float),
+                              np.full_like(x, 3.0 * np.sin(40.0 * t), dtype=float))
+    return spec
+
+
 def record_arrays(mesh, records) -> dict:
     arrays = {"u": np.stack([rec.u for rec in records])}
     limited = [rec.alpha.expanded(mesh.pairs.i.size) for rec in records if rec.alpha is not None]
@@ -242,6 +255,11 @@ def main(argv=None):
                 lambda integrated: hashlib.sha256(floats(*integrated.values())).hexdigest(),
                 lambda integrated: {"norms": list(integrated.values())},
             )
+    fk3 = build_friedrichs_keller(3)
+    for scheme_name in ("low_order", "linear_fct", "nonlinear_fct"):
+        scheme = SCHEMES[scheme_name]
+        label = f"records fk3 rotating constant=False {scheme_name}"
+        records(label, fk3, lambda: TimeStepper(fk3, rotating_spec(), scheme).run(STEPS))
     mesh_line("shifted6", build_shifted_grid(6))
     if cases.compare is not None:
         print("largest", " ".join(f"{name}={move:.3g}" for name, move in cases.largest.items()))

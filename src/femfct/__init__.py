@@ -36,7 +36,6 @@ from .mesh import (
     build_shifted_grid,
     edge_arrays,
     load_mesh,
-    max_opposite_angle_sum,
     refine_uniform,
 )
 from .problems import ExactSolution, space_study_problem, time_study_problem

@@ -417,20 +417,3 @@ def edge_arrays(mesh: TriMesh):
     order."""
     return mesh.edges.i, mesh.edges.j
 
-
-def max_opposite_angle_sum(mesh: TriMesh) -> float:
-    """Largest sum of the two angles opposite to an interior edge.
-
-    A triangulation is Delaunay iff this never exceeds pi; values above
-    pi/2 already break the angle condition for an M-matrix Laplacian.
-    """
-    p = mesh.nodes[mesh.triangles]
-    # edge q = (vertex q, vertex q+1) is opposite vertex q+2
-    opposite = np.roll(p, -2, axis=1)
-    vi, vj = p - opposite, np.roll(p, -1, axis=1) - opposite
-    norms = np.linalg.norm(vi, axis=2) * np.linalg.norm(vj, axis=2)
-    angle = np.arccos(np.clip(np.sum(vi * vj, axis=2) / norms, -1, 1))
-    edge, n_edges = mesh.edges.of_triangle.ravel(), mesh.edges.i.size
-    sums = np.bincount(edge, angle.ravel(), n_edges)
-    interior = np.bincount(edge, minlength=n_edges) == 2
-    return float(sums[interior].max(initial=0.0))

@@ -55,30 +55,25 @@ class Factorization:
 
     ``order`` is an earlier factorization's ``order``: the CSC structure
     ``(indptr, indices)`` of the ``A[:, cols]`` it factored and its
-    downwind order ``cols``, or None after COLAMD.  A matrix whose
-    columns in that order have that structure is factored in that order,
-    and hands the same ``order`` on; any other matrix is ordered afresh.
-    A CSC matrix on the order's own arrays (its ``indptr`` is the
-    order's) is taken to be ``A[:, cols]`` already and factored as it is.
+    downwind order ``cols``, or None after COLAMD.  Without one, the
+    matrix is ordered afresh.  With one, the matrix must be a CSC matrix
+    on the order's own arrays (its ``indptr`` is the order's, which no
+    other matrix holds), ``A[:, cols]`` already: it is factored as it is
+    and hands the same ``order`` on.  Any other matrix raises ValueError.
     """
 
     def __init__(self, matrix, order=None):
-        csc = matrix
-        if order is None or getattr(matrix, "indptr", None) is not order[0]:
+        if order is None:
             csc = sparse.csc_matrix(matrix)
-            permuted = None if order is None else csc[:, order[2]]
-            if permuted is None or not (
-                np.array_equal(permuted.indptr, order[0])
-                and np.array_equal(permuted.indices, order[1])
-            ):
-                order = permuted = None
-                cols = _downwind_order(csc)
-                if cols is not None:
-                    permuted = csc[:, cols]
-                    order = (permuted.indptr, permuted.indices, cols)
-            if permuted is not None:
+            cols = _downwind_order(csc)
+            if cols is not None:
                 # rebinding frees the unpermuted values before SuperLU runs
-                csc = permuted
+                csc = csc[:, cols]
+                order = (csc.indptr, csc.indices, cols)
+        elif getattr(matrix, "format", None) == "csc" and matrix.indptr is order[0]:
+            csc = matrix
+        else:
+            raise ValueError("a matrix factored in an earlier order must be on that order's arrays")
         cols = None if order is None else order[2]
         try:
             self._lu = splu(

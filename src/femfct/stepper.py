@@ -155,18 +155,17 @@ class TimeStepper:
     nonlinear fixed point reads, for its start.  The one LU
     is refactored only when a level's operators are not those it was
     built from (once per stepper for constant coefficients, once per step
-    otherwise); the upwinded systems factor in downwind order, which the
-    next LU reuses unless the structure (the exact zeros of Abar) changed
-    (see ``Factorization``).  A build whose exact zeros of Abar on the
-    mesh pattern are the last build's makes Abar on the last one's
-    structure arrays, and the LU at it gathers its system's values from
-    the pattern straight into the LU order's column-permuted arrays,
-    through a position map built the first time a structure is seen
-    again; every other build and system takes scipy's sums and
-    ``apply_dirichlet``, which give bitwise the same matrices.  Every
-    flux and limiter lives on the
-    mesh's pair graph (``pairs``), with the mesh's m_ij (``edge_mass``)
-    and the d_ij read from D's data array at the pattern's upper positions;
+    otherwise); the upwinded systems factor in downwind order.  A build
+    whose exact zeros of Abar on the mesh pattern are the last build's
+    makes Abar on the last one's structure arrays, and the LU at it
+    gathers its system's values from the pattern straight into the last
+    LU order's column-permuted arrays, through a position map built the
+    first time a structure is seen again, and reuses that order: the one
+    place an order is reused.  Every other build and system takes scipy's
+    sums and ``apply_dirichlet``, which give bitwise the same matrices,
+    and an LU ordered afresh.  Every flux and limiter lives on the mesh's
+    pair graph (``pairs``), with the mesh's m_ij (``edge_mass``) and the
+    d_ij read from D's data array at the pattern's upper positions;
     a Zalesak limiter lists only the pairs it evaluates (alpha = 1 off
     them), ``ConstantLimiter(v)`` the pairs touching the boundary (v off
     them), a fixed limiter v none.
@@ -278,9 +277,9 @@ class TimeStepper:
             if system is None:
                 # scipy's sums and apply_dirichlet keep the pattern that
                 # dropped the exact zeros of Abar, which the LU's fill
-                # depends on
+                # depends on; the LU orders it afresh
                 system = self._mass_v + self.spec.tau * ops[0]
-                system = apply_dirichlet(system, self.mesh)
+                system, order = apply_dirichlet(system, self.mesh), None
             self._lu, self._lu_ops = Factorization(system, order=order), ops
         return self._lu
 
@@ -296,7 +295,7 @@ class TimeStepper:
         """The constrained S_v at ``abar`` as a CSC matrix on the column-
         permuted arrays of the downwind ``order``, its values gathered from
         the mesh pattern: bitwise the matrix that scipy's sums,
-        apply_dirichlet and the LU's column slice give.  None, for those
+        apply_dirichlet and a fresh LU's column slice give.  None, for those
         sums, unless ``abar`` was built on a structure seen again and the
         system stores exactly the entries of ``order``'s structure."""
         if order is None or self._abar_data is None or self._abar_data[0] is not abar:
@@ -410,8 +409,10 @@ class TimeStepper:
             return self.step_fixed_limiter(level, u_prev, prev)
         tau = self.spec.tau
         t, g, fvec = level.t, level.g, level.f
-        abar, d_ij = level.ops
+        # the levels' operators in time order, so that the structure check
+        # of each build compares it with the level before
         r = prev.ops[0] @ u_prev - prev.f
+        abar, d_ij = level.ops
         ubar = predictor_half_step(self.m_lumped, r, u_prev, tau, self._bnodes, g)
         factor = self._factorization(level)
         bounds = zalesak_bounds(self.pairs, ubar, self.m_lumped)

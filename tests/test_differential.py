@@ -94,7 +94,6 @@ from femfct import (
     linear_fluxes,
     lump,
     m_matrix_check,
-    max_opposite_angle_sum,
     prelimit,
     raw_fluxes,
     refine_uniform,
@@ -106,6 +105,7 @@ from femfct import (
 from femfct.cli import ExperimentConfig, build_grid, run_single
 from femfct.errors import QUAD4_BARY, QUAD4_W, ErrorWorkspace
 from femfct.mesh import _make_mesh, bin_sums
+from helpers import max_opposite_angle_sum, on_order
 
 QUAD2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 QUAD2_W = np.array([1.0, 1.0, 1.0]) / 3.0
@@ -958,27 +958,31 @@ def factored_system(stepper, monkeypatch):
     ids=["galerkin", "low_order", "linear_fct", "nonlinear_fct", "nonlinear_fct-constant0.3"],
 )
 def test_reused_column_order_matches_fresh_lu(mesh, scheme, monkeypatch):
-    # a matrix of the structure of the paper's system, factored in the order
-    # the stepper's LU hands on, pivots, fills and solves bitwise as a
-    # fresh Factorization of it; the consistent mass's two-way entries
-    # leave cycles, so Galerkin and the constant limiter hand on no order
+    # a matrix of the structure of the paper's system, gathered onto the
+    # arrays of the order the stepper's LU hands on, pivots, fills and
+    # solves bitwise as a fresh Factorization of it; the consistent mass's
+    # two-way entries leave cycles, so Galerkin and the constant limiter
+    # hand on no order
     spec, _ = space_study_problem()
     system, first = factored_system(TimeStepper(mesh, spec, scheme), monkeypatch)
     upwinded = scheme.kind != "galerkin" and not isinstance(scheme.limiter, ConstantLimiter)
     assert (first.order is not None) == upwinded
+    if not upwinded:
+        return
     rng = np.random.default_rng(3)
     system = sparse.csc_matrix(system, copy=True)
     system.data *= 1.0 + 0.01 * rng.random(system.nnz)
-    reused, fresh = Factorization(system, order=first.order), Factorization(system)
-    if upwinded:
-        assert reused.order[2] is first.order[2]
-        assert fresh.order[2] is not first.order[2]
-        np.testing.assert_array_equal(fresh.order[2], first.order[2])
-    else:
-        assert reused.order is None and fresh.order is None
+    reused = Factorization(on_order(system, first.order), order=first.order)
+    fresh = Factorization(system)
+    assert reused.order is first.order
+    assert fresh.order[2] is not first.order[2]
+    np.testing.assert_array_equal(fresh.order[2], first.order[2])
     np.testing.assert_array_equal(reused._lu.perm_r, fresh._lu.perm_r)
     np.testing.assert_array_equal(reused._lu.perm_c, fresh._lu.perm_c)
-    assert reused._lu.L.nnz + reused._lu.U.nnz == fresh._lu.L.nnz + fresh._lu.U.nnz
+    for name in ("L", "U"):
+        for part in ("data", "indices", "indptr"):
+            new, old = (getattr(getattr(f._lu, name), part) for f in (reused, fresh))
+            assert new.tobytes() == old.tobytes()
     for _ in range(3):
         rhs = rng.standard_normal(mesh.n_nodes)
         assert reused.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
@@ -2006,8 +2010,9 @@ def test_listed_limiter_matches_every_pair_oracles_bitwise(pair_mesh, kind, monk
 
 class SumsEveryStep(TimeStepper):
     """A stepper that forgets Abar's structure before every build: each
-    Abar is scipy's sum a + d and each system the sums, apply_dirichlet
-    and the LU's column slice."""
+    Abar is scipy's sum a + d, each system the sums and apply_dirichlet,
+    and each LU ordered afresh, which gives bitwise the same factors as
+    an order reused on the same structure."""
 
     def _build_operators(self, t):
         self._abar_structure = None
@@ -2054,6 +2059,29 @@ def test_gathered_systems_match_scipy_sums(pair_mesh, kind, monkeypatch):
     assert 1 < gathered.count(False) and 0 < gathered.count(True)
     for a, b in zip(new, ref, strict=True):
         assert a.u.tobytes() == b.u.tobytes()
+
+
+def test_repeated_structure_is_gathered(monkeypatch):
+    # 30 nonlinear steps of the rotating velocity on FK L3: every LU after
+    # the first whose system has the structure of the LU before's is
+    # gathered onto that LU's order, and every other one is ordered
+    # afresh; the step builds its levels in time order, as the linear
+    # one, so each build's structure is compared with the level before's
+    structures, gathered = [], []
+
+    def recording(matrix, order=None):
+        on = order is not None and matrix.indptr is order[0]
+        csc = sparse.csc_matrix(matrix)[:, np.argsort(order[2])] if on else sparse.csc_matrix(matrix)
+        structures.append((csc.indptr.tobytes(), csc.indices.tobytes()))
+        gathered.append(on)
+        return Factorization(matrix, order=order)
+
+    monkeypatch.setattr(femfct.stepper, "Factorization", recording)
+    TimeStepper(build_friedrichs_keller(3), rotating_spec(), SchemeKind("nonlinear_fct")).run(30)
+    repeated = [k > 0 and structures[k] == structures[k - 1] for k in range(len(structures))]
+    assert len(gathered) == 30
+    assert gathered == repeated
+    assert 1 < gathered.count(False) < 30
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "low_order", "linear_fct", "nonlinear_fct"])

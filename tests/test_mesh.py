@@ -14,12 +14,12 @@ from femfct import (
     build_shifted_grid,
     edge_arrays,
     load_mesh,
-    max_opposite_angle_sum,
     refine_uniform,
     space_study_problem,
 )
 from femfct.cli import ExperimentConfig, build_grid
 from femfct.mesh import bin_sums
+from helpers import max_opposite_angle_sum
 
 
 def triangle_signature(mesh):

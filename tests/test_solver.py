@@ -4,6 +4,7 @@ from scipy import sparse
 
 import femfct.solver
 from femfct import Factorization, SolverError
+from helpers import on_order
 
 
 def random_dominant_system(seed, n=20):
@@ -17,8 +18,8 @@ def random_dominant_system(seed, n=20):
 
 def random_acyclic_system(seed, n=40):
     """A diagonally dominant matrix whose graph (an edge j -> i for every
-    a_ij != 0, i != j) is a random DAG on randomly labelled nodes; also
-    the topological order ``rank`` it was drawn in."""
+    a_ij != 0, i != j) is a random DAG on randomly labelled nodes, and a
+    right-hand side."""
     rng = np.random.default_rng(seed)
     a = np.tril(rng.standard_normal((n, n)), k=-1)
     a[np.abs(a) < 0.8] = 0.0
@@ -27,7 +28,7 @@ def random_acyclic_system(seed, n=40):
     rank = rng.permutation(n)
     relabelled = np.empty_like(a)
     relabelled[np.ix_(rank, rank)] = a
-    return sparse.csr_matrix(relabelled), rng.standard_normal(n), rank
+    return sparse.csr_matrix(relabelled), rng.standard_normal(n)
 
 
 def assert_downwind(matrix, order):
@@ -114,54 +115,25 @@ class TestFactorization:
         rhs = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(a @ fac.solve(rhs), rhs, rtol=1e-15)
 
-    def test_reuses_column_order_of_same_structure(self):
-        a, rhs, _ = random_acyclic_system(5)
-        first = Factorization(a)
-        cols = first.order[2]
-        assert_downwind(a, cols)
-        # new values on the same structure: factored in the same order
-        b = a.copy()
-        b.data *= 1.5
-        second = Factorization(b, order=first.order)
-        assert second.order[2] is cols
-        u = second.solve(rhs)
-        assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
-
     def test_matrix_on_the_orders_permuted_arrays_factors_as_it_is(self, monkeypatch):
         # new values on the order's own arrays of A[:, cols]: no fresh
-        # order, the order handed on, and the factors and solves of the
-        # same values handed over as A
-        a, rhs, _ = random_acyclic_system(5)
+        # order, the order handed on, and the factors and solves of a fresh
+        # factorization of the same values handed over as A
+        a, rhs = random_acyclic_system(5)
         first = Factorization(a)
+        assert_downwind(a, first.order[2])
         b = a.tocsc()
         b.data *= 1.5
-        permuted = b[:, first.order[2]]
-        on_order = sparse.csc_matrix((permuted.data, first.order[1], first.order[0]), shape=a.shape)
-        ref = Factorization(b, order=first.order)
+        ref = Factorization(b)
+        np.testing.assert_array_equal(ref.order[2], first.order[2])
         monkeypatch.setattr(femfct.solver, "_downwind_order", None)
-        second = Factorization(on_order, order=first.order)
-        assert second.order is first.order and ref.order is first.order
+        second = Factorization(on_order(b, first.order), order=first.order)
+        assert second.order is first.order
         for name in ("L", "U"):
             for part in ("data", "indices", "indptr"):
                 new, old = (getattr(getattr(f._lu, name), part) for f in (second, ref))
                 assert new.tobytes() == old.tobytes()
         assert second.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
-
-    def test_orders_columns_afresh_for_other_structure(self):
-        a, rhs, rank = random_acyclic_system(5)
-        first = Factorization(a)
-        # a new edge from the first node in topological order to the last
-        # keeps the graph acyclic
-        b = a.tolil()
-        b[rank[-1], rank[0]] = -0.25
-        b = b.tocsr()
-        assert b.nnz == a.nnz + 1
-        second = Factorization(b, order=first.order)
-        assert second.order[2] is not first.order[2]
-        assert_downwind(b, second.order[2])
-        np.testing.assert_array_equal(second.order[1], b.tocsc()[:, second.order[2]].indices)
-        u = second.solve(rhs)
-        assert np.linalg.norm(b @ u - rhs) < 1e-12 * np.linalg.norm(rhs)
 
     def test_one_column_panels_only_in_downwind_order(self, monkeypatch):
         panels = []
@@ -174,14 +146,28 @@ class TestFactorization:
         monkeypatch.setattr(femfct.solver, "splu", recording_splu)
         acyclic = sparse.csr_matrix(np.array([[4.0, 0.0], [-1.0, 4.0]]))
         downwind = Factorization(acyclic)
-        Factorization(acyclic * 2.0, order=downwind.order)
+        Factorization(on_order(acyclic * 2.0, downwind.order), order=downwind.order)
         a, _ = random_dominant_system(5, n=40)
         colamd = Factorization(a)
         assert colamd.order is None
         Factorization(a * 2.0, order=colamd.order)
-        # the triangular LU, fresh and reused, takes one-column panels; a
-        # COLAMD order, which is never reused, SuperLU's default
+        # the triangular LU, fresh and on its order's arrays, takes
+        # one-column panels; a COLAMD order, which is never reused,
+        # SuperLU's default
         assert panels == [1, 1, None, None]
+
+    def test_matrix_off_the_orders_arrays_rejected(self):
+        # with an order, only a CSC matrix on that order's own arrays: the
+        # same values sliced into equal but other arrays, the unpermuted
+        # matrix and a CSR on the order's indptr all raise
+        a, _ = random_acyclic_system(5)
+        order = Factorization(a).order
+        permuted = a.tocsc()[:, order[2]]
+        np.testing.assert_array_equal(permuted.indptr, order[0])
+        csr = sparse.csr_matrix((permuted.data, order[1], order[0]), shape=a.shape)
+        for matrix in (permuted, a, a.tocsc(), csr):
+            with pytest.raises(ValueError, match="order's arrays"):
+                Factorization(matrix, order=order)
 
 
 class TestDownwindOrder:
