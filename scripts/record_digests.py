@@ -23,6 +23,10 @@ each digest mesh's set-up arrays, and those of shifted level 6, the
 benchmark's study mesh: the element areas and gradients, the edges' ends,
 midpoints and per-triangle ids, the pattern's indptr, indices, diag,
 upper and lower, the boundary mask, and the edge mass and Laplacian.
+The ``errors`` lines digest, on each digest mesh and on shifted level 6,
+the interpolation split's constants of the space and the time problems'
+exact solutions: the profile at the nodes and the L2 and H1 constants
+(eta, eta), c, (grad eta, grad eta) and g (see ``ErrorWorkspace``).
 Run it on two source trees and diff the outputs:
 
     PYTHONPATH=src python3 scripts/record_digests.py > digests.txt
@@ -31,7 +35,8 @@ When the outputs are meant to move by rounding only, save each case's
 arrays on one tree and compare the other's against them; ``--compare``
 prints, per case, the largest relative move of u (max |u - u_ref| over
 max |u_ref|, over the records) and of alpha, of the four integrated
-norms, or of a matrix's data, instead of its digest:
+norms, of a split constant, or of a matrix's data, instead of its
+digest:
 
     PYTHONPATH=old/src python3 scripts/record_digests.py --save /tmp/ref
     PYTHONPATH=src python3 scripts/record_digests.py --compare /tmp/ref
@@ -56,6 +61,7 @@ from femfct import (
     assemble_mass,
     assemble_stiffness,
     cli,
+    errors,
     problems,
 )
 from femfct.mesh import build_friedrichs_keller, build_shifted_grid
@@ -106,6 +112,12 @@ def mesh_arrays(mesh) -> dict:
     arrays["boundary_mask"] = mesh.boundary_mask.astype(np.uint8)
     arrays.update(edge_mass=mesh.edge_mass, edge_laplacian=mesh.edge_laplacian)
     return arrays
+
+
+def split_arrays(mesh, exact) -> dict:
+    """The interpolation split's constants of ``exact`` on ``mesh``."""
+    nodal, (eta2, c), (grad2, g) = errors._split_constants(mesh, exact)
+    return {"nodal": nodal, "eta2": np.float64(eta2), "c": c, "grad2": np.float64(grad2), "g": g}
 
 
 def digest_arrays(arrays) -> str:
@@ -229,6 +241,11 @@ def main(argv=None):
     def mesh_line(label, mesh):
         cases.run(f"mesh {label}", lambda: mesh_arrays(mesh), digest_arrays, lambda arrays: arrays)
 
+    def errors_lines(label, mesh):
+        for problem in ("space", "time"):
+            _, exact = problem_of[problem]()
+            cases.run(f"errors {label} {problem}", lambda: split_arrays(mesh, exact), digest_arrays, lambda arrays: arrays)
+
     for mesh_name, mesh in meshes():
         mesh_line(mesh_name, mesh)
         matrix(f"assembly {mesh_name} mass", lambda: assemble_mass(mesh))
@@ -255,12 +272,15 @@ def main(argv=None):
                 lambda integrated: hashlib.sha256(floats(*integrated.values())).hexdigest(),
                 lambda integrated: {"norms": list(integrated.values())},
             )
+        errors_lines(mesh_name, mesh)
     fk3 = build_friedrichs_keller(3)
     for scheme_name in ("low_order", "linear_fct", "nonlinear_fct"):
         scheme = SCHEMES[scheme_name]
         label = f"records fk3 rotating constant=False {scheme_name}"
         records(label, fk3, lambda: TimeStepper(fk3, rotating_spec(), scheme).run(STEPS))
-    mesh_line("shifted6", build_shifted_grid(6))
+    shifted6 = build_shifted_grid(6)
+    mesh_line("shifted6", shifted6)
+    errors_lines("shifted6", shifted6)
     if cases.compare is not None:
         print("largest", " ".join(f"{name}={move:.3g}" for name, move in cases.largest.items()))
 

@@ -30,6 +30,8 @@ QUAD4_BARY = np.array(
     ]
 )
 QUAD4_W = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+# triangles per block of the split constants
+_BLOCK = 4096
 
 
 class ErrorWorkspace:
@@ -93,30 +95,34 @@ class ErrorWorkspace:
 def _split_constants(mesh, exact):
     """S at the nodes, ((eta, eta), c) and ((grad eta, grad eta), g).
 
-    One quadrature point of every triangle at a time, so the temporaries
-    are (m,) arrays; every sum is an einsum or a bincount.
+    One block of ``_BLOCK`` triangles and one quadrature point at a time,
+    so the temporaries stay (_BLOCK,) arrays however large the mesh; every
+    sum is an einsum or an ``add.at``.
     """
-    tri, geo, n = mesh.triangles.T, mesh.geometry, mesh.n_nodes
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    x, y, geo = mesh.nodes[:, 0], mesh.nodes[:, 1], mesh.geometry
     nodal = np.asarray(exact.profile(x, y), dtype=float)
-    grad_ih = np.einsum("am,mad->dm", nodal[tri], geo.grads)
     eta2 = grad2 = 0.0
-    # per triangle, (eta, phi_a) and the integral of grad eta
-    c_local, sums = np.zeros(tri.shape), np.zeros(grad_ih.shape)
-    for b, w in zip(QUAD4_BARY, QUAD4_W):
-        qx, qy, ih = (np.einsum("a,am->m", b, v[tri]) for v in (x, y, nodal))
-        wa = w * geo.areas
-        eta = exact.profile(qx, qy) - ih
-        gx, gy = exact.profile_gradient(qx, qy)  # may be plain numbers
-        ex, ey = gx - grad_ih[0], gy - grad_ih[1]
-        eta2 += float(np.einsum("m,m,m->", wa, eta, eta))
-        grad2 += float(np.einsum("m,m->", wa, ex * ex + ey * ey))
-        c_local += np.einsum("a,m,m->am", b, wa, eta)
-        sums[0] += wa * ex
-        sums[1] += wa * ey
-    c = np.bincount(tri.ravel(), c_local.ravel(), n)
-    # grad phi_a is constant per triangle
-    g = np.bincount(tri.ravel(), np.einsum("dm,mad->am", sums, geo.grads).ravel(), n)
+    c, g = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    for start in range(0, mesh.n_triangles, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        tri, grads, areas = mesh.triangles[block].T, geo.grads[block], geo.areas[block]
+        grad_ih = np.einsum("am,mad->dm", nodal[tri], grads)
+        # per triangle, (eta, phi_a) and the integral of grad eta
+        c_local, sums = np.zeros(tri.shape), np.zeros(grad_ih.shape)
+        for b, w in zip(QUAD4_BARY, QUAD4_W):
+            qx, qy, ih = (np.einsum("a,am->m", b, v[tri]) for v in (x, y, nodal))
+            wa = w * areas
+            eta = exact.profile(qx, qy) - ih
+            gx, gy = exact.profile_gradient(qx, qy)  # may be plain numbers
+            ex, ey = gx - grad_ih[0], gy - grad_ih[1]
+            eta2 += float(np.einsum("m,m,m->", wa, eta, eta))
+            grad2 += float(np.einsum("m,m->", wa, ex * ex + ey * ey))
+            c_local += np.einsum("a,m,m->am", b, wa, eta)
+            sums[0] += wa * ex
+            sums[1] += wa * ey
+        np.add.at(c, tri.ravel(), c_local.ravel())
+        # grad phi_a is constant per triangle
+        np.add.at(g, tri.ravel(), np.einsum("dm,mad->am", sums, grads).ravel())
     return nodal, (eta2, c), (grad2, g)
 
 

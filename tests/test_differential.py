@@ -21,8 +21,9 @@ table replaces, COLAMD's column order for the upwinded systems
 that now factor in downwind order, SuperLU's default panel size for the
 triangular LU, the L2 and H1 error norms as whole-mesh einsums of the
 exact solution's callbacks, which the interpolation split's per-mesh
-constants replace, the manufactured problem's closed forms, the three
-system matrices of Galerkin, low order and the constant-limiter
+constants replace, those constants over every triangle at once, which
+blocks of triangles replace, the manufactured problem's closed forms,
+the three system matrices of Galerkin, low order and the constant-limiter
 nonlinear scheme, which the one fixed-limiter system S_v replaces, the
 Zalesak limiter computing alpha on every pair, prelimiting that gathers
 ubar_i - ubar_j on every call, the manufactured source evaluating its
@@ -66,6 +67,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
+import femfct.errors
 import femfct.problems
 import femfct.solver
 import femfct.stepper
@@ -1325,6 +1327,84 @@ def test_split_error_norms_match_whole_mesh_einsums(grid, level, problem, u_h_ki
             assert not ws.nodal_error(u_h, exact, t).any()
 
 
+def old_split_constants(mesh, exact):
+    """The split constants over every triangle at once, c and g summed by
+    bincount; with, per node, the number of terms summed into c_i and g_i
+    and the sums of their magnitudes, for the rounding bounds."""
+    tri, geo, n = mesh.triangles.T, mesh.geometry, mesh.n_nodes
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    nodal = np.asarray(exact.profile(x, y), dtype=float)
+    grad_ih = np.einsum("am,mad->dm", nodal[tri], geo.grads)
+    eta2 = grad2 = 0.0
+    c_local, sums = np.zeros(tri.shape), np.zeros(grad_ih.shape)
+    for b, w in zip(QUAD4_BARY, QUAD4_W):
+        qx, qy, ih = (np.einsum("a,am->m", b, v[tri]) for v in (x, y, nodal))
+        wa = w * geo.areas
+        eta = exact.profile(qx, qy) - ih
+        gx, gy = exact.profile_gradient(qx, qy)
+        ex, ey = gx - grad_ih[0], gy - grad_ih[1]
+        eta2 += float(np.einsum("m,m,m->", wa, eta, eta))
+        grad2 += float(np.einsum("m,m->", wa, ex * ex + ey * ey))
+        c_local += np.einsum("a,m,m->am", b, wa, eta)
+        sums[0] += wa * ex
+        sums[1] += wa * ey
+    g_local = np.einsum("dm,mad->am", sums, geo.grads)
+    ids = tri.ravel()
+    constants = {
+        "nodal": nodal, "eta2": eta2, "grad2": grad2,
+        "c": np.bincount(ids, c_local.ravel(), n), "g": np.bincount(ids, g_local.ravel(), n),
+    }
+    magnitudes = {"c": np.bincount(ids, np.abs(c_local).ravel(), n), "g": np.bincount(ids, np.abs(g_local).ravel(), n)}
+    return constants, np.bincount(ids, minlength=n), magnitudes
+
+
+def split_constants(mesh, exact):
+    nodal, (eta2, c), (grad2, g) = femfct.errors._split_constants(mesh, exact)
+    return {"nodal": nodal, "eta2": eta2, "grad2": grad2, "c": c, "g": g}
+
+
+SPLIT_MESHES = {
+    "fk3": lambda: build_friedrichs_keller(3),
+    "shifted3": lambda: build_shifted_grid(3),
+    "unstructured1": lambda: build_grid(ExperimentConfig(grid="unstructured"), 1),
+    "unstructured3": lambda: build_grid(ExperimentConfig(grid="unstructured"), 3),
+    "fk5": lambda: build_friedrichs_keller(5),
+    "shifted6": lambda: build_shifted_grid(6),
+}
+
+
+# the space and time problems share the profile S, so one of them serves;
+# a block of 3000 leaves a ragged last block
+@pytest.mark.parametrize(
+    "name, block", [(name, None) for name in SPLIT_MESHES] + [("fk5", 3000), ("shifted6", 3000)]
+)
+def test_blocked_split_constants_match_one_block(name, block, monkeypatch):
+    mesh = SPLIT_MESHES[name]()
+    m = len(mesh.triangles)
+    _, exact = space_study_problem()
+    old, terms, magnitudes = old_split_constants(mesh, exact)
+    default = femfct.errors._BLOCK
+    # one block over the whole mesh: add.at into zeros adds in bincount's
+    # order, so it is the former whole-mesh computation, bitwise
+    monkeypatch.setattr(femfct.errors, "_BLOCK", m)
+    assert {k: bits(v) for k, v in split_constants(mesh, exact).items()} == {k: bits(v) for k, v in old.items()}
+    monkeypatch.setattr(femfct.errors, "_BLOCK", block or default)
+    blocked = split_constants(mesh, exact)
+    if m <= femfct.errors._BLOCK:  # one block
+        assert {k: bits(v) for k, v in blocked.items()} == {k: bits(v) for k, v in old.items()}
+        return
+    # more than one block: only the order of the additions changes.  A sum
+    # of k terms in any order is within (k - 1) u of the sum of their
+    # magnitudes (u the unit roundoff), so two orders differ by at most
+    # 2 (k - 1) u times it; eta2 and grad2 sum m nonnegative terms each
+    u = np.finfo(float).eps / 2
+    assert bits(blocked["nodal"]) == bits(old["nodal"])
+    for key in ("eta2", "grad2"):
+        assert abs(blocked[key] - old[key]) <= 2 * (m - 1) * u * old[key]
+    for key in ("c", "g"):
+        assert np.all(np.abs(blocked[key] - old[key]) <= 2 * (terms - 1) * u * magnitudes[key])
+
+
 def old_step_nonlinear_fct(stepper, level, u_prev, prev, u_prev2=None):
     """The nonlinear FCT step as plain fixed-point iteration from u_prev,
     u_{k+1} = S^{-1}(tau f + M_L u_prev + f*(u_k)), which Anderson
@@ -1568,7 +1648,9 @@ def test_run_single_norms_equal_the_callback_evaluation(case, monkeypatch):
 
 
 def test_run_single_evaluates_the_profile_once_per_mesh():
+    # 4608 triangles: two blocks of the split constants
     mesh = build_grid(ExperimentConfig(grid="unstructured"), 3)
+    points = 6 * -(-len(mesh.triangles) // femfct.errors._BLOCK)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -1590,9 +1672,9 @@ def test_run_single_evaluates_the_profile_once_per_mesh():
         reference, _ = run_single(mesh, spec, exact, SchemeKind("linear_fct"))
         assert {k: bits(v) for k, v in integrated.items()} == {k: bits(v) for k, v in reference.items()}
     # the profile at the nodes and at each of the 6 quadrature points of
-    # every triangle, the gradient at those points, however many records
-    # there are
-    assert counts == [{"profile": 1 + 6, "gradient": 6}] * 2
+    # every block of triangles, the gradient at those points, however many
+    # records there are
+    assert counts == [{"profile": 1 + points, "gradient": points}] * 2
 
     # a workspace keeps one profile and gradient: another pair replaces
     # the kept constants, and the norms are those of a fresh workspace
@@ -1607,10 +1689,10 @@ def test_run_single_evaluates_the_profile_once_per_mesh():
     calls.clear()
     for _ in range(3):
         assert norms(ws, spy) == expected["spy"]
-    assert calls == {"profile": 7, "gradient": 6}
+    assert calls == {"profile": 1 + points, "gradient": points}
     assert norms(ws, other) == expected["other"]
     assert norms(ws, spy) == expected["spy"]
-    assert calls == {"profile": 7 + 7, "gradient": 6 + 6, "other": 7}
+    assert calls == {"profile": 2 * (1 + points), "gradient": 2 * points, "other": 1 + points}
 
 
 @pytest.mark.parametrize("grid", ["fk", "shifted"])

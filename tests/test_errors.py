@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from femfct import (
     LimiterMatrix,
     PairGraph,
     build_friedrichs_keller,
+    build_shifted_grid,
     dh_seminorm,
     eoc,
     load_mesh,
+    space_study_problem,
     time_integrate,
 )
 
@@ -77,6 +80,26 @@ class TestL2Error:
         err = ErrorWorkspace(mesh).l2_error(u_h, exact, t=0.0)
         oracle = dense_l2_oracle(mesh, u_h, lambda x, y: x**2)
         assert err == pytest.approx(oracle, abs=1e-6)
+
+    def test_first_call_memory_does_not_grow_with_the_mesh(self):
+        # the first call builds the split constants block by block: on
+        # shifted level 6 (32768 triangles) its traced peak stays near
+        # 1.2e6 bytes, where all triangles at once took 6.8e6
+        mesh = build_shifted_grid(6)
+        _, exact = space_study_problem()
+        ws, u_h = ErrorWorkspace(mesh), np.zeros(mesh.n_nodes)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            ws.l2_error(u_h, exact, t=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - start < 2.5e6
 
 
 class TestH1Error:
